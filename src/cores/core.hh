@@ -56,8 +56,7 @@ struct CoreStats
      *  runs completed inside blockRun()). */
     std::uint64_t blocksExecuted = 0;
     /** blockRun() entries or runs that bailed to the per-instruction
-     *  path (stop instruction, unsafe memory access, live stride
-     *  anchor, uncovered pc). */
+     *  path (stop instruction, unsafe memory access, uncovered pc). */
     std::uint64_t blockFallbacks = 0;
     /** Block-summary words re-formed by text writes. Accounted at the
      *  simulation level (the index is shared, not per-core). */

@@ -45,201 +45,6 @@ Cv32e40pCore::costOf(const DecodedInsn &insn, const ExecResult &res) const
     }
 }
 
-namespace {
-
-/** Instruction classes whose execution touches nothing outside the
- *  register file: safe inside a provably-periodic loop. Memory ops are
- *  excluded deliberately — the RTOSUnit FSMs can rewrite data memory
- *  without the core noticing, which would silently break periodicity. */
-bool
-stridePure(InsnClass cls)
-{
-    switch (cls) {
-      case InsnClass::kAlu:
-      case InsnClass::kMul:
-      case InsnClass::kDiv:
-      case InsnClass::kBranch:
-      case InsnClass::kJump:
-        return true;
-      default:
-        return false;
-    }
-}
-
-CoreStats
-statsDelta(const CoreStats &a, const CoreStats &b)
-{
-    CoreStats d;
-    d.instret = a.instret - b.instret;
-    d.traps = a.traps - b.traps;
-    d.mrets = a.mrets - b.mrets;
-    d.wfiCycles = a.wfiCycles - b.wfiCycles;
-    d.memOps = a.memOps - b.memOps;
-    d.stallCycles = a.stallCycles - b.stallCycles;
-    d.branchMispredicts = a.branchMispredicts - b.branchMispredicts;
-    d.cacheMisses = a.cacheMisses - b.cacheMisses;
-    d.fetchPredecoded = a.fetchPredecoded - b.fetchPredecoded;
-    d.fetchSlowPath = a.fetchSlowPath - b.fetchSlowPath;
-    d.blocksExecuted = a.blocksExecuted - b.blocksExecuted;
-    d.blockFallbacks = a.blockFallbacks - b.blockFallbacks;
-    return d;
-}
-
-void
-statsAccumulate(CoreStats &s, const CoreStats &d, std::uint64_t k)
-{
-    s.instret += k * d.instret;
-    s.traps += k * d.traps;
-    s.mrets += k * d.mrets;
-    s.wfiCycles += k * d.wfiCycles;
-    s.memOps += k * d.memOps;
-    s.stallCycles += k * d.stallCycles;
-    s.branchMispredicts += k * d.branchMispredicts;
-    s.cacheMisses += k * d.cacheMisses;
-    s.fetchPredecoded += k * d.fetchPredecoded;
-    s.fetchSlowPath += k * d.fetchSlowPath;
-    s.blocksExecuted += k * d.blocksExecuted;
-    s.blockFallbacks += k * d.blockFallbacks;
-}
-
-} // namespace
-
-Cv32e40pCore::CoreSnapshot
-Cv32e40pCore::captureSnapshot() const
-{
-    CoreSnapshot s;
-    for (unsigned bank = 0; bank < 2; ++bank) {
-        s.banks[bank][0] = 0;
-        for (RegIndex r = 1; r < 32; ++r)
-            s.banks[bank][r] = state_.bankReg(bank, r);
-    }
-    for (RegIndex r = 0; r < 32; ++r)
-        s.dirty[r] = state_.regDirty(r);
-    s.activeBank = state_.activeBank();
-    s.pc = state_.pc();
-    s.csrs = state_.csrs;
-    s.lastWasLoad = lastWasLoad_;
-    s.lastLoadRd = lastLoadRd_;
-    s.divOperandBits = divOperandBits_;
-    return s;
-}
-
-const Cv32e40pCore::StrideSlot *
-Cv32e40pCore::findSlot(Addr target) const
-{
-    for (const StrideSlot &slot : slots_) {
-        if (slot.valid && slot.target == target)
-            return &slot;
-    }
-    return nullptr;
-}
-
-Cv32e40pCore::StrideSlot *
-Cv32e40pCore::findSlot(Addr target)
-{
-    for (StrideSlot &slot : slots_) {
-        if (slot.valid && slot.target == target)
-            return &slot;
-    }
-    return nullptr;
-}
-
-void
-Cv32e40pCore::strideAnchor(Addr target, Cycle now)
-{
-    if (StrideSlot *slot = findSlot(target)) {
-        slot->lastTouch = now;
-        return;
-    }
-    StrideSlot *victim = &slots_[0];
-    for (StrideSlot &slot : slots_) {
-        if (!slot.valid) {
-            victim = &slot;
-            break;
-        }
-        if (slot.lastTouch < victim->lastTouch)
-            victim = &slot;
-    }
-    *victim = StrideSlot{};
-    victim->valid = true;
-    victim->target = target;
-    victim->lastTouch = now;
-}
-
-void
-Cv32e40pCore::strideVisit(Addr pc, Cycle now)
-{
-    StrideSlot *slot = findSlot(pc);
-    if (!slot || slot->dead)
-        return;
-    slot->lastTouch = now;
-    // Cheap pre-check: an iteration that bumped the purity epoch can
-    // never confirm — count the miss without paying for a snapshot.
-    if (slot->armed && slot->epoch != strideEpoch_ &&
-        ++slot->misses >= kStrideMaxMisses) {
-        slot->dead = true;
-        return;
-    }
-    CoreSnapshot snap = captureSnapshot();
-    if (slot->armed && slot->epoch == strideEpoch_ && snap == slot->snap) {
-        // A full loop period replayed the exact machine state with only
-        // pure instructions in between: execution from here is periodic
-        // until the next impure op or external input.
-        slot->confirmed = true;
-        slot->period = now - slot->cycle;
-        slot->delta = statsDelta(stats_, slot->statsAt);
-        slot->misses = 0;
-    } else {
-        // Pure but non-recurring state (a counting loop) also misses:
-        // one re-arm is expected (dirty bits stabilizing), endless
-        // re-arming means the state is monotonic and never recurs.
-        if (slot->armed && slot->epoch == strideEpoch_ &&
-            ++slot->misses >= kStrideMaxMisses) {
-            slot->dead = true;
-            return;
-        }
-        slot->armed = true;
-        slot->confirmed = false;
-        slot->epoch = strideEpoch_;
-        slot->snap = snap;
-    }
-    slot->cycle = now;
-    slot->statsAt = stats_;
-}
-
-Cycle
-Cv32e40pCore::stridePeriod(Cycle now) const
-{
-    (void)now;
-    if (remaining_ > 0 || sleeping_ || exec_.interruptReady())
-        return 0;
-    const StrideSlot *slot = findSlot(state_.pc());
-    if (!slot || !slot->confirmed || slot->epoch != strideEpoch_ ||
-        slot->period == 0) {
-        return 0;
-    }
-    // Re-verify the full state here rather than trusting the stale
-    // confirmation: anything that mutated the register banks since
-    // (e.g. an RTOSUnit restore FSM) voids the periodicity proof.
-    if (!(captureSnapshot() == slot->snap))
-        return 0;
-    return slot->period;
-}
-
-void
-Cv32e40pCore::applyStride(Cycle now, std::uint64_t periods)
-{
-    const StrideSlot *slot = findSlot(state_.pc());
-    rtu_assert(slot && slot->confirmed, "stride apply without confirmation");
-    statsAccumulate(stats_, slot->delta, periods);
-    // The architectural state is unchanged by definition of the
-    // period; only the visit bookkeeping moves forward.
-    StrideSlot *mut = findSlot(state_.pc());
-    mut->cycle = now + periods * mut->period;
-    mut->lastTouch = mut->cycle;
-    mut->statsAt = stats_;
-}
-
 Cycle
 Cv32e40pCore::nextEventAt(Cycle now) const
 {
@@ -279,7 +84,6 @@ Cv32e40pCore::tick(Cycle now)
         if (abortable_ && exec_.interruptReady()) {
             remaining_ = 0;
             abortable_ = false;
-            strideImpure();
         } else {
             --remaining_;
             ++stats_.stallCycles;
@@ -295,7 +99,6 @@ Cv32e40pCore::tick(Cycle now)
     if (sleeping_) {
         if (exec_.pendingEnabledIrqs() != 0) {
             sleeping_ = false;
-            strideImpure();
         } else {
             ++stats_.wfiCycles;
             return;
@@ -308,7 +111,6 @@ Cv32e40pCore::tick(Cycle now)
         remaining_ = params_.trapEntryCycles - 1;
         abortable_ = false;
         lastWasLoad_ = false;
-        strideImpure();
         return;
     }
 
@@ -317,17 +119,10 @@ Cv32e40pCore::tick(Cycle now)
 
     if (stalledByUnit(insn)) {
         ++stats_.stallCycles;
-        strideImpure();
         return;
     }
 
-    // This is an issue cycle: if pc is a known loop top, try to prove
-    // (or extend) periodicity before the instruction executes.
-    strideVisit(pc, now);
-
     const InsnClass cls = insn.cls;
-    if (!stridePure(cls))
-        strideImpure();
 
     // Load-use hazard: one bubble when the previous instruction was a
     // load whose destination this instruction consumes.
@@ -353,7 +148,6 @@ Cv32e40pCore::tick(Cycle now)
     if (res.trap) {
         functionalTrap(res.trapCause, pc, now);
         remaining_ = params_.trapEntryCycles - 1;
-        strideImpure();
         return;
     }
 
@@ -383,33 +177,8 @@ Cv32e40pCore::tick(Cycle now)
         }
     }
 
-    // A retiring backward control transfer marks a loop top worth
-    // watching for periodicity.
-    if ((res.branchTaken || cls == InsnClass::kJump) && res.nextPc < pc)
-        strideAnchor(res.nextPc, now);
-
     lastWasLoad_ = cls == InsnClass::kLoad;
     lastLoadRd_ = insn.rd;
-}
-
-bool
-Cv32e40pCore::strideSlotLive(Addr pc) const
-{
-    for (const StrideSlot &slot : slots_) {
-        if (slot.valid && !slot.dead && slot.target == pc)
-            return true;
-    }
-    return false;
-}
-
-bool
-Cv32e40pCore::strideSlotLiveInRange(Addr pc, std::uint32_t words) const
-{
-    for (const StrideSlot &slot : slots_) {
-        if (slot.valid && !slot.dead && slot.target - pc < 4u * words)
-            return true;
-    }
-    return false;
 }
 
 Cv32e40pCore::BlockStep
@@ -445,9 +214,6 @@ Cv32e40pCore::blockStep(Cycle &t, Cycle bound)
         divOperandBits_ = 32 - std::countl_zero(dividend | 1);
     }
 
-    if (!stridePure(cls))
-        strideImpure();
-
     // Stop classes were excluded up front, so this cannot trap, sleep
     // or touch the RTOSUnit; a wild jalr target is caught by the
     // coverage check before the next step.
@@ -460,9 +226,6 @@ Cv32e40pCore::blockStep(Cycle &t, Cycle bound)
         dmemPort_.claim();
         ++stats_.memOps;
     }
-
-    if ((res.branchTaken || cls == InsnClass::kJump) && res.nextPc < pc)
-        strideAnchor(res.nextPc, t);
 
     lastWasLoad_ = cls == InsnClass::kLoad;
     lastLoadRd_ = insn.rd;
@@ -509,13 +272,6 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
             bailed = true;
             break;
         }
-        if (strideSlotLive(pc)) {
-            // The per-cycle path must visit the anchor or the loop can
-            // never confirm (and stride skips would starve). Written-
-            // off anchors flow through freely.
-            bailed = true;
-            break;
-        }
 
         // Block-entry fast path: a store-free run whose worst-case
         // cost (plus one inherited load-use stall of margin) fits the
@@ -524,8 +280,7 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
         const std::uint32_t run = blockindex_->runLenAt(pc);
         if (!(flags & BlockIndex::kSuffixStore) &&
             t + blockindex_->worstCyclesAt(pc) + params_.loadUseStall <=
-                bound &&
-            !strideSlotLiveInRange(pc, run)) {
+                bound) {
             for (std::uint32_t i = 0; i < run; ++i) {
                 const BlockStep s = blockStep(t, bound);
                 if (s == BlockStep::kControl) {

@@ -74,7 +74,6 @@ runWorkload(CoreKind core, const RtosUnitConfig &unit,
     res.throughput.cyclesTicked = ks.cyclesTicked;
     res.throughput.cyclesSkipped = ks.cyclesSkipped;
     res.throughput.fastForwards = ks.fastForwards;
-    res.throughput.strideSkips = ks.strideSkips;
     res.throughput.blockRuns = ks.blockRuns;
     res.throughput.cyclesBlockExecuted = ks.cyclesBlockExecuted;
     res.throughput.wallSeconds =
@@ -118,25 +117,6 @@ runWorkload(CoreKind core, const RtosUnitConfig &unit,
     RunOptions opts;
     opts.timerPeriodCycles = timer_period_cycles;
     return runWorkload(core, unit, workload, opts);
-}
-
-std::vector<RunResult>
-runSuite(CoreKind core, const RtosUnitConfig &unit, unsigned iterations,
-         Word timer_period_cycles)
-{
-    std::vector<RunResult> out;
-    for (const auto &w : standardSuite(iterations))
-        out.push_back(runWorkload(core, unit, *w, timer_period_cycles));
-    return out;
-}
-
-SampleStats
-mergeSwitchLatencies(const std::vector<RunResult> &runs)
-{
-    SampleStats merged;
-    for (const RunResult &r : runs)
-        merged.merge(r.switchLatency);
-    return merged;
 }
 
 } // namespace rtu

@@ -38,7 +38,7 @@ struct RunThroughput
     std::uint64_t cyclesTicked = 0;
     std::uint64_t cyclesSkipped = 0;
     std::uint64_t fastForwards = 0;
-    std::uint64_t strideSkips = 0;
+    std::uint64_t strideSkips = 0;  ///< always 0; perfbench still reads it
     std::uint64_t blockRuns = 0;
     std::uint64_t cyclesBlockExecuted = 0;
     double wallSeconds = 0.0;
@@ -102,14 +102,6 @@ RunResult runWorkload(CoreKind core, const RtosUnitConfig &unit,
 RunResult runWorkload(CoreKind core, const RtosUnitConfig &unit,
                       const Workload &workload,
                       Word timer_period_cycles = 1000);
-
-/** Run the full standard suite; one result per workload. */
-std::vector<RunResult> runSuite(CoreKind core, const RtosUnitConfig &unit,
-                                unsigned iterations,
-                                Word timer_period_cycles = 1000);
-
-/** Merge the switching-latency samples of several runs. */
-SampleStats mergeSwitchLatencies(const std::vector<RunResult> &runs);
 
 } // namespace rtu
 

@@ -13,13 +13,12 @@
  * retirement) that the skipped reference ticks would have performed,
  * so a fast-forwarded run is byte-identical to the per-cycle one.
  *
- * A second protocol covers cycle-exact *periodic* execution (an idle
- * or background spin loop): a component whose state provably recurs
- * with period P reports the stride via stridePeriod(); when it is the
- * only active component the kernel advances in whole multiples of P
- * bounded by the earliest foreign event, so the loop phase — and
- * therefore interrupt arrival phase and jitter — is preserved
- * bit-exactly.
+ * A second protocol covers a *single* active component (the core
+ * running guest code while every device waits): blockRun() lets it
+ * execute itself forward up to the earliest foreign event, after which
+ * the kernel skipTo()s the others over the consumed range. Execution
+ * is exact instruction by instruction, so interrupt arrival phase —
+ * and therefore latency and jitter — is preserved bit-exactly.
  */
 
 #ifndef RTU_SIM_KERNEL_HH
@@ -69,28 +68,6 @@ class Clocked
     }
 
     /**
-     * Cycle-exact periodicity: non-zero iff, starting from the state
-     * at @p now, execution provably repeats with this period (same
-     * state, same per-period counter deltas, no side effects outside
-     * the component). 0 = no stride available.
-     */
-    virtual Cycle
-    stridePeriod(Cycle now) const
-    {
-        (void)now;
-        return 0;
-    }
-
-    /** Apply @p periods whole strides worth of counter deltas; the
-     *  architectural state is unchanged by definition of the stride. */
-    virtual void
-    applyStride(Cycle now, std::uint64_t periods)
-    {
-        (void)now;
-        (void)periods;
-    }
-
-    /**
      * Superblock execution: when this is the only active component and
      * every foreign event lies at or beyond @p bound, execute forward
      * from @p now and return the number of cycles consumed (0 = no
@@ -116,8 +93,7 @@ struct SimKernelStats
     std::uint64_t cyclesTicked = 0;    ///< cycles executed per-cycle
     std::uint64_t cyclesSkipped = 0;   ///< cycles fast-forwarded
     std::uint64_t fastForwards = 0;    ///< quiescent-gap skips
-    std::uint64_t strideSkips = 0;     ///< periodic-loop skips
-    std::uint64_t strideCyclesSkipped = 0;  ///< subset of cyclesSkipped
+    std::uint64_t strideSkips = 0;     ///< always 0; perfbench still reads it
     std::uint64_t blockRuns = 0;       ///< successful blockRun() calls
     /** Cycles consumed inside blockRun() — these are executed, not
      *  skipped: ticked + skipped + blockExecuted is mode-invariant. */
@@ -146,9 +122,9 @@ class SimKernel
 
     /**
      * Attempt one fast-forward bounded by @p limit: if no component
-     * is active now, skip to the earliest future event; if the only
-     * active component offers a stride, advance by whole periods.
-     * @return true if `now` advanced (no ticks were executed).
+     * is active now, skip to the earliest future event; if exactly one
+     * is, let it blockRun() up to that event.
+     * @return true if `now` advanced (no per-cycle ticks were run).
      *
      * Failed attempts back off exponentially (up to 32 cycles): the
      * min-reduction itself costs a virtual call per component per

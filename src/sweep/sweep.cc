@@ -173,6 +173,8 @@ writeResultsJsonl(std::ostream &os,
            << "\",\"cycles\":" << run.cycles
            << ",\"cycles_ticked\":" << run.throughput.cyclesTicked
            << ",\"cycles_skipped\":" << run.throughput.cyclesSkipped
+           << ",\"cycles_block_executed\":"
+           << run.throughput.cyclesBlockExecuted
            << ",\"fetch_predecoded\":" << run.coreStats.fetchPredecoded
            << ",\"fetch_slow_path\":" << run.coreStats.fetchSlowPath
            << ",\"text_invalidations\":"

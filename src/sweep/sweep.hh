@@ -157,8 +157,10 @@ SweepResult runSweepPoint(const SweepPoint &point, bool capture_trace,
  * another generation instead of misparsing them.
  * v2: block-execution counters (blocks_executed, block_fallbacks,
  *     block_invalidations).
+ * v3: cycles_block_executed, closing the engine split:
+ *     cycles == cycles_ticked + cycles_skipped + cycles_block_executed.
  */
-constexpr unsigned kSweepResultsSchema = 2;
+constexpr unsigned kSweepResultsSchema = 3;
 
 /** One schema-stamped header object: `{"schema":N,"bench":"<name>"}`.
  *  Written as the first line of every sweep bench's --out stream. */
@@ -166,9 +168,9 @@ void writeResultsHeaderJsonl(std::ostream &os, const char *bench);
 
 /**
  * Serialize one result line per point (JSONL, deterministic). The
- * run status and exact cycles-ticked/skipped counters are always
- * emitted; @p include_timing adds the nondeterministic wall_ms/mips
- * fields (off by default so the stream stays byte-stable).
+ * run status and exact cycles-ticked/skipped/block-executed counters
+ * are always emitted; @p include_timing adds the nondeterministic
+ * wall_ms/mips fields (off by default so the stream stays byte-stable).
  */
 void writeResultsJsonl(std::ostream &os,
                        const std::vector<SweepResult> &results,

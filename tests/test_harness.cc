@@ -1,5 +1,5 @@
 /** Harness tests: workload registry, experiment driver, cross-core
- *  runs, activity counters and latency merging. */
+ *  runs and activity counters. */
 
 #include <gtest/gtest.h>
 
@@ -82,27 +82,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CoreKind> &info) {
         return coreKindName(info.param);
     });
-
-TEST(Experiment, MergeCombinesSamples)
-{
-    std::vector<RunResult> runs(2);
-    runs[0].switchLatency.add(10);
-    runs[0].switchLatency.add(20);
-    runs[1].switchLatency.add(30);
-    const SampleStats merged = mergeSwitchLatencies(runs);
-    EXPECT_EQ(merged.count(), 3u);
-    EXPECT_DOUBLE_EQ(merged.mean(), 20.0);
-    EXPECT_DOUBLE_EQ(merged.jitter(), 20.0);
-}
-
-TEST(Experiment, SuiteRunProducesOneResultPerWorkload)
-{
-    const auto results =
-        runSuite(CoreKind::kCv32e40p, RtosUnitConfig::fromName("T"), 3);
-    EXPECT_EQ(results.size(), 7u);
-    for (const RunResult &r : results)
-        EXPECT_TRUE(r.ok) << r.workload;
-}
 
 TEST(Simulation, ReadSymbolWordSeesGuestState)
 {

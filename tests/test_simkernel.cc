@@ -1,9 +1,13 @@
-/** SimKernel tests: next-event min-reduction, fast-forward and stride
- *  arithmetic on fake components, skip bounds against the real CLINT
- *  and external-irq driver, stride enter/exit on a spinning guest, and
- *  the no-retire watchdog (mode-identical abort cycles). */
+/** SimKernel tests: next-event min-reduction, fast-forward and
+ *  block-run arithmetic on fake components, skip bounds against the
+ *  real CLINT and external-irq driver, block execution of a spinning
+ *  guest (bit-exact against the per-cycle reference, across an irq
+ *  arrival), and the no-retire watchdog (mode-identical abort
+ *  cycles). */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "asm/assembler.hh"
 #include "harness/simulation.hh"
@@ -50,31 +54,25 @@ class FakeClocked : public Clocked
     Cycle lastSkipTo = 0;
 };
 
-/** Always-active component advertising a fixed execution stride. */
-class FakeStrider : public FakeClocked
+/** Always-active component that executes itself forward in chunks of
+ *  at most `chunk` cycles when the kernel offers it a block run. */
+class FakeBlockRunner : public FakeClocked
 {
   public:
-    explicit FakeStrider(Cycle period) : FakeClocked(0), period_(period)
+    explicit FakeBlockRunner(Cycle chunk) : FakeClocked(0), chunk_(chunk)
     {}
 
     Cycle
-    stridePeriod(Cycle now) const override
+    blockRun(Cycle now, Cycle bound) override
     {
-        (void)now;
-        return period_;
+        ++runs;
+        lastBound = bound;
+        return std::min(chunk_, bound - now);
     }
 
-    void
-    applyStride(Cycle now, std::uint64_t periods) override
-    {
-        (void)now;
-        appliedPeriods += periods;
-        ++strides;
-    }
-
-    Cycle period_;
-    std::uint64_t appliedPeriods = 0;
-    unsigned strides = 0;
+    Cycle chunk_;
+    unsigned runs = 0;
+    Cycle lastBound = 0;
 };
 
 TEST(SimKernel, NextEventCycleIsMinReduction)
@@ -114,7 +112,8 @@ TEST(SimKernel, FastForwardSkipsToEarliestEvent)
     EXPECT_EQ(b.skips, 1u);
     EXPECT_EQ(a.ticks, 0u);
 
-    // `a` is active at cycle 10 and offers no stride: no further skip.
+    // `a` is active at cycle 10 and offers no block run: no further
+    // skip.
     EXPECT_FALSE(k.fastForward(1000));
     EXPECT_EQ(k.now(), 10u);
 
@@ -149,40 +148,55 @@ TEST(SimKernel, AllQuiescentSkipsToTheLimit)
     EXPECT_FALSE(k.fastForward(1000));
 }
 
-TEST(SimKernel, StrideAdvancesWholePeriodsOnly)
+TEST(SimKernel, BlockRunAdvancesByTheCyclesConsumed)
 {
     SimKernel k;
-    FakeStrider spin(7);
+    FakeBlockRunner core(30);
     FakeClocked foreign(100);
-    k.add(&spin);
+    k.add(&core);
     k.add(&foreign);
 
-    // 100 / 7 = 14 whole periods -> cycle 98, never past the foreign
-    // event and never a fractional period (the loop phase survives).
+    // The lone active component runs up to its chunk; the foreign one
+    // is skipped over exactly the consumed cycles.
     ASSERT_TRUE(k.fastForward(1000));
-    EXPECT_EQ(k.now(), 98u);
-    EXPECT_EQ(spin.appliedPeriods, 14u);
-    EXPECT_EQ(spin.strides, 1u);
-    EXPECT_EQ(spin.skips, 0u);  // the strider strides, never skipTo()s
+    EXPECT_EQ(k.now(), 30u);
+    EXPECT_EQ(core.runs, 1u);
+    EXPECT_EQ(core.lastBound, 100u);  // the foreign event is the horizon
+    EXPECT_EQ(core.skips, 0u);  // the runner executes, never skipTo()s
+    EXPECT_EQ(core.ticks, 0u);
     EXPECT_EQ(foreign.skips, 1u);
-    EXPECT_EQ(foreign.lastSkipTo, 98u);
-    EXPECT_EQ(k.stats().strideSkips, 1u);
-    EXPECT_EQ(k.stats().strideCyclesSkipped, 98u);
+    EXPECT_EQ(foreign.lastSkipFrom, 0u);
+    EXPECT_EQ(foreign.lastSkipTo, 30u);
 
-    // The 2 remaining cycles to the foreign event are < one period.
+    // Further runs stop exactly on the foreign event, never past it.
+    while (k.now() < 100)
+        ASSERT_TRUE(k.fastForward(1000));
+    EXPECT_EQ(k.now(), 100u);
+    EXPECT_EQ(core.runs, 4u);
+    EXPECT_EQ(foreign.lastSkipTo, 100u);
+
+    const SimKernelStats &s = k.stats();
+    EXPECT_EQ(s.blockRuns, 4u);
+    EXPECT_EQ(s.cyclesBlockExecuted, 100u);
+    EXPECT_EQ(s.cyclesSkipped, 0u);
+    EXPECT_EQ(s.cyclesTicked, 0u);
+
+    // Both components are active now: nothing may run ahead.
     EXPECT_FALSE(k.fastForward(1000));
-    EXPECT_EQ(k.now(), 98u);
+    EXPECT_EQ(core.runs, 4u);
 }
 
-TEST(SimKernel, TwoActiveComponentsCannotStride)
+TEST(SimKernel, TwoActiveComponentsNeverBlockRun)
 {
     SimKernel k;
-    FakeStrider s1(5), s2(5);
-    k.add(&s1);
-    k.add(&s2);
+    FakeBlockRunner r1(5), r2(5);
+    k.add(&r1);
+    k.add(&r2);
     EXPECT_FALSE(k.fastForward(1000));
-    EXPECT_EQ(s1.appliedPeriods, 0u);
-    EXPECT_EQ(s2.appliedPeriods, 0u);
+    EXPECT_EQ(k.now(), 0u);
+    EXPECT_EQ(r1.runs, 0u);
+    EXPECT_EQ(r2.runs, 0u);
+    EXPECT_EQ(k.stats().blockRuns, 0u);
 }
 
 TEST(SimKernel, TickOneRunsEveryComponentThenAdvances)
@@ -276,8 +290,8 @@ TEST(ClintNextEvent, ArithmeticCoversTheProtocol)
     EXPECT_EQ(clint.nextEventAt(2), 2u);
 }
 
-/** Infinite pure spin whose architectural state recurs exactly each
- *  iteration — the stride detector's target shape. */
+/** Infinite register-only spin: with no device event pending the core
+ *  is the lone active component, so the kernel block-executes it. */
 Program
 spinProgram()
 {
@@ -312,7 +326,7 @@ bareConfig(bool fast_forward)
     return cfg;
 }
 
-TEST(SimKernelGuest, StrideEngagesOnSpinAndPreservesState)
+TEST(SimKernelGuest, SpinIsBlockExecutedAndPreservesState)
 {
     const Program p = spinProgram();
 
@@ -328,9 +342,8 @@ TEST(SimKernelGuest, StrideEngagesOnSpinAndPreservesState)
     Simulation ffSim(ff, p);
     EXPECT_FALSE(ffSim.run());
 
-    // The detector must engage...
-    EXPECT_GT(ffSim.kernelStats().strideSkips, 0u);
-    EXPECT_GT(ffSim.kernelStats().cyclesSkipped, 0u);
+    // The spin must run as block execution...
+    EXPECT_GT(ffSim.kernelStats().cyclesBlockExecuted, 0u);
     EXPECT_LT(ffSim.kernelStats().cyclesTicked, ref.maxCycles);
     // ...and reproduce the reference run bit-exactly.
     EXPECT_EQ(ffSim.now(), refSim.now());
@@ -344,14 +357,22 @@ TEST(SimKernelGuest, StrideEngagesOnSpinAndPreservesState)
             << "x" << unsigned(r);
 }
 
-TEST(SimKernelGuest, StrideExitsOnIrqDelivery)
+TEST(SimKernelGuest, BlockExecutedSpinStaysExactAcrossIrqDelivery)
 {
-    // Same spin, but an external interrupt arrives mid-stride. With
+    // Same spin, but an external interrupt arrives mid-spin. With
     // interrupts disabled (reset state) delivery is just the MEIP
-    // line rising — the skip still must not step over that cycle, so
-    // the phase-sensitive state around it stays exact.
+    // line rising — block execution still must not step over that
+    // cycle, so the phase-sensitive state around it stays exact.
     const Program p = spinProgram();
 
+    struct Outcome
+    {
+        Cycle cycles;
+        std::uint64_t instret;
+        std::uint64_t stallCycles;
+        Addr pc;
+        SimKernelStats kernel;
+    };
     auto run = [&](bool fast_forward) {
         SimConfig cfg = bareConfig(fast_forward);
         cfg.maxCycles = 3000;
@@ -359,10 +380,19 @@ TEST(SimKernelGuest, StrideExitsOnIrqDelivery)
         Simulation sim(cfg, p);
         sim.scheduleExtIrq(1777);
         EXPECT_FALSE(sim.run());
-        return sim.coreStats().instret;
+        return Outcome{sim.now(), sim.coreStats().instret,
+                       sim.coreStats().stallCycles, sim.archState().pc(),
+                       sim.kernelStats()};
     };
 
-    EXPECT_EQ(run(true), run(false));
+    const Outcome ff = run(true);
+    const Outcome ref = run(false);
+    EXPECT_GT(ff.kernel.cyclesBlockExecuted, 0u);
+    EXPECT_LT(ff.kernel.cyclesTicked, 3000u);
+    EXPECT_EQ(ff.cycles, ref.cycles);
+    EXPECT_EQ(ff.instret, ref.instret);
+    EXPECT_EQ(ff.stallCycles, ref.stallCycles);
+    EXPECT_EQ(ff.pc, ref.pc);
 }
 
 TEST(SimKernelGuest, WatchdogAbortsIdenticallyInBothModes)

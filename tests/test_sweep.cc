@@ -1,7 +1,8 @@
 /** SweepRunner tests: grid expansion, determinism (same spec twice
- *  => byte-identical JSONL; serial == parallel), and the per-episode
- *  trace schema (all six phase timestamps present; hardware phases
- *  populated on hardware configurations). */
+ *  => byte-identical JSONL; serial == parallel), closed cycle
+ *  accounting on every result line, and the per-episode trace schema
+ *  (all six phase timestamps present; hardware phases populated on
+ *  hardware configurations). */
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,18 @@ runToJsonl(const SweepSpec &spec, unsigned threads)
     writeResultsJsonl(res, results);
     writeTraceJsonl(trc, results);
     return {res.str(), trc.str()};
+}
+
+/** Value of the unsigned integer field @p key in one JSONL line. */
+std::uint64_t
+u64Field(const std::string &line, const std::string &key)
+{
+    const std::string needle = "\"" + key + "\":";
+    const size_t at = line.find(needle);
+    EXPECT_NE(at, std::string::npos) << "missing " << key << " in: " << line;
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(line.substr(at + needle.size()));
 }
 
 TEST(SweepSpec, ExpandsTheFullCartesianGridInStableOrder)
@@ -91,6 +104,35 @@ TEST(SweepRunner, SerialAndParallelAgree)
     const auto [res_par, trc_par] = runToJsonl(spec, 4);
     EXPECT_EQ(res_serial, res_par);
     EXPECT_EQ(trc_serial, trc_par);
+}
+
+TEST(SweepRunner, ResultLinesCloseTheCycleAccounting)
+{
+    // Every simulated cycle is ticked, skipped or block-executed — a
+    // consumer can check the engine split against the total.
+    setQuiet(true);
+    std::ostringstream os;
+    writeResultsHeaderJsonl(os, "test");
+    writeResultsJsonl(os, SweepRunner(2).run(smallSpec()));
+
+    std::istringstream is(os.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(is, line));
+    EXPECT_EQ(u64Field(line, "schema"), kSweepResultsSchema);
+    size_t lines = 0;
+    std::uint64_t blockExecuted = 0;
+    while (std::getline(is, line)) {
+        ++lines;
+        const std::uint64_t executed =
+            u64Field(line, "cycles_block_executed");
+        EXPECT_EQ(u64Field(line, "cycles"),
+                  u64Field(line, "cycles_ticked") +
+                      u64Field(line, "cycles_skipped") + executed)
+            << line;
+        blockExecuted += executed;
+    }
+    EXPECT_EQ(lines, smallSpec().points().size());
+    EXPECT_GT(blockExecuted, 0u);
 }
 
 TEST(SweepRunner, ResultsMatchTheDirectHarnessPath)
