@@ -66,9 +66,6 @@ enum class Op : std::uint8_t {
     kInvalid,
 };
 
-/** Dense opcode count (indexes the executor's dispatch table). */
-constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kInvalid) + 1;
-
 /** Coarse classes used by timing models and the WCET analyzer. */
 enum class InsnClass : std::uint8_t {
     kAlu,      ///< integer ALU, LUI/AUIPC

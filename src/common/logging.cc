@@ -7,9 +7,10 @@ namespace rtu {
 
 namespace {
 bool gQuiet = false;
+} // namespace
 
 std::string
-vformat(const char *fmt, va_list ap)
+vcsprintf(const char *fmt, va_list ap)
 {
     va_list ap2;
     va_copy(ap2, ap);
@@ -21,14 +22,13 @@ vformat(const char *fmt, va_list ap)
     std::vsnprintf(buf.data(), buf.size(), fmt, ap);
     return std::string(buf.data(), static_cast<size_t>(n));
 }
-} // namespace
 
 std::string
 csprintf(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    std::string s = vformat(fmt, ap);
+    std::string s = vcsprintf(fmt, ap);
     va_end(ap);
     return s;
 }
@@ -50,7 +50,7 @@ panicImpl(const char *file, int line, const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     std::abort();
@@ -61,7 +61,7 @@ guestFaultImpl(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     throw GuestFault(msg);
 }
@@ -71,7 +71,7 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::exit(1);
@@ -84,7 +84,7 @@ warnImpl(const char *fmt, ...)
         return;
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
@@ -96,7 +96,7 @@ informImpl(const char *fmt, ...)
         return;
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     std::fprintf(stdout, "info: %s\n", msg.c_str());
 }

@@ -25,6 +25,10 @@ namespace rtu {
 std::string csprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** csprintf() over an already-started argument list. */
+std::string vcsprintf(const char *fmt, va_list ap)
+    __attribute__((format(printf, 1, 0)));
+
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));
 

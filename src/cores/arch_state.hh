@@ -40,6 +40,10 @@ class ArchState
     static constexpr unsigned kIsrBank = 1;
 
     ArchState() { reset(); }
+    // The cached bank pointers point into this object: a copy would
+    // keep writing the original's register file.
+    ArchState(const ArchState &) = delete;
+    ArchState &operator=(const ArchState &) = delete;
 
     void
     reset()
@@ -47,17 +51,19 @@ class ArchState
         for (auto &bank : banks_)
             bank.fill(0);
         dirty_.fill(false);
-        activeBank_ = kAppBank;
+        setActiveBank(kAppBank);
         pc_ = 0;
         csrs = Csrs{};
     }
 
     // ---- active-bank register access (core datapath) ----------------
+    // x0 is never written in either bank, so it reads 0 without a
+    // select.
     Word
     reg(RegIndex r) const
     {
         rtu_assert(r < 32, "register index %u", r);
-        return r == 0 ? 0 : banks_[activeBank_][r];
+        return active_[r];
     }
 
     void
@@ -66,9 +72,8 @@ class ArchState
         rtu_assert(r < 32, "register index %u", r);
         if (r == 0)
             return;
-        banks_[activeBank_][r] = v;
-        if (activeBank_ == kAppBank)
-            dirty_[r] = true;
+        active_[r] = v;
+        activeDirty_[r] = true;
     }
 
     // ---- explicit-bank access (RTOSUnit store/restore FSMs) ---------
@@ -76,7 +81,7 @@ class ArchState
     bankReg(unsigned bank, RegIndex r) const
     {
         rtu_assert(bank < 2 && r < 32, "bank %u reg %u", bank, r);
-        return r == 0 ? 0 : banks_[bank][r];
+        return banks_[bank][r];
     }
 
     void
@@ -92,6 +97,10 @@ class ArchState
     {
         rtu_assert(bank < 2, "bank %u", bank);
         activeBank_ = bank;
+        active_ = banks_[bank].data();
+        // Only application-bank writes mark registers dirty; ISR-bank
+        // writes land in a sink nobody reads.
+        activeDirty_ = bank == kAppBank ? dirty_.data() : dirtySink_.data();
     }
 
     // ---- dirty bits (RTOSUnit (D) option, paper Section 4.5) --------
@@ -107,7 +116,13 @@ class ArchState
   private:
     std::array<std::array<Word, 32>, 2> banks_;
     std::array<bool, 32> dirty_;
+    std::array<bool, 32> dirtySink_{};
     unsigned activeBank_ = kAppBank;
+    /** banks_[activeBank_], cached so a register store does not have
+     *  to reload the bank index (it has the same type as the value). */
+    Word *active_ = nullptr;
+    /** dirty_ in the application bank, dirtySink_ in the ISR bank. */
+    bool *activeDirty_ = nullptr;
     Addr pc_ = 0;
 };
 

@@ -181,7 +181,8 @@ Cv32e40pCore::tick(Cycle now)
     lastLoadRd_ = insn.rd;
 }
 
-Cv32e40pCore::BlockStep
+// Inlined into blockRun(), its one caller: the per-instruction hot path.
+[[gnu::always_inline]] inline Cv32e40pCore::BlockStep
 Cv32e40pCore::blockStep(Cycle &t, Cycle bound)
 {
     const Addr pc = state_.pc();
@@ -276,46 +277,38 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
         // Block-entry fast path: a store-free run whose worst-case
         // cost (plus one inherited load-use stall of margin) fits the
         // horizon needs no per-instruction re-validation — one bound
-        // check for the whole block.
-        const std::uint32_t run = blockindex_->runLenAt(pc);
+        // check for the whole block (kHorizon cannot happen in it).
+        // Otherwise step once and re-check: store-carrying or
+        // horizon-limited runs re-validate every word (a store may
+        // have re-formed the very block being executed).
+        std::uint32_t steps = 1;
         if (!(flags & BlockIndex::kSuffixStore) &&
             t + blockindex_->worstCyclesAt(pc) + params_.loadUseStall <=
                 bound) {
-            for (std::uint32_t i = 0; i < run; ++i) {
-                const BlockStep s = blockStep(t, bound);
-                if (s == BlockStep::kControl) {
-                    ++stats_.blocksExecuted;
-                    sinceBoundary = 0;
-                } else if (s == BlockStep::kDone) {
-                    ++sinceBoundary;
-                } else {
-                    // kBailMem (kHorizon cannot happen: the worst-case
-                    // cost fit the window).
-                    bailed = true;
-                    break;
-                }
-            }
-            if (bailed)
+            steps = blockindex_->runLenAt(pc);
+        }
+        bool stop = false;
+        for (std::uint32_t i = 0; i < steps && !stop; ++i) {
+            switch (blockStep(t, bound)) {
+              case BlockStep::kControl:
+                ++stats_.blocksExecuted;
+                sinceBoundary = 0;
                 break;
-            continue;
+              case BlockStep::kDone:
+                ++sinceBoundary;
+                break;
+              case BlockStep::kHorizon:
+                ++sinceBoundary;
+                stop = true;
+                break;
+              case BlockStep::kBailMem:
+                bailed = true;
+                stop = true;
+                break;
+            }
         }
-
-        // Checked stepping: store-carrying or horizon-limited runs
-        // re-validate every word (a store may have re-formed the very
-        // block being executed).
-        const BlockStep s = blockStep(t, bound);
-        if (s == BlockStep::kControl) {
-            ++stats_.blocksExecuted;
-            sinceBoundary = 0;
-        } else if (s == BlockStep::kDone) {
-            ++sinceBoundary;
-        } else if (s == BlockStep::kHorizon) {
-            ++sinceBoundary;
+        if (stop)
             break;
-        } else {
-            bailed = true;
-            break;
-        }
     }
 
     if (sinceBoundary > 0)

@@ -133,7 +133,12 @@ Cva6Core::issue(Cycle now)
         issueReadyAt_ = now + 1;
         return;
     }
+    issueDecoded(now, pc, insn);
+}
 
+bool
+Cva6Core::issueDecoded(Cycle now, Addr pc, DecodedInsn insn)
+{
     // Scoreboard RAW check: sources must have completed.
     Cycle ops_ready = now;
     if (insn.useRs1)
@@ -143,7 +148,7 @@ Cva6Core::issue(Cycle now)
     if (ops_ready > now) {
         issueReadyAt_ = ops_ready;
         stats_.stallCycles += ops_ready - now;
-        return;
+        return false;
     }
 
     const InsnClass cls = insn.cls;
@@ -152,7 +157,7 @@ Cva6Core::issue(Cycle now)
     if (cls == InsnClass::kStore && storeBuf_ >= params_.storeBufferDepth) {
         issueReadyAt_ = now + 1;
         ++stats_.stallCycles;
-        return;
+        return false;
     }
 
     unsigned div_bits = 0;
@@ -166,7 +171,7 @@ Cva6Core::issue(Cycle now)
         functionalTrap(res.trapCause, pc, now);
         issueReadyAt_ = now + params_.trapEntryBase;
         regReadyAt_.fill(now);
-        return;
+        return false;
     }
     state_.setPc(res.nextPc);
     ++stats_.instret;
@@ -252,6 +257,7 @@ Cva6Core::issue(Cycle now)
         regReadyAt_[insn.rd] = complete;
     drainAt_ = std::max(drainAt_, complete);
     issueReadyAt_ = std::max(issue_next, now + 1);
+    return true;
 }
 
 Cycle
@@ -300,7 +306,6 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
             bailed = true;
             break;
         }
-        const InsnClass cls = insn.cls;
 
         // Cycle t is committed: bus-occupancy / store-buffer step,
         // exactly the top of tick(). beginCycle() substitutes for the
@@ -314,12 +319,14 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
             --storeBuf_;
         }
 
-        // issue() applies RAW / store-buffer-full stalls by itself; a
-        // stalled attempt retires nothing and is retried next cycle,
-        // exactly as tick() would.
-        const std::uint64_t before = stats_.instret;
-        issue(t);
-        if (stats_.instret != before) {
+        // Dispatch the word verified above, skipping issue()'s fetch
+        // and RTOSUnit stall check (stop words never get here). It
+        // applies RAW / store-buffer-full stalls by itself; a stalled
+        // attempt retires nothing and is retried next cycle, exactly
+        // as tick() would.
+        ++stats_.fetchPredecoded;
+        const InsnClass cls = insn.cls;
+        if (issueDecoded(t, pc, insn)) {
             if (cls == InsnClass::kBranch || cls == InsnClass::kJump) {
                 ++stats_.blocksExecuted;
                 sinceBoundary = 0;

@@ -71,8 +71,12 @@ class Cva6Core : public Core
 
   private:
     bool stalledByUnit(const DecodedInsn &insn) const;
-    /** Issue one instruction; updates timing state. */
+    /** Fetch and issue one instruction; updates timing state. */
     void issue(Cycle now);
+    /** Issue @p insn, fetched from @p pc and past the RTOSUnit stall
+     *  check (by value: a store may re-decode its own word). True if
+     *  it retired, false on a RAW/structural stall or a trap. */
+    bool issueDecoded(Cycle now, Addr pc, DecodedInsn insn);
     unsigned predictorIndex(Addr pc) const;
 
     Cva6Params params_;

@@ -113,161 +113,49 @@ Executor::takeTrap(Word cause, Addr epc)
         unit_->onTrapEntry(cause);
 }
 
-// ---- per-family handlers ---------------------------------------------------
+// ---- out-of-line op families -----------------------------------------------
 //
-// One handler per op family; Executor::execute (inline in the header)
-// looks the handler up in a flat table indexed by Op, so the dispatch
-// path is a single indirect call instead of a monolithic switch.
+// Executor::execute (inline in the header) applies the ALU, upper,
+// jump and branch ops itself and calls one of these for the rest.
 
 void
-Executor::execUpper(Executor &e, const DecodedInsn &d, Addr pc,
-                    ExecResult &res)
+Executor::execLoad(const DecodedInsn &d, ExecResult &res)
 {
-    (void)res;
-    if (d.op == Op::kLui)
-        e.state_.setReg(d.rd, static_cast<Word>(d.imm) << 12);
-    else
-        e.state_.setReg(d.rd, pc + (static_cast<Word>(d.imm) << 12));
-}
-
-void
-Executor::execJump(Executor &e, const DecodedInsn &d, Addr pc,
-                   ExecResult &res)
-{
-    const Word rs1 = e.state_.reg(d.rs1);
-    e.state_.setReg(d.rd, pc + 4);
-    if (d.op == Op::kJal)
-        res.nextPc = pc + static_cast<Word>(d.imm);
-    else
-        res.nextPc = (rs1 + static_cast<Word>(d.imm)) & ~Word{1};
-}
-
-bool
-Executor::evalBranch(Op op, Word rs1, Word rs2)
-{
-    switch (op) {
-      case Op::kBeq: return rs1 == rs2;
-      case Op::kBne: return rs1 != rs2;
-      case Op::kBlt:
-        return static_cast<SWord>(rs1) < static_cast<SWord>(rs2);
-      case Op::kBge:
-        return static_cast<SWord>(rs1) >= static_cast<SWord>(rs2);
-      case Op::kBltu: return rs1 < rs2;
-      default: return rs1 >= rs2;  // kBgeu
-    }
-}
-
-void
-Executor::execBranch(Executor &e, const DecodedInsn &d, Addr pc,
-                     ExecResult &res)
-{
-    (void)pc;
-    res.branchTaken =
-        evalBranch(d.op, e.state_.reg(d.rs1), e.state_.reg(d.rs2));
-}
-
-void
-Executor::execLoad(Executor &e, const DecodedInsn &d, Addr pc,
-                   ExecResult &res)
-{
-    (void)pc;
-    const Addr addr = e.state_.reg(d.rs1) + static_cast<Word>(d.imm);
+    const Addr addr = state_.reg(d.rs1) + static_cast<Word>(d.imm);
     res.memAccess = true;
     res.memAddr = addr;
     Word v = 0;
     switch (d.op) {
       case Op::kLb:
-        v = static_cast<Word>(sext(e.mem_.read(addr, MemSize::kByte), 8));
+        v = static_cast<Word>(sext(mem_.read(addr, MemSize::kByte), 8));
         break;
       case Op::kLh:
-        v = static_cast<Word>(sext(e.mem_.read(addr, MemSize::kHalf), 16));
+        v = static_cast<Word>(sext(mem_.read(addr, MemSize::kHalf), 16));
         break;
-      case Op::kLw: v = e.mem_.read(addr, MemSize::kWord); break;
-      case Op::kLbu: v = e.mem_.read(addr, MemSize::kByte); break;
-      default: v = e.mem_.read(addr, MemSize::kHalf); break;  // kLhu
+      case Op::kLw: v = mem_.read(addr, MemSize::kWord); break;
+      case Op::kLbu: v = mem_.read(addr, MemSize::kByte); break;
+      default: v = mem_.read(addr, MemSize::kHalf); break;  // kLhu
     }
-    e.state_.setReg(d.rd, v);
+    state_.setReg(d.rd, v);
 }
 
 void
-Executor::execStore(Executor &e, const DecodedInsn &d, Addr pc,
-                    ExecResult &res)
+Executor::execStore(const DecodedInsn &d, ExecResult &res)
 {
-    (void)pc;
-    const Addr addr = e.state_.reg(d.rs1) + static_cast<Word>(d.imm);
+    const Addr addr = state_.reg(d.rs1) + static_cast<Word>(d.imm);
     res.memAccess = true;
     res.memIsStore = true;
     res.memAddr = addr;
     const MemSize sz = d.op == Op::kSb   ? MemSize::kByte
                        : d.op == Op::kSh ? MemSize::kHalf
                                          : MemSize::kWord;
-    e.mem_.write(addr, e.state_.reg(d.rs2), sz);
+    mem_.write(addr, state_.reg(d.rs2), sz);
 }
 
 void
-Executor::execAluImm(Executor &e, const DecodedInsn &d, Addr pc,
-                     ExecResult &res)
+Executor::execMulDiv(const DecodedInsn &d)
 {
-    (void)pc;
-    (void)res;
-    ArchState &s = e.state_;
-    const Word rs1 = s.reg(d.rs1);
-    switch (d.op) {
-      case Op::kAddi: s.setReg(d.rd, rs1 + static_cast<Word>(d.imm)); break;
-      case Op::kSlti:
-        s.setReg(d.rd, static_cast<SWord>(rs1) < d.imm ? 1 : 0);
-        break;
-      case Op::kSltiu:
-        s.setReg(d.rd, rs1 < static_cast<Word>(d.imm) ? 1 : 0);
-        break;
-      case Op::kXori: s.setReg(d.rd, rs1 ^ static_cast<Word>(d.imm)); break;
-      case Op::kOri: s.setReg(d.rd, rs1 | static_cast<Word>(d.imm)); break;
-      case Op::kAndi: s.setReg(d.rd, rs1 & static_cast<Word>(d.imm)); break;
-      case Op::kSlli: s.setReg(d.rd, rs1 << (d.imm & 31)); break;
-      case Op::kSrli: s.setReg(d.rd, rs1 >> (d.imm & 31)); break;
-      default:  // kSrai
-        s.setReg(d.rd,
-                 static_cast<Word>(static_cast<SWord>(rs1) >> (d.imm & 31)));
-        break;
-    }
-}
-
-void
-Executor::execAluReg(Executor &e, const DecodedInsn &d, Addr pc,
-                     ExecResult &res)
-{
-    (void)pc;
-    (void)res;
-    ArchState &s = e.state_;
-    const Word rs1 = s.reg(d.rs1);
-    const Word rs2 = s.reg(d.rs2);
-    switch (d.op) {
-      case Op::kAdd: s.setReg(d.rd, rs1 + rs2); break;
-      case Op::kSub: s.setReg(d.rd, rs1 - rs2); break;
-      case Op::kSll: s.setReg(d.rd, rs1 << (rs2 & 31)); break;
-      case Op::kSlt:
-        s.setReg(d.rd,
-                 static_cast<SWord>(rs1) < static_cast<SWord>(rs2) ? 1 : 0);
-        break;
-      case Op::kSltu: s.setReg(d.rd, rs1 < rs2 ? 1 : 0); break;
-      case Op::kXor: s.setReg(d.rd, rs1 ^ rs2); break;
-      case Op::kSrl: s.setReg(d.rd, rs1 >> (rs2 & 31)); break;
-      case Op::kSra:
-        s.setReg(d.rd,
-                 static_cast<Word>(static_cast<SWord>(rs1) >> (rs2 & 31)));
-        break;
-      case Op::kOr: s.setReg(d.rd, rs1 | rs2); break;
-      default: s.setReg(d.rd, rs1 & rs2); break;  // kAnd
-    }
-}
-
-void
-Executor::execMulDiv(Executor &e, const DecodedInsn &d, Addr pc,
-                     ExecResult &res)
-{
-    (void)pc;
-    (void)res;
-    ArchState &s = e.state_;
+    ArchState &s = state_;
     const Word rs1 = s.reg(d.rs1);
     const Word rs2 = s.reg(d.rs2);
     switch (d.op) {
@@ -312,8 +200,7 @@ Executor::execMulDiv(Executor &e, const DecodedInsn &d, Addr pc,
 }
 
 void
-Executor::execSystem(Executor &e, const DecodedInsn &d, Addr pc,
-                     ExecResult &res)
+Executor::execSystem(const DecodedInsn &d, Addr pc, ExecResult &res)
 {
     switch (d.op) {
       case Op::kFence:
@@ -328,15 +215,15 @@ Executor::execSystem(Executor &e, const DecodedInsn &d, Addr pc,
         res.isWfi = true;
         break;
       default: {  // kMret
-        Csrs &c = e.state_.csrs;
+        Csrs &c = state_.csrs;
         const bool mpie = (c.mstatus & mstatus::kMpie) != 0;
         c.mstatus &= ~(mstatus::kMie | mstatus::kMpie);
         if (mpie)
             c.mstatus |= mstatus::kMie;
         c.mstatus |= mstatus::kMpie;
         res.isMret = true;
-        if (e.unit_)
-            e.unit_->onMretExecuted();
+        if (unit_)
+            unit_->onMretExecuted();
         // The restore FSM may have just written mepc: read it after
         // the unit hook.
         res.nextPc = c.mepc;
@@ -346,51 +233,48 @@ Executor::execSystem(Executor &e, const DecodedInsn &d, Addr pc,
 }
 
 void
-Executor::execCsr(Executor &e, const DecodedInsn &d, Addr pc,
-                  ExecResult &res)
+Executor::execCsr(const DecodedInsn &d)
 {
-    (void)pc;
-    (void)res;
-    ArchState &s = e.state_;
+    ArchState &s = state_;
     const Word rs1 = s.reg(d.rs1);
     switch (d.op) {
       case Op::kCsrrw: {
-        const Word old = d.rd != 0 ? e.readCsr(d.csr) : 0;
-        e.writeCsr(d.csr, rs1);
+        const Word old = d.rd != 0 ? readCsr(d.csr) : 0;
+        writeCsr(d.csr, rs1);
         s.setReg(d.rd, old);
         break;
       }
       case Op::kCsrrs: {
-        const Word old = e.readCsr(d.csr);
+        const Word old = readCsr(d.csr);
         if (d.rs1 != 0)
-            e.writeCsr(d.csr, old | rs1);
+            writeCsr(d.csr, old | rs1);
         s.setReg(d.rd, old);
         break;
       }
       case Op::kCsrrc: {
-        const Word old = e.readCsr(d.csr);
+        const Word old = readCsr(d.csr);
         if (d.rs1 != 0)
-            e.writeCsr(d.csr, old & ~rs1);
+            writeCsr(d.csr, old & ~rs1);
         s.setReg(d.rd, old);
         break;
       }
       case Op::kCsrrwi: {
-        const Word old = d.rd != 0 ? e.readCsr(d.csr) : 0;
-        e.writeCsr(d.csr, static_cast<Word>(d.imm));
+        const Word old = d.rd != 0 ? readCsr(d.csr) : 0;
+        writeCsr(d.csr, static_cast<Word>(d.imm));
         s.setReg(d.rd, old);
         break;
       }
       case Op::kCsrrsi: {
-        const Word old = e.readCsr(d.csr);
+        const Word old = readCsr(d.csr);
         if (d.imm != 0)
-            e.writeCsr(d.csr, old | static_cast<Word>(d.imm));
+            writeCsr(d.csr, old | static_cast<Word>(d.imm));
         s.setReg(d.rd, old);
         break;
       }
       default: {  // kCsrrci
-        const Word old = e.readCsr(d.csr);
+        const Word old = readCsr(d.csr);
         if (d.imm != 0)
-            e.writeCsr(d.csr, old & ~static_cast<Word>(d.imm));
+            writeCsr(d.csr, old & ~static_cast<Word>(d.imm));
         s.setReg(d.rd, old);
         break;
       }
@@ -398,17 +282,15 @@ Executor::execCsr(Executor &e, const DecodedInsn &d, Addr pc,
 }
 
 void
-Executor::execCustom(Executor &e, const DecodedInsn &d, Addr pc,
-                     ExecResult &res)
+Executor::execCustom(const DecodedInsn &d, Addr pc)
 {
-    (void)res;
-    if (!e.unit_)
+    if (!unit_)
         panic("custom instruction %s without an RTOSUnit at pc "
               "0x%08x", opName(d.op), pc);
-    ArchState &s = e.state_;
+    ArchState &s = state_;
     const Word rs1 = s.reg(d.rs1);
     const Word rs2 = s.reg(d.rs2);
-    RtosUnitPort *unit = e.unit_;
+    RtosUnitPort *unit = unit_;
     switch (d.op) {
       case Op::kSetContextId: unit->setContextId(rs1); break;
       case Op::kGetHwSched: s.setReg(d.rd, unit->getHwSched()); break;
@@ -422,59 +304,10 @@ Executor::execCustom(Executor &e, const DecodedInsn &d, Addr pc,
 }
 
 void
-Executor::execInvalid(Executor &e, const DecodedInsn &d, Addr pc,
-                      ExecResult &res)
+Executor::execInvalid(const DecodedInsn &d, Addr pc)
 {
-    (void)e;
-    (void)res;
     guest_fault("illegal instruction 0x%08x at pc 0x%08x (%s)", d.raw, pc,
                 disassemble(d).c_str());
-}
-
-const Executor::HandlerTable &
-Executor::handlers()
-{
-    // Populated once at startup; every op family claims its opcodes.
-    static const HandlerTable table = [] {
-        HandlerTable t;
-        t.fill(&Executor::execInvalid);
-        const auto set = [&t](Op op, Handler h) {
-            t[static_cast<std::size_t>(op)] = h;
-        };
-        set(Op::kLui, &Executor::execUpper);
-        set(Op::kAuipc, &Executor::execUpper);
-        set(Op::kJal, &Executor::execJump);
-        set(Op::kJalr, &Executor::execJump);
-        for (Op op : {Op::kBeq, Op::kBne, Op::kBlt, Op::kBge, Op::kBltu,
-                      Op::kBgeu})
-            set(op, &Executor::execBranch);
-        for (Op op : {Op::kLb, Op::kLh, Op::kLw, Op::kLbu, Op::kLhu})
-            set(op, &Executor::execLoad);
-        for (Op op : {Op::kSb, Op::kSh, Op::kSw})
-            set(op, &Executor::execStore);
-        for (Op op : {Op::kAddi, Op::kSlti, Op::kSltiu, Op::kXori,
-                      Op::kOri, Op::kAndi, Op::kSlli, Op::kSrli,
-                      Op::kSrai})
-            set(op, &Executor::execAluImm);
-        for (Op op : {Op::kAdd, Op::kSub, Op::kSll, Op::kSlt, Op::kSltu,
-                      Op::kXor, Op::kSrl, Op::kSra, Op::kOr, Op::kAnd})
-            set(op, &Executor::execAluReg);
-        for (Op op : {Op::kMul, Op::kMulh, Op::kMulhsu, Op::kMulhu,
-                      Op::kDiv, Op::kDivu, Op::kRem, Op::kRemu})
-            set(op, &Executor::execMulDiv);
-        for (Op op : {Op::kFence, Op::kEcall, Op::kEbreak, Op::kMret,
-                      Op::kWfi})
-            set(op, &Executor::execSystem);
-        for (Op op : {Op::kCsrrw, Op::kCsrrs, Op::kCsrrc, Op::kCsrrwi,
-                      Op::kCsrrsi, Op::kCsrrci})
-            set(op, &Executor::execCsr);
-        for (Op op : {Op::kSetContextId, Op::kGetHwSched, Op::kAddReady,
-                      Op::kAddDelay, Op::kRmTask, Op::kSwitchRf,
-                      Op::kSemTake, Op::kSemGive})
-            set(op, &Executor::execCustom);
-        return t;
-    }();
-    return table;
 }
 
 } // namespace rtu

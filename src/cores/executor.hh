@@ -8,8 +8,6 @@
 #ifndef RTU_CORES_EXECUTOR_HH
 #define RTU_CORES_EXECUTOR_HH
 
-#include <array>
-
 #include "arch_state.hh"
 #include "asm/insn.hh"
 #include "common/types.hh"
@@ -50,19 +48,150 @@ class Executor
     /**
      * Apply the semantics of @p insn located at @p pc. Stall conditions
      * (SWITCH_RF / GET_HW_SCHED / mret) must already be resolved by
-     * the caller. Dispatch is a per-opcode handler-table load (one
-     * handler per op family), so together with the predecoded image
-     * the decode -> dispatch path is two indexed loads.
+     * the caller. Dispatch is one switch over Op: the ALU, upper,
+     * jump and branch ops every busy loop runs are applied inline;
+     * memory, mul/div, CSR, system and custom ops call their
+     * out-of-line family function. Forced inline: the callers are the
+     * cores' per-instruction loops.
      */
-    ExecResult
+    [[gnu::always_inline]] ExecResult
     execute(const DecodedInsn &insn, Addr pc)
     {
         ExecResult res;
         res.nextPc = pc + 4;
-        handlers()[static_cast<std::size_t>(insn.op)](*this, insn, pc,
-                                                      res);
-        if (res.branchTaken)
-            res.nextPc = pc + static_cast<Word>(insn.imm);
+        ArchState &s = state_;
+        const Word imm = static_cast<Word>(insn.imm);
+        switch (insn.op) {
+          case Op::kLui: s.setReg(insn.rd, imm << 12); break;
+          case Op::kAuipc: s.setReg(insn.rd, pc + (imm << 12)); break;
+          case Op::kJal:
+            s.setReg(insn.rd, pc + 4);
+            res.nextPc = pc + imm;
+            break;
+          case Op::kJalr: {
+            const Word rs1 = s.reg(insn.rs1);
+            s.setReg(insn.rd, pc + 4);
+            res.nextPc = (rs1 + imm) & ~Word{1};
+            break;
+          }
+          case Op::kBeq:
+          case Op::kBne:
+          case Op::kBlt:
+          case Op::kBge:
+          case Op::kBltu:
+          case Op::kBgeu:
+            if (evalBranch(insn.op, s.reg(insn.rs1), s.reg(insn.rs2))) {
+                res.branchTaken = true;
+                res.nextPc = pc + imm;
+            }
+            break;
+          case Op::kLb:
+          case Op::kLh:
+          case Op::kLw:
+          case Op::kLbu:
+          case Op::kLhu:
+            execLoad(insn, res);
+            break;
+          case Op::kSb:
+          case Op::kSh:
+          case Op::kSw:
+            execStore(insn, res);
+            break;
+          case Op::kAddi: s.setReg(insn.rd, s.reg(insn.rs1) + imm); break;
+          case Op::kSlti:
+            s.setReg(insn.rd,
+                     static_cast<SWord>(s.reg(insn.rs1)) < insn.imm ? 1 : 0);
+            break;
+          case Op::kSltiu:
+            s.setReg(insn.rd, s.reg(insn.rs1) < imm ? 1 : 0);
+            break;
+          case Op::kXori: s.setReg(insn.rd, s.reg(insn.rs1) ^ imm); break;
+          case Op::kOri: s.setReg(insn.rd, s.reg(insn.rs1) | imm); break;
+          case Op::kAndi: s.setReg(insn.rd, s.reg(insn.rs1) & imm); break;
+          case Op::kSlli:
+            s.setReg(insn.rd, s.reg(insn.rs1) << (imm & 31));
+            break;
+          case Op::kSrli:
+            s.setReg(insn.rd, s.reg(insn.rs1) >> (imm & 31));
+            break;
+          case Op::kSrai:
+            s.setReg(insn.rd,
+                     static_cast<Word>(static_cast<SWord>(s.reg(insn.rs1)) >>
+                                       (imm & 31)));
+            break;
+          case Op::kAdd:
+            s.setReg(insn.rd, s.reg(insn.rs1) + s.reg(insn.rs2));
+            break;
+          case Op::kSub:
+            s.setReg(insn.rd, s.reg(insn.rs1) - s.reg(insn.rs2));
+            break;
+          case Op::kSll:
+            s.setReg(insn.rd, s.reg(insn.rs1) << (s.reg(insn.rs2) & 31));
+            break;
+          case Op::kSlt:
+            s.setReg(insn.rd, static_cast<SWord>(s.reg(insn.rs1)) <
+                                      static_cast<SWord>(s.reg(insn.rs2))
+                                  ? 1
+                                  : 0);
+            break;
+          case Op::kSltu:
+            s.setReg(insn.rd, s.reg(insn.rs1) < s.reg(insn.rs2) ? 1 : 0);
+            break;
+          case Op::kXor:
+            s.setReg(insn.rd, s.reg(insn.rs1) ^ s.reg(insn.rs2));
+            break;
+          case Op::kSrl:
+            s.setReg(insn.rd, s.reg(insn.rs1) >> (s.reg(insn.rs2) & 31));
+            break;
+          case Op::kSra:
+            s.setReg(insn.rd,
+                     static_cast<Word>(static_cast<SWord>(s.reg(insn.rs1)) >>
+                                       (s.reg(insn.rs2) & 31)));
+            break;
+          case Op::kOr:
+            s.setReg(insn.rd, s.reg(insn.rs1) | s.reg(insn.rs2));
+            break;
+          case Op::kAnd:
+            s.setReg(insn.rd, s.reg(insn.rs1) & s.reg(insn.rs2));
+            break;
+          case Op::kFence:
+          case Op::kEcall:
+          case Op::kEbreak:
+          case Op::kMret:
+          case Op::kWfi:
+            execSystem(insn, pc, res);
+            break;
+          case Op::kCsrrw:
+          case Op::kCsrrs:
+          case Op::kCsrrc:
+          case Op::kCsrrwi:
+          case Op::kCsrrsi:
+          case Op::kCsrrci:
+            execCsr(insn);
+            break;
+          case Op::kMul:
+          case Op::kMulh:
+          case Op::kMulhsu:
+          case Op::kMulhu:
+          case Op::kDiv:
+          case Op::kDivu:
+          case Op::kRem:
+          case Op::kRemu:
+            execMulDiv(insn);
+            break;
+          case Op::kSetContextId:
+          case Op::kGetHwSched:
+          case Op::kAddReady:
+          case Op::kAddDelay:
+          case Op::kRmTask:
+          case Op::kSwitchRf:
+          case Op::kSemTake:
+          case Op::kSemGive:
+            execCustom(insn, pc);
+            break;
+          default:
+            execInvalid(insn, pc);
+        }
         return res;
     }
 
@@ -102,43 +231,30 @@ class Executor
      * branches through it, and the cores' block fast paths use it to
      * pre-compute a branch target without executing the instruction.
      */
-    static bool evalBranch(Op op, Word rs1, Word rs2);
+    static bool
+    evalBranch(Op op, Word rs1, Word rs2)
+    {
+        switch (op) {
+          case Op::kBeq: return rs1 == rs2;
+          case Op::kBne: return rs1 != rs2;
+          case Op::kBlt:
+            return static_cast<SWord>(rs1) < static_cast<SWord>(rs2);
+          case Op::kBge:
+            return static_cast<SWord>(rs1) >= static_cast<SWord>(rs2);
+          case Op::kBltu: return rs1 < rs2;
+          default: return rs1 >= rs2;  // kBgeu
+        }
+    }
 
   private:
-    /** One entry per Op; applies the op family's semantics in place. */
-    using Handler = void (*)(Executor &, const DecodedInsn &, Addr,
-                             ExecResult &);
-    using HandlerTable = std::array<Handler, kNumOps>;
-
-    /** The dispatch table, populated once at startup. */
-    static const HandlerTable &handlers();
-
-    // Per-family handlers (static so they sit in a flat table; they
-    // reach the executor's state through the explicit receiver).
-    static void execUpper(Executor &, const DecodedInsn &, Addr,
-                          ExecResult &);
-    static void execJump(Executor &, const DecodedInsn &, Addr,
-                         ExecResult &);
-    static void execBranch(Executor &, const DecodedInsn &, Addr,
-                           ExecResult &);
-    static void execLoad(Executor &, const DecodedInsn &, Addr,
-                         ExecResult &);
-    static void execStore(Executor &, const DecodedInsn &, Addr,
-                          ExecResult &);
-    static void execAluImm(Executor &, const DecodedInsn &, Addr,
-                           ExecResult &);
-    static void execAluReg(Executor &, const DecodedInsn &, Addr,
-                           ExecResult &);
-    static void execMulDiv(Executor &, const DecodedInsn &, Addr,
-                           ExecResult &);
-    static void execSystem(Executor &, const DecodedInsn &, Addr,
-                           ExecResult &);
-    static void execCsr(Executor &, const DecodedInsn &, Addr,
-                        ExecResult &);
-    static void execCustom(Executor &, const DecodedInsn &, Addr,
-                           ExecResult &);
-    static void execInvalid(Executor &, const DecodedInsn &, Addr,
-                            ExecResult &);
+    // Out-of-line op families: execute() inlines everything else.
+    void execLoad(const DecodedInsn &insn, ExecResult &res);
+    void execStore(const DecodedInsn &insn, ExecResult &res);
+    void execMulDiv(const DecodedInsn &insn);
+    void execSystem(const DecodedInsn &insn, Addr pc, ExecResult &res);
+    void execCsr(const DecodedInsn &insn);
+    void execCustom(const DecodedInsn &insn, Addr pc);
+    [[noreturn]] void execInvalid(const DecodedInsn &insn, Addr pc);
 
     ArchState &state_;
     MemSystem &mem_;

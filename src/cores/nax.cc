@@ -97,8 +97,10 @@ NaxCtxQueuePort::tick()
 NaxCore::NaxCore(const Env &env, const NaxParams &params)
     : Core(env), params_(params), dcache_(params.cache),
       cachePort_("nax-dcache-port"),
-      ctxPort_(*env.mem, dcache_, cachePort_, params_)
+      ctxPort_(*env.mem, dcache_, cachePort_, params_),
+      rob_(params.robEntries)
 {
+    rtu_assert(params_.robEntries > 0, "NaxRiscv needs a ROB entry");
     predictor_.assign(params_.predictorEntries, 1);
 }
 
@@ -123,13 +125,6 @@ NaxCore::stalledByUnit(const DecodedInsn &insn) const
         return unit->semOpStall();
       default: return false;
     }
-}
-
-void
-NaxCore::retire(Cycle now)
-{
-    while (!rob_.empty() && rob_.front() <= now)
-        rob_.pop_front();
 }
 
 Cycle
@@ -159,7 +154,7 @@ NaxCore::skipTo(Cycle now, Cycle target)
 {
     const Cycle delta = target - now;
     if (mretPending_) {
-        retire(target - 1);
+        rob_.retire(target - 1);
         stats_.stallCycles += delta;
         return;
     }
@@ -173,7 +168,7 @@ NaxCore::skipTo(Cycle now, Cycle target)
         stats_.stallCycles += delta;
         return;
     }
-    retire(target - 1);
+    rob_.retire(target - 1);
     stats_.stallCycles += delta;
 }
 
@@ -230,7 +225,7 @@ NaxCore::tick(Cycle now)
         return;
     }
 
-    retire(now);
+    rob_.retire(now);
 
     if (now < dispatchBlockedUntil_) {
         ++stats_.stallCycles;
@@ -246,7 +241,7 @@ NaxCore::tick(Cycle now)
 bool
 NaxCore::dispatchOne(Cycle now)
 {
-    if (rob_.size() >= params_.robEntries) {
+    if (rob_.full()) {
         ++stats_.stallCycles;
         return false;
     }
@@ -258,7 +253,12 @@ NaxCore::dispatchOne(Cycle now)
         ++stats_.stallCycles;
         return false;
     }
+    return dispatchDecoded(now, pc, insn);
+}
 
+bool
+NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
+{
     // Operand readiness via renamed dataflow (RAW only).
     Cycle ops_ready = now;
     if (insn.useRs1)
@@ -419,7 +419,7 @@ NaxCore::dispatchOne(Cycle now)
         lastCommitAt_ = commit;
         commitsAtLast_ = 1;
     }
-    rob_.push_back(commit);
+    rob_.push(commit);
     drainAt_ = commit;
 
     if (insn.hasRd && insn.rd != 0)
@@ -447,7 +447,7 @@ NaxCore::blockRun(Cycle now, Cycle bound)
             // closed-form as skipTo() (retire is monotone, so one
             // call at the last stalled cycle equals one per cycle).
             const Cycle adv = std::min(dispatchBlockedUntil_, bound);
-            retire(adv - 1);
+            rob_.retire(adv - 1);
             stats_.stallCycles += adv - t;
             t = adv;
             continue;
@@ -460,11 +460,15 @@ NaxCore::blockRun(Cycle now, Cycle bound)
         cachePort_.beginCycle();
         if (t < cacheBusyUntil_)
             cachePort_.claim();
-        retire(t);
+        rob_.retire(t);
 
-        if (rob_.size() >= params_.robEntries) {
-            ++stats_.stallCycles;  // slot 0 stalls, the group breaks
-            t += 1;
+        if (rob_.full()) {
+            // Slot 0 stalls every cycle until the oldest entry
+            // commits; those cycles change nothing but the stall
+            // count, so take them in one step.
+            const Cycle adv = std::min(rob_.front(), bound);
+            stats_.stallCycles += adv - t;
+            t = adv;
             continue;
         }
 
@@ -545,20 +549,23 @@ NaxCore::blockRun(Cycle now, Cycle bound)
         }
 
         // ---- dispatch, exactly tick()'s slot loop ----
-        std::uint64_t before = stats_.instret;
-        const bool cont = dispatchOne(t);
-        if (stats_.instret != before) {
-            if (cls0 == InsnClass::kBranch || cls0 == InsnClass::kJump) {
-                ++stats_.blocksExecuted;
-                sinceBoundary = 0;
-            } else {
-                ++sinceBoundary;
-            }
+        // Both words are verified non-stop (no trap, no RTOSUnit
+        // stall), so each dispatch that finds a free ROB entry
+        // retires; the fetch is counted as dispatchOne() would.
+        ++stats_.fetchPredecoded;
+        const bool cont = dispatchDecoded(t, pc0, insn0);
+        if (cls0 == InsnClass::kBranch || cls0 == InsnClass::kJump) {
+            ++stats_.blocksExecuted;
+            sinceBoundary = 0;
+        } else {
+            ++sinceBoundary;
         }
         if (cont && !one_wide) {
-            before = stats_.instret;
-            dispatchOne(t);  // may stall on a full ROB, as tick() would
-            if (stats_.instret != before) {
+            if (rob_.full()) {
+                ++stats_.stallCycles;  // slot 1 stalls, as tick() would
+            } else {
+                ++stats_.fetchPredecoded;
+                dispatchDecoded(t, pc1, predecode_->at(pc1));
                 if (cls1 == InsnClass::kBranch ||
                     cls1 == InsnClass::kJump) {
                     ++stats_.blocksExecuted;

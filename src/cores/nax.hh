@@ -25,6 +25,7 @@
 
 #include <array>
 #include <deque>
+#include <vector>
 
 #include "cache.hh"
 #include "core.hh"
@@ -98,6 +99,56 @@ class NaxCtxQueuePort : public UnitMemPort
     Cycle pipeBlockedUntil_ = 0;
 };
 
+/**
+ * The ROB's commit-cycle queue: a fixed ring of robEntries slots,
+ * allocated once. Commit cycles are pushed in non-decreasing order, so
+ * retiring is a pop from the head while the oldest entry has
+ * committed.
+ */
+class CommitRing
+{
+  public:
+    explicit CommitRing(unsigned capacity) : slots_(capacity) {}
+
+    bool empty() const { return count_ == 0; }
+    bool full() const { return count_ == slots_.size(); }
+    /** Commit cycle of the oldest in-flight instruction; !empty(). */
+    Cycle front() const { return slots_[head_]; }
+
+    void
+    push(Cycle commit)
+    {
+        std::size_t tail = head_ + count_;
+        if (tail >= slots_.size())
+            tail -= slots_.size();
+        slots_[tail] = commit;
+        ++count_;
+    }
+
+    /** Pop every entry that has committed by @p now. */
+    void
+    retire(Cycle now)
+    {
+        while (count_ > 0 && slots_[head_] <= now) {
+            if (++head_ == slots_.size())
+                head_ = 0;
+            --count_;
+        }
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        count_ = 0;
+    }
+
+  private:
+    std::vector<Cycle> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+};
+
 class NaxCore : public Core
 {
   public:
@@ -129,8 +180,13 @@ class NaxCore : public Core
 
   private:
     bool stalledByUnit(const DecodedInsn &insn) const;
+    /** Fetch and dispatch one instruction; false ends the group. */
     bool dispatchOne(Cycle now);
-    void retire(Cycle now);
+    /** Dispatch @p insn, fetched from @p pc into a free ROB entry and
+     *  past the RTOSUnit stall check (by value: a slot-0 store may
+     *  re-decode its own word). False ends the group (redirect, mret,
+     *  wfi or trap). */
+    bool dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn);
     unsigned predictorIndex(Addr pc) const;
 
     NaxParams params_;
@@ -147,7 +203,7 @@ class NaxCore : public Core
     Cycle lastCommitAt_ = 0;
     unsigned commitsAtLast_ = 0;
     Cycle drainAt_ = 0;
-    std::deque<Cycle> rob_;  ///< commit cycles of in-flight insns
+    CommitRing rob_;  ///< commit cycles of in-flight insns
     std::vector<std::uint8_t> predictor_;
     bool sleeping_ = false;
     bool mretPending_ = false;

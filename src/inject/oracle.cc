@@ -1,5 +1,7 @@
 #include "oracle.hh"
 
+#include <cstdarg>
+
 #include "common/logging.hh"
 #include "cores/arch_state.hh"
 #include "rtosunit/hw_lists.hh"
@@ -21,6 +23,15 @@ savedReg(unsigned r)
 
 /** Cap on stored hit details; hitCount() keeps the full tally. */
 constexpr unsigned kMaxStoredHits = 32;
+
+/** Ready-list names for the detail text, by priority (a constant
+ *  table: the list walk runs on every mret). */
+constexpr std::array<const char *, 8> kReadyListNames = {
+    "ready list 0", "ready list 1", "ready list 2", "ready list 3",
+    "ready list 4", "ready list 5", "ready list 6", "ready list 7",
+};
+static_assert(kReadyListNames.size() == kNumPriorities,
+              "one ready-list name per priority");
 
 } // namespace
 
@@ -63,16 +74,21 @@ KernelOracle::taskTcb(unsigned id) const
 }
 
 void
-KernelOracle::report(const char *oracle, Cycle cycle, std::string detail)
+KernelOracle::report(const char *oracle, Cycle cycle, const char *fmt, ...)
 {
     ++hitCount_;
+    // Past the cap only the tally grows, so the detail is never
+    // formatted: a corrupted list can fire on every mret of a hang.
     if (hits_.size() >= kMaxStoredHits)
         return;
     OracleHit hit;
     hit.oracle = oracle;
     hit.cycle = cycle;
     hit.episode = mretCount_;
-    hit.detail = std::move(detail);
+    va_list ap;
+    va_start(ap, fmt);
+    hit.detail = vcsprintf(fmt, ap);
+    va_end(ap);
     hits_.push_back(std::move(hit));
 }
 
@@ -83,8 +99,8 @@ KernelOracle::trapTaken(Word cause, Cycle entry_cycle, Word from_task)
     ++trapCount_;
     if (from_task >= kMaxTasks) {
         report("list", entry_cycle,
-               csprintf("currentTaskId %u out of range at trap entry",
-                        from_task));
+               "currentTaskId %u out of range at trap entry",
+               from_task);
         return;
     }
     // Snapshot the interrupted task's application-bank context. The
@@ -103,8 +119,7 @@ KernelOracle::checkContext(Cycle cycle, Word to_task)
 {
     if (to_task >= kMaxTasks) {
         report("list", cycle,
-               csprintf("currentTaskId %u out of range at mret",
-                        to_task));
+               "currentTaskId %u out of range at mret", to_task);
         return;
     }
     CtxSnapshot &s = snaps_[to_task];
@@ -118,17 +133,17 @@ KernelOracle::checkContext(Cycle cycle, Word to_task)
         const Word got = st.bankReg(ArchState::kAppBank, r);
         if (got != s.regs[r]) {
             report("context", cycle,
-                   csprintf("task %u resumed with x%u=0x%08x, switched "
-                            "out with 0x%08x",
-                            to_task, r, got, s.regs[r]));
+                   "task %u resumed with x%u=0x%08x, switched "
+                   "out with 0x%08x",
+                   to_task, r, got, s.regs[r]);
             return;
         }
     }
     if (st.pc() != s.mepc) {
         report("context", cycle,
-               csprintf("task %u resumed at pc 0x%08x, switched out at "
-                        "0x%08x",
-                        to_task, st.pc(), s.mepc));
+               "task %u resumed at pc 0x%08x, switched out at "
+               "0x%08x",
+               to_task, st.pc(), s.mepc);
     }
 }
 
@@ -141,8 +156,8 @@ KernelOracle::checkSoftLists(Cycle cycle)
         tcbOf[i] = taskTcb(i);
         if (tcbOf[i] != 0 && read(tcbOf[i] + kTcbId) != i) {
             report("list", cycle,
-                   csprintf("task table slot %u holds TCB with id %u", i,
-                            read(tcbOf[i] + kTcbId)));
+                   "task table slot %u holds TCB with id %u", i,
+                   read(tcbOf[i] + kTcbId));
         }
     }
     const auto idOfTcb = [&](Word tcb) -> int {
@@ -168,27 +183,24 @@ KernelOracle::checkSoftLists(Cycle cycle)
         while (node != sentinel) {
             if (++hops > kMaxTasks) {
                 report("list", cycle,
-                       csprintf("%s not sentinel-terminated after %u "
-                                "hops",
-                                what, hops));
+                       "%s not sentinel-terminated after %u hops", what,
+                       hops);
                 return;
             }
             const int id = idOfTcb(node);
             if (id < 0) {
                 report("list", cycle,
-                       csprintf("%s links unknown node 0x%08x", what,
-                                node));
+                       "%s links unknown node 0x%08x", what, node);
                 return;
             }
             if (read(node + kTcbPrev) != prev) {
                 report("list", cycle,
-                       csprintf("%s: task %u prev link broken", what,
-                                id));
+                       "%s: task %u prev link broken", what, id);
                 return;
             }
             if (membership[id] != -1) {
                 report("list", cycle,
-                       csprintf("task %u on two kernel lists", id));
+                       "task %u on two kernel lists", id);
                 return;
             }
             membership[id] = listOrdinal;
@@ -196,8 +208,8 @@ KernelOracle::checkSoftLists(Cycle cycle)
                 const Word prio = read(node + kTcbPrio);
                 if (prio != static_cast<Word>(listOrdinal)) {
                     report("list", cycle,
-                           csprintf("%s holds task %u with priority %u",
-                                    what, id, prio));
+                           "%s holds task %u with priority %u",
+                           what, id, prio);
                     return;
                 }
                 maxReadyPrio = std::max(maxReadyPrio, listOrdinal);
@@ -205,9 +217,9 @@ KernelOracle::checkSoftLists(Cycle cycle)
                 const Word wake = read(node + kTcbWake);
                 if (hops > 1 && wake < lastWake) {
                     report("list", cycle,
-                           csprintf("delay list unsorted: task %u wakes "
-                                    "at %u after %u",
-                                    id, wake, lastWake));
+                           "delay list unsorted: task %u wakes "
+                           "at %u after %u",
+                           id, wake, lastWake);
                     return;
                 }
                 lastWake = wake;
@@ -217,13 +229,13 @@ KernelOracle::checkSoftLists(Cycle cycle)
         }
         if (read(sentinel + kTcbPrev) != prev) {
             report("list", cycle,
-                   csprintf("%s sentinel prev link broken", what));
+                   "%s sentinel prev link broken", what);
         }
     };
 
     for (unsigned p = 0; p < kNumPriorities; ++p) {
         walk(readyListsAddr_ + p * kSentinelSize, static_cast<int>(p),
-             csprintf("ready list %u", p).c_str());
+             kReadyListNames[p]);
     }
     walk(delaySentinelAddr_, static_cast<int>(kNumPriorities),
          "delay list");
@@ -235,28 +247,28 @@ KernelOracle::checkSoftLists(Cycle cycle)
     const int curId = idOfTcb(cur);
     if (curId < 0) {
         report("sched", cycle,
-               csprintf("current TCB 0x%08x not in the task table",
-                        cur));
+               "current TCB 0x%08x not in the task table",
+               cur);
         return;
     }
     const Word curPrio = read(cur + kTcbPrio);
     if (membership[curId] != static_cast<int>(curPrio)) {
         report("sched", cycle,
-               csprintf("running task %u (priority %u) not on its "
-                        "ready list",
-                        curId, curPrio));
+               "running task %u (priority %u) not on its "
+               "ready list",
+               curId, curPrio);
     }
     if (maxReadyPrio >= 0 && static_cast<Word>(maxReadyPrio) > curPrio) {
         report("sched", cycle,
-               csprintf("running task %u has priority %u but a ready "
-                        "task has %d",
-                        curId, curPrio, maxReadyPrio));
+               "running task %u has priority %u but a ready "
+               "task has %d",
+               curId, curPrio, maxReadyPrio);
     }
     const Word topHint = read(topReadyPrioAddr_);
     if (maxReadyPrio >= 0 && topHint < static_cast<Word>(maxReadyPrio)) {
         report("sched", cycle,
-               csprintf("top-ready-priority hint %u below actual %d",
-                        topHint, maxReadyPrio));
+               "top-ready-priority hint %u below actual %d",
+               topHint, maxReadyPrio);
     }
 }
 
@@ -269,8 +281,8 @@ KernelOracle::checkHwLists(Cycle cycle)
         const Word tcb = taskTcb(i);
         if (tcb != 0 && read(tcb + kTcbId) != i) {
             report("list", cycle,
-                   csprintf("task table slot %u holds TCB with id %u", i,
-                            read(tcb + kTcbId)));
+                   "task table slot %u holds TCB with id %u", i,
+                   read(tcb + kTcbId));
         }
     }
     std::array<int, kMaxTasks> membership{};
@@ -283,15 +295,15 @@ KernelOracle::checkHwLists(Cycle cycle)
                 continue;
             if (s.id >= kMaxTasks) {
                 report("list", cycle,
-                       csprintf("%s slot holds out-of-range id %u",
-                                what, s.id));
+                       "%s slot holds out-of-range id %u",
+                       what, s.id);
                 continue;
             }
             if (membership[s.id] != -1) {
                 report("list", cycle,
-                       csprintf("task %u duplicated across hardware "
-                                "lists",
-                                s.id));
+                       "task %u duplicated across hardware "
+                       "lists",
+                       s.id);
                 continue;
             }
             membership[s.id] = ordinal;
@@ -308,24 +320,24 @@ KernelOracle::checkHwLists(Cycle cycle)
     }
     if (curId >= kMaxTasks) {
         report("sched", cycle,
-               csprintf("current TCB 0x%08x not in the task table",
-                        cur));
+               "current TCB 0x%08x not in the task table",
+               cur);
         return;
     }
     const Word curPrio = read(cur + kTcbPrio);
     if (membership[curId] != 0) {
         report("sched", cycle,
-               csprintf("running task %u not on the hw ready list",
-                        curId));
+               "running task %u not on the hw ready list",
+               curId);
     }
     // Priority comparison is order-independent, so an in-flight sort
     // phase doesn't matter; membership above likewise.
     for (const HwSlot &s : unit->readyList().slots()) {
         if (s.valid && s.prio > curPrio) {
             report("sched", cycle,
-                   csprintf("running task %u has priority %u but ready "
-                            "task %u has %u",
-                            curId, curPrio, s.id, s.prio));
+                   "running task %u has priority %u but ready "
+                   "task %u has %u",
+                   curId, curPrio, s.id, s.prio);
             break;
         }
     }
@@ -349,14 +361,14 @@ KernelOracle::checkCanaries(Cycle cycle)
         const Word got = read(stackBase_[i]);
         if (got != kCanary) {
             report("canary", cycle,
-                   csprintf("task %u stack canary smashed (0x%08x)", i,
-                            got));
+                   "task %u stack canary smashed (0x%08x)", i,
+                   got);
         }
     }
     if (read(isrStackBase_) != kCanary) {
         report("canary", cycle,
-               csprintf("ISR stack canary smashed (0x%08x)",
-                        read(isrStackBase_)));
+               "ISR stack canary smashed (0x%08x)",
+               read(isrStackBase_));
     }
 }
 

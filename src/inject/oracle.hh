@@ -78,7 +78,10 @@ class KernelOracle : public RunObserver
         Word mepc = 0;
     };
 
-    void report(const char *oracle, Cycle cycle, std::string detail);
+    /** Count a firing; the printf-style detail is formatted only if
+     *  the hit is stored (the first kMaxStoredHits). */
+    void report(const char *oracle, Cycle cycle, const char *fmt, ...)
+        __attribute__((format(printf, 4, 5)));
     Word taskTcb(unsigned id) const;
     Word read(Addr addr) const;
 

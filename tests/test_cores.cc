@@ -341,6 +341,42 @@ TEST(NaxTiming, CommitBoundaryEntryWaitsOnLongOps)
     EXPECT_GT(entry_delay(true), entry_delay(false) + 5);
 }
 
+TEST(NaxTiming, TinyRobFillsAndWrapsWithUnchangedTiming)
+{
+    // A divide- and load-heavy loop on a 3-entry ROB (not a power of
+    // two): dispatch keeps hitting the full-ROB stall and the commit
+    // ring wraps every few instructions. The expected figures were
+    // recorded on the std::deque ROB this ring replaced; the ring must
+    // reproduce them cycle for cycle.
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.li(A0, static_cast<SWord>(memmap::kDmemBase));
+    a.li(A1, 24);
+    a.li(T0, 0x7FFF0000);
+    a.li(T1, 3);
+    a.label("loop");
+    a.divu(T2, T0, T1);
+    a.lw(T3, 0, A0);
+    a.lw(T4, 0x400, A0);
+    a.addi(T5, T5, 1);
+    a.add(T6, T2, T3);
+    a.sw(T6, 8, A0);
+    a.addi(A0, A0, 64);
+    a.addi(A1, A1, -1);
+    a.bnez(A1, "loop");
+    a.label("end");
+    a.j("end");
+    const Program p = a.finish();
+
+    NaxParams params;
+    params.robEntries = 3;
+    CoreHarness h(p);
+    NaxCore *nax = h.make<NaxCore>(params);
+    const Cycle end = h.runUntilPc(p.symbol("end"));
+    EXPECT_EQ(nax->stats().instret, 220u);
+    EXPECT_EQ(nax->stats().stallCycles, 819u);
+    EXPECT_EQ(end, 917u);
+}
+
 TEST(NaxTiming, CtxQueueServicesRequestsInOrder)
 {
     const Program p = straightLine(4);

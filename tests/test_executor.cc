@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "asm/encode.hh"
 #include "cores/executor.hh"
 #include "sim/memmap.hh"
@@ -237,6 +239,73 @@ TEST_F(ExecutorTest, DirtyBitsTrackAppBankWritesOnly)
     state.setActiveBank(ArchState::kAppBank);
     state.setBankReg(ArchState::kAppBank, A2, 3);  // FSM writes: clean
     EXPECT_FALSE(state.regDirty(A2));
+}
+
+// The active bank is reached through cached pointers, which a copy
+// would carry over into the copy: ArchState must not be copyable.
+static_assert(!std::is_copy_constructible_v<ArchState>);
+static_assert(!std::is_copy_assignable_v<ArchState>);
+
+TEST(ArchStateBanks, X0ReadsZeroInBothBanks)
+{
+    ArchState state;
+    for (unsigned bank : {ArchState::kAppBank, ArchState::kIsrBank}) {
+        state.setActiveBank(bank);
+        state.setReg(0, 0xDEADBEEF);
+        EXPECT_EQ(state.reg(0), 0u) << "bank " << bank;
+        for (unsigned b : {ArchState::kAppBank, ArchState::kIsrBank}) {
+            state.setBankReg(b, 0, 0xCAFEF00D);
+            EXPECT_EQ(state.bankReg(b, 0), 0u) << "bank " << b;
+        }
+        EXPECT_EQ(state.reg(0), 0u) << "bank " << bank;
+    }
+    EXPECT_FALSE(state.regDirty(0));
+}
+
+TEST(ArchStateBanks, OnlyAppBankWritesSetDirtyBitsAcrossToggles)
+{
+    ArchState state;
+    for (int round = 0; round < 3; ++round) {
+        state.clearDirtyBits();
+        // Every ISR-bank write goes to the sink, however often the
+        // active bank flips.
+        state.setActiveBank(ArchState::kIsrBank);
+        for (unsigned r = 1; r < 32; ++r)
+            state.setReg(static_cast<RegIndex>(r), r);
+        state.setActiveBank(ArchState::kAppBank);
+        state.setActiveBank(ArchState::kIsrBank);
+        state.setReg(A3, 7);
+        for (unsigned r = 0; r < 32; ++r) {
+            EXPECT_FALSE(state.regDirty(static_cast<RegIndex>(r)))
+                << "round " << round << " x" << r;
+        }
+
+        state.setActiveBank(ArchState::kAppBank);
+        state.setReg(A0, 1);
+        state.setActiveBank(ArchState::kIsrBank);
+        state.setReg(A1, 2);
+        state.setActiveBank(ArchState::kAppBank);
+        state.setReg(T6, 3);
+        for (unsigned r = 0; r < 32; ++r) {
+            EXPECT_EQ(state.regDirty(static_cast<RegIndex>(r)),
+                      r == A0 || r == T6)
+                << "round " << round << " x" << r;
+        }
+        EXPECT_EQ(state.bankReg(ArchState::kAppBank, A0), 1u);
+        EXPECT_EQ(state.bankReg(ArchState::kIsrBank, A1), 2u);
+        EXPECT_EQ(state.bankReg(ArchState::kAppBank, A1), 0u);
+    }
+
+    // reset() returns to a clean application bank, dirty bits included.
+    state.setActiveBank(ArchState::kIsrBank);
+    state.reset();
+    EXPECT_EQ(state.activeBank(), ArchState::kAppBank);
+    for (unsigned r = 0; r < 32; ++r)
+        EXPECT_FALSE(state.regDirty(static_cast<RegIndex>(r))) << "x" << r;
+    state.setReg(A2, 5);
+    EXPECT_TRUE(state.regDirty(A2));
+    EXPECT_EQ(state.bankReg(ArchState::kAppBank, A2), 5u);
+    EXPECT_EQ(state.bankReg(ArchState::kIsrBank, A2), 0u);
 }
 
 TEST_F(ExecutorTest, CustomInsnWithoutUnitPanics)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 
@@ -248,6 +249,88 @@ TEST_F(SeededDefect, SmashedStackCanaryCaughtByFinalCheck)
     ASSERT_GT(oracle->hitCount(), 0u);
     EXPECT_EQ(oracle->hits().front().oracle, "canary")
         << oracle->hits().front().detail;
+}
+
+/** Run @p workload on CV32E40P/vanilla with a KernelOracle attached
+ *  as the run observer; @p pre / @p post see the simulation before
+ *  run() and after it (post runs before the oracle's final check). */
+std::unique_ptr<KernelOracle>
+runWithOracle(const char *workload, unsigned iterations,
+              const std::function<void(Simulation &)> &pre,
+              const std::function<void(Simulation &)> &post)
+{
+    setQuiet(true);
+    SweepPoint pt = smallPoint("vanilla", workload);
+    pt.iterations = iterations;
+    pt.reseed();
+    const auto wl = makeWorkload(pt.workload, pt.iterations);
+    RunOptions opts;
+    opts.timerPeriodCycles = pt.timerPeriodCycles;
+    opts.seed = pt.seed;
+    std::unique_ptr<KernelOracle> oracle;
+    opts.preRun = [&](Simulation &sim) {
+        oracle = std::make_unique<KernelOracle>(sim, pt.unit);
+        oracle->plantCanaries();
+        sim.setRunObserver(oracle.get());
+        if (pre)
+            pre(sim);
+    };
+    opts.postRun = [&](Simulation &sim) {
+        if (post)
+            post(sim);
+        oracle->finalCheck();
+    };
+    const RunResult run = runWorkload(pt.core, pt.unit, *wl, opts);
+    EXPECT_TRUE(run.ok);
+    return oracle;
+}
+
+TEST(OracleDetail, BrokenPrevLinkNamesTheReadyListAndTask)
+{
+    // The list walk names ready lists from a constant table and
+    // formats only stored hits; the campaign JSONL carries this text
+    // (oracle_detail), so it must not change by a byte.
+    unsigned task = 0;
+    const auto oracle = runWithOracle(
+        "sem_pingpong", 4, nullptr, [&](Simulation &sim) {
+            const Addr sentinel = sim.symbolAddr("k_ready_lists") +
+                                  3 * kernel::kSentinelSize;
+            const Word node =
+                sim.mem().read32(sentinel + kernel::kTcbNext);
+            ASSERT_NE(node, sentinel) << "ready list 3 empty at exit";
+            task = sim.mem().read32(node + kernel::kTcbId);
+            sim.mem().write32(node + kernel::kTcbPrev, node);
+        });
+    // The first hit is the walk's; the scheduler cross-check then
+    // misses the task the walk abandoned.
+    ASSERT_GE(oracle->hitCount(), 1u);
+    EXPECT_EQ(oracle->hits().front().oracle, "list");
+    EXPECT_EQ(oracle->hits().front().detail,
+              csprintf("ready list 3: task %u prev link broken", task));
+}
+
+TEST(OracleDetail, HitCountKeepsCountingPastTheStoredCap)
+{
+    // A smashed canary fires at every mret and once more in the final
+    // sweep: far more than the 32 hits whose detail is kept.
+    const auto oracle = runWithOracle(
+        "yield_pingpong", 20,
+        [](Simulation &sim) {
+            sim.mem().write32(sim.findSymbolAddr("k_stack_0"),
+                              KernelOracle::kCanary ^ 1);
+        },
+        nullptr);
+    EXPECT_GT(oracle->episodes(), 32u);
+    EXPECT_EQ(oracle->hitCount(), oracle->episodes() + 1);
+    ASSERT_EQ(oracle->hits().size(), 32u);
+    for (unsigned i = 0; i < 32; ++i) {
+        EXPECT_EQ(oracle->hits()[i].oracle, "canary") << i;
+        EXPECT_EQ(oracle->hits()[i].episode, i + 1) << i;
+        EXPECT_EQ(oracle->hits()[i].detail,
+                  csprintf("task 0 stack canary smashed (0x%08x)",
+                           KernelOracle::kCanary ^ 1))
+            << i;
+    }
 }
 
 TEST(Campaign, ByteIdenticalJsonlAtAnyThreadCount)
