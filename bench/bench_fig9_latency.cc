@@ -18,15 +18,16 @@
  * Usage: bench_fig9_latency [--iterations N] [--per-workload]
  *                           [--threads N] [--out results.jsonl]
  *                           [--trace trace.jsonl]
- *                           [--no-fast-forward] [--no-predecode]
- *                           [--no-block-exec] [--timing]
+ *                           [--engine full|no-block|no-predecode|reference]
+ *                           [--timing]
  *
- * --no-fast-forward forces the per-cycle reference mode of the
- * simulation kernel, --no-predecode disables the decode-once text
- * image and --no-block-exec disables superblock execution (all
- * byte-identical results, just slower); --timing adds the
- * nondeterministic wall_ms/mips fields to --out lines. The --out
- * stream starts with a schema-stamped header line.
+ * --engine picks the simulation-engine mode (see EngineMode): the
+ * default full engine, superblock execution off (no-block), the
+ * decode-once text image off (no-predecode), or the per-cycle
+ * reference kernel — all byte-identical results, the last three just
+ * slower. --timing adds the nondeterministic wall_ms/mips fields to
+ * --out lines. The --out stream starts with a schema-stamped header
+ * line.
  */
 
 #include <algorithm>
@@ -49,9 +50,7 @@ main(int argc, char **argv)
     unsigned iterations = 20;
     unsigned threads = 1;
     bool per_workload = false;
-    bool no_fast_forward = false;
-    bool no_predecode = false;
-    bool no_block_exec = false;
+    std::string engine_name = "full";
     bool include_timing = false;
     std::string out_path;
     std::string trace_path;
@@ -65,16 +64,12 @@ main(int argc, char **argv)
                      "per-switch trace JSONL path");
     parser.addFlag("--per-workload", &per_workload,
                    "print one table per workload");
-    parser.addFlag("--no-fast-forward", &no_fast_forward,
-                   "tick every cycle (reference mode)");
-    parser.addFlag("--no-predecode", &no_predecode,
-                   "decode from memory on every fetch");
-    parser.addFlag("--no-block-exec", &no_block_exec,
-                   "disable superblock execution");
+    parser.addString("--engine", &engine_name,
+                     "full, no-block, no-predecode or reference");
     parser.addFlag("--timing", &include_timing,
                    "include wall-clock timing in the output");
     parser.parse(argc, argv);
-    const bool fast_forward = !no_fast_forward;
+    const EngineMode engine = engineModeFromName(engine_name);
     setQuiet(true);
 
     SweepSpec spec;
@@ -85,12 +80,10 @@ main(int argc, char **argv)
 
     const bool capture_trace = !trace_path.empty();
     SweepRunner runner(threads);
-    // --no-fast-forward runs the per-cycle reference mode; results are
-    // identical by construction (see tests/test_differential.cc), the
-    // knob exists to prove exactly that and to debug the kernel.
-    runner.setFastForward(fast_forward);
-    runner.setPredecode(!no_predecode);
-    runner.setBlockExec(!no_block_exec);
+    // Every engine gives identical results by construction (see
+    // tests/test_differential.cc); the knob exists to prove exactly
+    // that and to debug the kernel.
+    runner.setEngine(engine);
     const auto results = runner.run(spec, capture_trace);
 
     std::printf("Figure 9: context-switch latencies (cycles), "

@@ -21,15 +21,16 @@
  *                     [--iterations N] [--timer-period CYCLES]
  *                     [--faults N] [--campaign-size N] [--seed S]
  *                     [--threads N] [--out campaign.jsonl]
- *                     [--strict] [--selftest] [--no-block-exec]
+ *                     [--strict] [--selftest]
+ *                     [--engine full|no-block|no-predecode|reference]
  *
- * Block execution is exact, so --no-block-exec must not change a
- * single outcome classification; CI runs the selftest both ways.
+ * Every engine mode is exact, so --engine must not change a single
+ * outcome classification; ctest runs the selftest at full and
+ * no-block.
  */
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,31 +44,6 @@
 using namespace rtu;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-CoreKind
-coreFromName(const std::string &name)
-{
-    if (name == "cv32e40p")
-        return CoreKind::kCv32e40p;
-    if (name == "cva6")
-        return CoreKind::kCva6;
-    if (name == "nax" || name == "naxriscv")
-        return CoreKind::kNax;
-    fatal("unknown core '%s' (expected cv32e40p, cva6 or nax)",
-          name.c_str());
-}
 
 void
 printSummary(const CampaignResult &res)
@@ -90,7 +66,7 @@ printSummary(const CampaignResult &res)
  */
 unsigned
 runSelftest(const SweepRunner &runner, unsigned iterations,
-            Word timer_period, bool block_exec)
+            Word timer_period, EngineMode engine)
 {
     unsigned failures = 0;
     const auto expect = [&](bool ok, const std::string &what) {
@@ -114,7 +90,7 @@ runSelftest(const SweepRunner &runner, unsigned iterations,
         cs.points = spec.points();
         cs.faultsPerPoint = 1;
         cs.seed = 42;
-        cs.blockExec = block_exec;
+        cs.engine = engine;
         const CampaignResult res = runCampaign(cs, runner);
         expect(res.cleanOracleHits() == 0,
                csprintf("clean matrix fired %u oracle hits (first: %s)",
@@ -169,7 +145,7 @@ runSelftest(const SweepRunner &runner, unsigned iterations,
         pt.reseed();
         GoldenRecord golden;
         const FaultRunRecord rec =
-            runSingleFault(pt, fx.fault, true, &golden, block_exec);
+            runSingleFault(pt, fx.fault, &golden, engine);
         const std::string label =
             csprintf("%s/%s", fx.config, fx.fault.describe().c_str());
         expect(golden.oracleHits == 0,
@@ -208,7 +184,7 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_inject_campaign.jsonl";
     bool strict = false;
     bool selftest = false;
-    bool no_block_exec = false;
+    std::string engine_name = "full";
 
     ArgParser parser("Fault-injection campaign with kernel-invariant "
                      "oracles");
@@ -233,16 +209,17 @@ main(int argc, char **argv)
                    "exit non-zero on any silent-corruption outcome");
     parser.addFlag("--selftest", &selftest,
                    "run the seeded-defect matrix and exit");
-    parser.addFlag("--no-block-exec", &no_block_exec,
-                   "disable superblock execution (classification must "
-                   "not change)");
+    parser.addString("--engine", &engine_name,
+                     "full, no-block, no-predecode or reference "
+                     "(classification must not change)");
     parser.parse(argc, argv);
+    const EngineMode engine = engineModeFromName(engine_name);
 
     const SweepRunner runner(threads);
 
     if (selftest) {
         const unsigned failures =
-            runSelftest(runner, iterations, timer_period, !no_block_exec);
+            runSelftest(runner, iterations, timer_period, engine);
         if (failures != 0) {
             std::fprintf(stderr, "selftest: %u failures\n", failures);
             return 1;
@@ -254,7 +231,7 @@ main(int argc, char **argv)
 
     SweepSpec spec;
     for (const std::string &c : splitList(cores_arg))
-        spec.cores.push_back(coreFromName(c));
+        spec.cores.push_back(coreKindFromName(c));
     for (const std::string &c : splitList(configs_arg))
         spec.units.push_back(RtosUnitConfig::fromName(c));
     spec.workloads = splitList(workloads_arg);
@@ -264,7 +241,7 @@ main(int argc, char **argv)
     CampaignSpec cs;
     cs.points = spec.points();
     cs.seed = seed;
-    cs.blockExec = !no_block_exec;
+    cs.engine = engine;
     cs.faultsPerPoint = faults;
     if (campaign_size != 0) {
         cs.faultsPerPoint = std::max<unsigned>(

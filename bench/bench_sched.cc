@@ -32,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,31 +42,6 @@
 using namespace rtu;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-CoreKind
-coreFromName(const std::string &name)
-{
-    if (name == "cv32e40p")
-        return CoreKind::kCv32e40p;
-    if (name == "cva6")
-        return CoreKind::kCva6;
-    if (name == "nax" || name == "naxriscv")
-        return CoreKind::kNax;
-    fatal("unknown core '%s' (expected cv32e40p, cva6 or nax)",
-          name.c_str());
-}
 
 std::vector<double>
 parseUtilGrid(const std::string &s)
@@ -141,7 +115,7 @@ main(int argc, char **argv)
     if (!cores_arg.empty()) {
         spec.cores.clear();
         for (const std::string &n : splitList(cores_arg))
-            spec.cores.push_back(coreFromName(n));
+            spec.cores.push_back(coreKindFromName(n));
     }
     if (!configs_arg.empty()) {
         spec.configs.clear();

@@ -63,32 +63,6 @@ using namespace rtu;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
-}
-
-CoreKind
-coreFromName(const std::string &name)
-{
-    if (name == "cv32e40p")
-        return CoreKind::kCv32e40p;
-    if (name == "cva6")
-        return CoreKind::kCva6;
-    if (name == "nax" || name == "naxriscv")
-        return CoreKind::kNax;
-    fatal("unknown core '%s' (expected cv32e40p, cva6 or nax)",
-          name.c_str());
-}
-
 struct PointReport
 {
     SweepPoint point;
@@ -170,7 +144,7 @@ main(int argc, char **argv)
     if (!cores_arg.empty()) {
         cores.clear();
         for (const std::string &n : splitList(cores_arg))
-            cores.push_back(coreFromName(n));
+            cores.push_back(coreKindFromName(n));
     }
     if (!configs_arg.empty())
         configs = splitList(configs_arg);
@@ -203,23 +177,20 @@ main(int argc, char **argv)
                 // traces captured for the four-way byte-identity
                 // check. Each mode runs --repeats times keeping the
                 // minimum wall time.
-                const auto bestOf = [&p, repeats](bool fast, bool pre,
-                                                  bool block) {
-                    SweepResult best =
-                        runSweepPoint(p, true, fast, pre, block);
+                const auto bestOf = [&p, repeats](EngineMode engine) {
+                    SweepResult best = runSweepPoint(p, true, engine);
                     for (unsigned k = 1; k < repeats; ++k) {
-                        SweepResult r =
-                            runSweepPoint(p, true, fast, pre, block);
+                        SweepResult r = runSweepPoint(p, true, engine);
                         if (r.run.throughput.wallSeconds <
                             best.run.throughput.wallSeconds)
                             best = std::move(r);
                     }
                     return best;
                 };
-                const SweepResult ref = bestOf(false, true, true);
-                const SweepResult nopre = bestOf(true, false, true);
-                const SweepResult noblock = bestOf(true, true, false);
-                const SweepResult ff = bestOf(true, true, true);
+                const SweepResult ref = bestOf(EngineMode::kReference);
+                const SweepResult nopre = bestOf(EngineMode::kNoPredecode);
+                const SweepResult noblock = bestOf(EngineMode::kNoBlock);
+                const SweepResult ff = bestOf(EngineMode::kFull);
 
                 PointReport r;
                 r.point = p;

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <sstream>
-#include <string>
 
 #include "common/logging.hh"
 #include "explore/explorer.hh"
@@ -23,16 +22,8 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    CoreKind core = CoreKind::kCv32e40p;
-    if (argc > 1) {
-        const std::string arg = argv[1];
-        if (arg == "cva6")
-            core = CoreKind::kCva6;
-        else if (arg == "nax" || arg == "naxriscv")
-            core = CoreKind::kNax;
-        else if (arg != "cv32e40p")
-            fatal("usage: config_explorer [cv32e40p|cva6|nax]");
-    }
+    const CoreKind core =
+        argc > 1 ? coreKindFromName(argv[1]) : CoreKind::kCv32e40p;
 
     ExploreSpec spec;
     spec.cores = {core};

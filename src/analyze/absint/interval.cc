@@ -358,7 +358,12 @@ Interval::str() const
             return std::string("+inf");
         return std::to_string(v);
     };
-    return "[" + bound(lo) + "," + bound(hi) + "]";
+    std::string s = "[";
+    s += bound(lo);
+    s += ',';
+    s += bound(hi);
+    s += ']';
+    return s;
 }
 
 // ---- AbsVal ----------------------------------------------------------------
@@ -546,8 +551,11 @@ AbsVal::str() const
 {
     if (hasSet) {
         std::string s = "{";
-        for (size_t i = 0; i < consts.size(); ++i)
-            s += (i ? "," : "") + std::to_string(consts[i]);
+        for (size_t i = 0; i < consts.size(); ++i) {
+            if (i)
+                s += ',';
+            s += std::to_string(consts[i]);
+        }
         return s + "}";
     }
     if (stride > 1)

@@ -41,7 +41,9 @@ regNames()
         for (unsigned i = 0; i < 32; ++i) {
             m[regName(static_cast<RegIndex>(i))] =
                 static_cast<Reg>(i);
-            m["x" + std::to_string(i)] = static_cast<Reg>(i);
+            std::string xname = "x";
+            xname += std::to_string(i);
+            m[xname] = static_cast<Reg>(i);
         }
         m["fp"] = S0;
         return m;

@@ -8,6 +8,18 @@
 
 namespace rtu {
 
+std::vector<std::string> splitList(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(s);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        if (!item.empty())
+            out.push_back(item);
+    }
+    return out;
+}
+
 void
 ArgParser::add(const std::string &name, Kind kind, void *dst,
                const std::string &help)

@@ -80,6 +80,9 @@ class ArgParser
     std::vector<Option> options_;
 };
 
+/** Split a comma-separated option value, dropping empty items. */
+std::vector<std::string> splitList(const std::string &s);
+
 } // namespace rtu
 
 #endif // RTU_COMMON_ARGPARSE_HH

@@ -29,9 +29,7 @@ runWorkload(CoreKind core, const RtosUnitConfig &unit,
     sconfig.timerPeriodCycles = opts.timerPeriodCycles;
     sconfig.maxCycles = winfo.maxCycles;
     sconfig.naxCtxQueueEntries = opts.naxCtxQueueEntries;
-    sconfig.fastForward = opts.fastForward;
-    sconfig.predecode = opts.predecode;
-    sconfig.blockExec = opts.blockExec;
+    sconfig.engine = opts.engine;
     sconfig.watchdogCycles = opts.watchdogCycles;
 
     Simulation sim(sconfig, program);

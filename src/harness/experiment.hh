@@ -73,12 +73,8 @@ struct RunOptions
     /** Deterministic seed recorded in trace labels (reserved for
      *  future stochastic workloads; the simulator itself is exact). */
     std::uint64_t seed = 0;
-    /** Event-driven fast-forward; false = per-cycle reference mode. */
-    bool fastForward = true;
-    /** Decode-once text image (bit-exact perf knob; see SimConfig). */
-    bool predecode = true;
-    /** Superblock execution (bit-exact perf knob; see SimConfig). */
-    bool blockExec = true;
+    /** Simulation-engine accelerations (bit-exact; see EngineMode). */
+    EngineMode engine = EngineMode::kFull;
     /** No-retire watchdog threshold; 0 disables. */
     std::uint64_t watchdogCycles = 2'000'000;
     /**

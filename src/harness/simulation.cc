@@ -19,6 +19,45 @@ coreKindName(CoreKind kind)
     return "?";
 }
 
+CoreKind
+coreKindFromName(const std::string &name)
+{
+    if (name == "cv32e40p")
+        return CoreKind::kCv32e40p;
+    if (name == "cva6")
+        return CoreKind::kCva6;
+    if (name == "nax" || name == "naxriscv")
+        return CoreKind::kNax;
+    fatal("unknown core '%s' (expected cv32e40p, cva6 or nax)",
+          name.c_str());
+}
+
+const char *
+engineModeName(EngineMode mode)
+{
+    switch (mode) {
+      case EngineMode::kFull: return "full";
+      case EngineMode::kNoBlock: return "no-block";
+      case EngineMode::kNoPredecode: return "no-predecode";
+      case EngineMode::kReference: return "reference";
+    }
+    return "?";
+}
+
+EngineMode
+engineModeFromName(const std::string &name)
+{
+    for (EngineMode mode : {EngineMode::kFull, EngineMode::kNoBlock,
+                            EngineMode::kNoPredecode,
+                            EngineMode::kReference}) {
+        if (name == engineModeName(mode))
+            return mode;
+    }
+    fatal("unknown engine '%s' (expected full, no-block, no-predecode "
+          "or reference)",
+          name.c_str());
+}
+
 const char *
 runStatusName(RunStatus status)
 {
@@ -32,7 +71,8 @@ runStatusName(RunStatus status)
 }
 
 Simulation::Simulation(const SimConfig &config, const Program &program)
-    : config_(config), program_(program), ext_(irq_),
+    : config_(config), program_(program),
+      fastForward_(config.engine != EngineMode::kReference), ext_(irq_),
       imem_("imem", memmap::kImemBase, memmap::kImemSize),
       dmem_("dmem", memmap::kDmemBase, memmap::kDmemSize),
       clint_(irq_), hostio_(irq_, ext_),
@@ -56,14 +96,15 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     // Decode the whole text segment once; per-cycle fetch becomes an
     // array index. Stores and injected faults landing in text re-decode
     // the touched words through the write observer.
-    if (config_.predecode && !program.text.empty())
+    if (config_.engine != EngineMode::kNoPredecode && !program.text.empty())
         predecode_.install(mem_, program.textBase, program.text.size());
 
     // Superblock index on top of the image: straight-line run lengths
     // and worst-case block costs, kept coherent with text writes via
-    // the image's invalidation listener. Without fast-forward there is
-    // no event horizon to execute blocks against, so skip it.
-    if (config_.blockExec && config_.fastForward && predecode_.installed())
+    // the image's invalidation listener. Only the full engine runs
+    // blocks: the reference mode has no event horizon to execute them
+    // against.
+    if (config_.engine == EngineMode::kFull && predecode_.installed())
         blockindex_.install(predecode_, Cv32e40pCostParams{});
 
     state_.setPc(program.textBase);
@@ -257,7 +298,7 @@ Simulation::run()
         // guest crashing (expected under fault injection), not a
         // simulator bug: end the run instead of aborting the host.
         try {
-            if (config_.fastForward && kernel_.fastForward(limit))
+            if (fastForward_ && kernel_.fastForward(limit))
                 continue;
             kernel_.tickOne();
         } catch (const GuestFault &gf) {

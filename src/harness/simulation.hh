@@ -34,6 +34,27 @@ namespace rtu {
 enum class CoreKind { kCv32e40p, kCva6, kNax };
 
 const char *coreKindName(CoreKind kind);
+/** Parse a lower-case core name (cv32e40p, cva6, nax or naxriscv);
+ *  fatal on anything else. */
+CoreKind coreKindFromName(const std::string &name);
+
+/**
+ * Which simulation-engine accelerations a run uses. Every mode is
+ * bit-exact against kReference — only host time moves:
+ *  - kFull: event-driven fast-forward over the predecoded image with
+ *    superblock execution;
+ *  - kNoBlock: fast-forward and the predecoded image, one instruction
+ *    per dispatch;
+ *  - kNoPredecode: fast-forward, decoding from memory on every fetch
+ *    (no image, hence no blocks);
+ *  - kReference: tick every cycle, fetching from the predecoded image.
+ */
+enum class EngineMode { kFull, kNoBlock, kNoPredecode, kReference };
+
+/** "full", "no-block", "no-predecode" or "reference". */
+const char *engineModeName(EngineMode mode);
+/** Inverse of engineModeName(); fatal on an unknown name. */
+EngineMode engineModeFromName(const std::string &name);
 
 struct SimConfig
 {
@@ -43,19 +64,8 @@ struct SimConfig
     std::uint64_t maxCycles = 20'000'000;
     /** NaxRiscv LSU ctxQueue depth (paper Fig 8; ablation knob). */
     unsigned naxCtxQueueEntries = 8;
-    /** Event-driven fast-forward; false = per-cycle reference mode. */
-    bool fastForward = true;
-    /** Decode the text segment once at install and fetch from the
-     *  predecoded image; false = decode from memory every fetch.
-     *  Behavior is bit-exact either way — this only moves decode work
-     *  out of the per-cycle path. */
-    bool predecode = true;
-    /** Superblock execution: partition the predecoded text into
-     *  straight-line blocks and let the cores execute whole blocks per
-     *  event-horizon check. Behavior is bit-exact either way — only
-     *  the per-instruction dispatch overhead moves. Requires (and is
-     *  ignored without) predecode + fastForward. */
-    bool blockExec = true;
+    /** Simulation-engine accelerations (bit-exact; see EngineMode). */
+    EngineMode engine = EngineMode::kFull;
     /** Abort after this many cycles without a retired instruction or
      *  trap (hung-guest diagnostic); 0 disables the watchdog. */
     std::uint64_t watchdogCycles = 2'000'000;
@@ -204,6 +214,7 @@ class Simulation : public CoreListener, public PhaseObserver
 
     SimConfig config_;
     const Program &program_;
+    const bool fastForward_;  ///< every engine but kReference
 
     IrqLines irq_;
     ExtIrqDriver ext_;

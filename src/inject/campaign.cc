@@ -246,8 +246,8 @@ struct InstrumentedRun
 };
 
 InstrumentedRun
-runInstrumented(const SweepPoint &point, bool fast_forward,
-                const FaultSpec *fault, bool block_exec = true)
+runInstrumented(const SweepPoint &point, const FaultSpec *fault,
+                EngineMode engine)
 {
     const auto workload = makeWorkload(point.workload, point.iterations);
     const WorkloadInfo winfo = workload->info();
@@ -256,8 +256,7 @@ runInstrumented(const SweepPoint &point, bool fast_forward,
     opts.timerPeriodCycles = point.timerPeriodCycles;
     opts.naxCtxQueueEntries = point.naxCtxQueueEntries;
     opts.seed = point.seed;
-    opts.fastForward = fast_forward;
-    opts.blockExec = block_exec;
+    opts.engine = engine;
 
     InstrumentedRun out;
     std::vector<Cycle> irqOverride;
@@ -373,13 +372,12 @@ CampaignResult::detectionCoverage() const
 
 FaultRunRecord
 runSingleFault(const SweepPoint &point, const FaultSpec &fault,
-               bool fast_forward, GoldenRecord *golden_out,
-               bool block_exec)
+               GoldenRecord *golden_out, EngineMode engine)
 {
     GoldenRecord golden;
     {
         const InstrumentedRun g =
-            runInstrumented(point, fast_forward, nullptr, block_exec);
+            runInstrumented(point, nullptr, engine);
         golden.point = point;
         golden.run = g.run;
         golden.events = g.events;
@@ -390,7 +388,7 @@ runSingleFault(const SweepPoint &point, const FaultSpec &fault,
     }
 
     const InstrumentedRun r =
-        runInstrumented(point, fast_forward, &fault, block_exec);
+        runInstrumented(point, &fault, engine);
     FaultRunRecord rec;
     rec.fault = fault;
     rec.fired = r.injectorFired;
@@ -425,7 +423,7 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
     runner.forEachIndex(spec.points.size(), [&](std::size_t i) {
         const SweepPoint &pt = spec.points[i];
         const InstrumentedRun r =
-            runInstrumented(pt, spec.fastForward, nullptr, spec.blockExec);
+            runInstrumented(pt, nullptr, spec.engine);
         GoldenRecord &g = res.goldens[i];
         g.point = pt;
         g.run = r.run;
@@ -465,8 +463,7 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
         const PlannedFault &pf = plan[j];
         const SweepPoint &pt = spec.points[pf.pointIndex];
         const InstrumentedRun r =
-            runInstrumented(pt, spec.fastForward, &pf.fault,
-                            spec.blockExec);
+            runInstrumented(pt, &pf.fault, spec.engine);
         FaultRunRecord &rec = res.faults[j];
         rec.pointIndex = pf.pointIndex;
         rec.fault = pf.fault;

@@ -54,10 +54,9 @@ struct CampaignSpec
     unsigned faultsPerPoint = 8;
     /** Campaign seed: the only input of the fault plans. */
     std::uint64_t seed = 1;
-    bool fastForward = true;
-    /** Superblock execution (default on). Classification must be
-     *  invariant under this knob — CI runs the selftest both ways. */
-    bool blockExec = true;
+    /** Simulation engine. Classification must be invariant under
+     *  this knob — ctest runs the selftest at kFull and kNoBlock. */
+    EngineMode engine = EngineMode::kFull;
 };
 
 /**
@@ -132,13 +131,13 @@ FaultOutcome classifyOutcome(unsigned oracle_hits, RunStatus status,
  * Run one hand-picked fault against @p point: golden run, injected
  * run, classification — the seeded-defect fixture path (tests,
  * bench_inject --selftest). @p golden_out optionally receives the
- * golden record (clean-run oracle soundness checks).
+ * golden record (clean-run oracle soundness checks); both runs use
+ * @p engine.
  */
 FaultRunRecord runSingleFault(const SweepPoint &point,
                               const FaultSpec &fault,
-                              bool fast_forward = true,
                               GoldenRecord *golden_out = nullptr,
-                              bool block_exec = true);
+                              EngineMode engine = EngineMode::kFull);
 
 /** One byte-stable JSONL line per injected run. */
 void writeCampaignJsonl(std::ostream &os, const CampaignSpec &spec,

@@ -62,7 +62,7 @@ SweepSpec::points() const
 
 SweepResult
 runSweepPoint(const SweepPoint &point, bool capture_trace,
-              bool fast_forward, bool predecode, bool block_exec)
+              EngineMode engine)
 {
     SweepResult out;
     out.point = point;
@@ -73,9 +73,7 @@ runSweepPoint(const SweepPoint &point, bool capture_trace,
     opts.timerPeriodCycles = point.timerPeriodCycles;
     opts.naxCtxQueueEntries = point.naxCtxQueueEntries;
     opts.seed = point.seed;
-    opts.fastForward = fast_forward;
-    opts.predecode = predecode;
-    opts.blockExec = block_exec;
+    opts.engine = engine;
 
     if (capture_trace) {
         std::ostringstream trace;
@@ -133,8 +131,7 @@ SweepRunner::runPoints(const std::vector<SweepPoint> &pts,
 {
     std::vector<SweepResult> results(pts.size());
     forEachIndex(pts.size(), [&](std::size_t i) {
-        results[i] = runSweepPoint(pts[i], capture_trace, fastForward_,
-                                   predecode_, blockExec_);
+        results[i] = runSweepPoint(pts[i], capture_trace, engine_);
     });
     return results;
 }

@@ -113,41 +113,22 @@ class SweepRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Simulation-kernel fast-forward for every point of this runner
-     * (default on). A runner knob rather than a SweepPoint field: the
-     * two modes are exact by construction, so they share one point
-     * key — and the explorer's cache keys must not change.
+     * Simulation-engine mode for every point of this runner (default
+     * kFull). A runner knob rather than a SweepPoint field: every mode
+     * is exact by construction, so they share one point key — and the
+     * explorer's cache keys must not change.
      */
-    void setFastForward(bool enable) { fastForward_ = enable; }
-    bool fastForward() const { return fastForward_; }
-
-    /**
-     * Decode-once text image for every point (default on). Like
-     * fast-forward, a runner knob rather than a point field: the image
-     * is bit-exact, so both settings share one point key.
-     */
-    void setPredecode(bool enable) { predecode_ = enable; }
-    bool predecode() const { return predecode_; }
-
-    /**
-     * Superblock execution for every point (default on). Like the
-     * other two, a runner knob rather than a point field: block
-     * execution is bit-exact, so both settings share one point key.
-     */
-    void setBlockExec(bool enable) { blockExec_ = enable; }
-    bool blockExec() const { return blockExec_; }
+    void setEngine(EngineMode mode) { engine_ = mode; }
+    EngineMode engine() const { return engine_; }
 
   private:
     unsigned threads_;
-    bool fastForward_ = true;
-    bool predecode_ = true;
-    bool blockExec_ = true;
+    EngineMode engine_ = EngineMode::kFull;
 };
 
 /** Execute a single grid point (what each worker runs). */
 SweepResult runSweepPoint(const SweepPoint &point, bool capture_trace,
-                          bool fast_forward = true, bool predecode = true,
-                          bool block_exec = true);
+                          EngineMode engine = EngineMode::kFull);
 
 /**
  * Version of the writeResultsJsonl line format, stamped into the

@@ -136,14 +136,12 @@ TEST(Blockexec, StraddlingHalfStoreReformsBothBlocks)
 }
 
 SimConfig
-bareConfig(bool block_exec)
+bareConfig(EngineMode engine)
 {
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.fastForward = true;
-    cfg.predecode = true;
-    cfg.blockExec = block_exec;
+    cfg.engine = engine;
     cfg.maxCycles = 5000;
     cfg.watchdogCycles = 0;
     return cfg;
@@ -175,17 +173,17 @@ TEST(Blockexec, MidBlockBitFlipReformsTheBlockAndExecutesTheFlip)
 {
     const Program p = midBlockFlipProgram();
 
-    auto run = [&](bool block_exec) {
-        Simulation sim(bareConfig(block_exec), p);
+    auto run = [&](EngineMode engine) {
+        Simulation sim(bareConfig(engine), p);
         EXPECT_FALSE(sim.run());  // spins to the cycle limit
         EXPECT_EQ(sim.archState().reg(A0), 1u)
-            << "block_exec=" << block_exec
+            << "engine=" << engineModeName(engine)
             << ": flipped instruction not executed";
         return sim.coreStats();
     };
 
-    const CoreStats on = run(true);
-    const CoreStats off = run(false);
+    const CoreStats on = run(EngineMode::kFull);
+    const CoreStats off = run(EngineMode::kNoBlock);
     EXPECT_EQ(on.instret, off.instret);
     EXPECT_EQ(on.memOps, off.memOps);
     EXPECT_EQ(on.stallCycles, off.stallCycles);
@@ -209,7 +207,7 @@ TEST(Blockexec, CountersFlowThroughTheSweepJsonlStream)
 
     std::vector<SweepResult> on{runSweepPoint(p, false)};
     const std::vector<SweepResult> off{
-        runSweepPoint(p, false, true, true, /*block_exec=*/false)};
+        runSweepPoint(p, false, EngineMode::kNoBlock)};
 
     EXPECT_GT(on[0].run.throughput.cyclesBlockExecuted, 0u);
     EXPECT_GT(on[0].run.coreStats.blocksExecuted, 0u);

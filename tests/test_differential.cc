@@ -33,15 +33,6 @@ matrixConfigs()
     return units;
 }
 
-/** One accelerated mode of the four-way matrix (the fourth mode is
- *  the per-cycle reference every entry is compared against). */
-struct AccelMode
-{
-    const char *name;
-    bool predecode;
-    bool blockExec;
-};
-
 TEST(Differential, FastForwardMatchesReferenceAcrossTheMatrix)
 {
     const std::vector<RtosUnitConfig> units = matrixConfigs();
@@ -52,13 +43,10 @@ TEST(Differential, FastForwardMatchesReferenceAcrossTheMatrix)
     const std::array<CoreKind, 3> cores = {
         CoreKind::kCv32e40p, CoreKind::kCva6, CoreKind::kNax};
 
-    // Block execution requires the predecoded image, so the
-    // predecode-off mode also exercises the knob being inert.
-    const std::array<AccelMode, 3> modes = {{
-        {"ff+pre+block", true, true},
-        {"ff+pre", true, false},
-        {"ff+block-nopre", false, true},
-    }};
+    // The three accelerated engines; each is compared against the
+    // per-cycle reference.
+    const std::array<EngineMode, 3> modes = {
+        EngineMode::kFull, EngineMode::kNoBlock, EngineMode::kNoPredecode};
 
     size_t idx = 0;
     for (const RtosUnitConfig &unit : units) {
@@ -74,17 +62,17 @@ TEST(Differential, FastForwardMatchesReferenceAcrossTheMatrix)
             ++idx;
 
             const SweepResult ref =
-                runSweepPoint(p, true, /*fast_forward=*/false);
+                runSweepPoint(p, true, EngineMode::kReference);
             const std::string key = p.key();
 
             // The reference mode never skips and never block-executes.
             EXPECT_EQ(ref.run.throughput.cyclesSkipped, 0u) << key;
             EXPECT_EQ(ref.run.throughput.cyclesBlockExecuted, 0u) << key;
 
-            for (const AccelMode &m : modes) {
-                const SweepResult ff = runSweepPoint(
-                    p, true, true, m.predecode, m.blockExec);
-                const std::string mkey = key + " [" + m.name + "]";
+            for (EngineMode m : modes) {
+                const SweepResult ff = runSweepPoint(p, true, m);
+                const std::string mkey =
+                    key + " [" + engineModeName(m) + "]";
 
                 // Every reference cycle is accounted exactly once:
                 // ticked, bulk-skipped, or block-executed.
@@ -93,8 +81,8 @@ TEST(Differential, FastForwardMatchesReferenceAcrossTheMatrix)
                               ff.run.throughput.cyclesBlockExecuted,
                           ref.run.throughput.cyclesTicked)
                     << mkey;
-                if (!m.predecode) {
-                    // No image => no block index => knob is inert.
+                if (m == EngineMode::kNoPredecode) {
+                    // No image => no block index => no block runs.
                     EXPECT_EQ(ff.run.throughput.cyclesBlockExecuted, 0u)
                         << mkey;
                 }

@@ -83,6 +83,38 @@ INSTANTIATE_TEST_SUITE_P(
         return coreKindName(info.param);
     });
 
+TEST(EngineMode, NamesRoundTrip)
+{
+    for (EngineMode m : {EngineMode::kFull, EngineMode::kNoBlock,
+                         EngineMode::kNoPredecode, EngineMode::kReference})
+        EXPECT_EQ(engineModeFromName(engineModeName(m)), m)
+            << engineModeName(m);
+    EXPECT_STREQ(engineModeName(EngineMode::kFull), "full");
+    EXPECT_STREQ(engineModeName(EngineMode::kNoBlock), "no-block");
+    EXPECT_STREQ(engineModeName(EngineMode::kNoPredecode), "no-predecode");
+    EXPECT_STREQ(engineModeName(EngineMode::kReference), "reference");
+}
+
+TEST(EngineModeDeath, UnknownNameIsFatal)
+{
+    EXPECT_EXIT(engineModeFromName("fast"), ::testing::ExitedWithCode(1),
+                "unknown engine 'fast'");
+}
+
+TEST(CoreKind, NamesParse)
+{
+    EXPECT_EQ(coreKindFromName("cv32e40p"), CoreKind::kCv32e40p);
+    EXPECT_EQ(coreKindFromName("cva6"), CoreKind::kCva6);
+    EXPECT_EQ(coreKindFromName("nax"), CoreKind::kNax);
+    EXPECT_EQ(coreKindFromName("naxriscv"), CoreKind::kNax);
+}
+
+TEST(CoreKindDeath, UnknownNameIsFatal)
+{
+    EXPECT_EXIT(coreKindFromName("rocket"), ::testing::ExitedWithCode(1),
+                "unknown core 'rocket'");
+}
+
 TEST(Simulation, ReadSymbolWordSeesGuestState)
 {
     auto w = makeYieldPingPong(3);

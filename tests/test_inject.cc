@@ -173,7 +173,7 @@ class SeededDefect : public ::testing::Test
     {
         GoldenRecord golden;
         const FaultRunRecord rec =
-            runSingleFault(smallPoint(config), fault, true, &golden);
+            runSingleFault(smallPoint(config), fault, &golden);
         EXPECT_EQ(golden.oracleHits, 0u)
             << config << " clean run fired: " << golden.oracleDetail;
         EXPECT_TRUE(rec.fired) << fault.describe();

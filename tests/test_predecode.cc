@@ -145,13 +145,12 @@ TEST(Predecode, InjectedBitFlipRedecodesToTheFlippedInstruction)
 }
 
 SimConfig
-bareConfig(bool fast_forward, bool predecode)
+bareConfig(EngineMode engine)
 {
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.fastForward = fast_forward;
-    cfg.predecode = predecode;
+    cfg.engine = engine;
     cfg.maxCycles = 5000;
     cfg.watchdogCycles = 0;
     return cfg;
@@ -172,11 +171,11 @@ wildJumpProgram()
 TEST(Predecode, WildJumpEndsTheRunAsAGuestFault)
 {
     const Program p = wildJumpProgram();
-    for (bool predecode : {true, false}) {
-        Simulation sim(bareConfig(true, predecode), p);
+    for (EngineMode engine : {EngineMode::kFull, EngineMode::kNoPredecode}) {
+        Simulation sim(bareConfig(engine), p);
         EXPECT_FALSE(sim.run());
         EXPECT_EQ(sim.status(), RunStatus::kGuestFault)
-            << "predecode=" << predecode;
+            << "engine=" << engineModeName(engine);
         EXPECT_FALSE(sim.statusDiagnostic().empty());
         // The faulting fetch itself is the slow path.
         EXPECT_GE(sim.coreStats().fetchSlowPath, 1u);
@@ -203,17 +202,17 @@ TEST(Predecode, SelfModifyingStoreIsObservedByTheImage)
 {
     const Program p = selfModifyProgram();
 
-    auto run = [&](bool predecode) {
-        Simulation sim(bareConfig(true, predecode), p);
+    auto run = [&](EngineMode engine) {
+        Simulation sim(bareConfig(engine), p);
         EXPECT_FALSE(sim.run());  // spins to the cycle limit
         EXPECT_EQ(sim.archState().reg(A0), 42u)
-            << "predecode=" << predecode
+            << "engine=" << engineModeName(engine)
             << ": patched instruction not executed";
         return sim.coreStats();
     };
 
-    const CoreStats on = run(true);
-    const CoreStats off = run(false);
+    const CoreStats on = run(EngineMode::kFull);
+    const CoreStats off = run(EngineMode::kNoPredecode);
     EXPECT_EQ(on.instret, off.instret);
     EXPECT_EQ(on.memOps, off.memOps);
     // With the image on, every fetch hits it and the patch store
@@ -258,18 +257,20 @@ TEST(PredecodeDifferential, ImageOnMatchesImageOffAcrossTheMatrix)
         for (const char *w : workloads) {
             SweepPoint p;
             // Round-robin the cores over the matrix; alternate the
-            // kernel mode so both fast-forward and reference ticking
-            // are exercised against the image.
+            // image-on engine so both fast-forward and reference
+            // ticking are exercised against the image-off run.
             p.core = cores[idx % cores.size()];
             p.unit = unit;
             p.workload = w;
             p.iterations = 3;
             p.reseed();
-            const bool ff = idx % 2 == 0;
+            const EngineMode imageOn =
+                idx % 2 == 0 ? EngineMode::kFull : EngineMode::kReference;
             ++idx;
 
-            const SweepResult on = runSweepPoint(p, true, ff, true);
-            const SweepResult off = runSweepPoint(p, true, ff, false);
+            const SweepResult on = runSweepPoint(p, true, imageOn);
+            const SweepResult off =
+                runSweepPoint(p, true, EngineMode::kNoPredecode);
             const std::string key = p.key();
 
             EXPECT_EQ(on.run.ok, off.run.ok) << key;

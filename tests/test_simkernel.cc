@@ -317,12 +317,12 @@ hangProgram()
 }
 
 SimConfig
-bareConfig(bool fast_forward)
+bareConfig(EngineMode engine)
 {
     SimConfig cfg;
     cfg.core = CoreKind::kCv32e40p;
     cfg.unit = RtosUnitConfig::vanilla();
-    cfg.fastForward = fast_forward;
+    cfg.engine = engine;
     return cfg;
 }
 
@@ -330,13 +330,13 @@ TEST(SimKernelGuest, SpinIsBlockExecutedAndPreservesState)
 {
     const Program p = spinProgram();
 
-    SimConfig ref = bareConfig(false);
+    SimConfig ref = bareConfig(EngineMode::kReference);
     ref.maxCycles = 5000;
     ref.watchdogCycles = 0;  // a spin retires; keep the test focused
     Simulation refSim(ref, p);
     EXPECT_FALSE(refSim.run());
 
-    SimConfig ff = bareConfig(true);
+    SimConfig ff = bareConfig(EngineMode::kFull);
     ff.maxCycles = 5000;
     ff.watchdogCycles = 0;
     Simulation ffSim(ff, p);
@@ -373,8 +373,8 @@ TEST(SimKernelGuest, BlockExecutedSpinStaysExactAcrossIrqDelivery)
         Addr pc;
         SimKernelStats kernel;
     };
-    auto run = [&](bool fast_forward) {
-        SimConfig cfg = bareConfig(fast_forward);
+    auto run = [&](EngineMode engine) {
+        SimConfig cfg = bareConfig(engine);
         cfg.maxCycles = 3000;
         cfg.watchdogCycles = 0;
         Simulation sim(cfg, p);
@@ -385,8 +385,8 @@ TEST(SimKernelGuest, BlockExecutedSpinStaysExactAcrossIrqDelivery)
                        sim.kernelStats()};
     };
 
-    const Outcome ff = run(true);
-    const Outcome ref = run(false);
+    const Outcome ff = run(EngineMode::kFull);
+    const Outcome ref = run(EngineMode::kReference);
     EXPECT_GT(ff.kernel.cyclesBlockExecuted, 0u);
     EXPECT_LT(ff.kernel.cyclesTicked, 3000u);
     EXPECT_EQ(ff.cycles, ref.cycles);
@@ -399,8 +399,8 @@ TEST(SimKernelGuest, WatchdogAbortsIdenticallyInBothModes)
 {
     const Program p = hangProgram();
 
-    auto run = [&](bool fast_forward) {
-        SimConfig cfg = bareConfig(fast_forward);
+    auto run = [&](EngineMode engine) {
+        SimConfig cfg = bareConfig(engine);
         cfg.maxCycles = 100000;
         cfg.watchdogCycles = 500;
         Simulation sim(cfg, p);
@@ -410,8 +410,8 @@ TEST(SimKernelGuest, WatchdogAbortsIdenticallyInBothModes)
         return sim.now();
     };
 
-    const Cycle ffAbort = run(true);
-    const Cycle refAbort = run(false);
+    const Cycle ffAbort = run(EngineMode::kFull);
+    const Cycle refAbort = run(EngineMode::kReference);
     EXPECT_EQ(ffAbort, refAbort);
     EXPECT_LT(ffAbort, 100000u);  // well before the cycle limit
 }

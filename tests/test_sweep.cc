@@ -106,6 +106,36 @@ TEST(SweepRunner, SerialAndParallelAgree)
     EXPECT_EQ(trc_serial, trc_par);
 }
 
+TEST(SweepRunner, ReferenceEngineMatchesTheDefault)
+{
+    setQuiet(true);
+    const SweepSpec spec = smallSpec();
+    const SweepRunner full(2);
+    SweepRunner ref(2);
+    ref.setEngine(EngineMode::kReference);
+    EXPECT_EQ(full.engine(), EngineMode::kFull);
+    EXPECT_EQ(ref.engine(), EngineMode::kReference);
+
+    const auto a = full.run(spec, true);
+    const auto b = ref.run(spec, true);
+    ASSERT_EQ(a.size(), b.size());
+    std::uint64_t accelerated = 0;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const std::string key = a[i].point.key();
+        accelerated += a[i].run.throughput.cyclesSkipped +
+                       a[i].run.throughput.cyclesBlockExecuted;
+        // The reference engine ticks every cycle...
+        EXPECT_EQ(b[i].run.throughput.cyclesSkipped, 0u) << key;
+        EXPECT_EQ(b[i].run.throughput.cyclesBlockExecuted, 0u) << key;
+        // ...and reproduces the default engine exactly.
+        EXPECT_EQ(b[i].run.cycles, a[i].run.cycles) << key;
+        EXPECT_FALSE(a[i].trace.empty()) << key;
+        EXPECT_TRUE(b[i].trace == a[i].trace) << key;
+    }
+    // The default engine really did skip or block-execute cycles.
+    EXPECT_GT(accelerated, 0u);
+}
+
 TEST(SweepRunner, ResultLinesCloseTheCycleAccounting)
 {
     // Every simulated cycle is ticked, skipped or block-executed — a

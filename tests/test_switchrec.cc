@@ -179,10 +179,7 @@ TEST(TraceSinks, CsvHasHeaderAndOneRowPerEpisode)
 {
     std::ostringstream os;
     CsvTraceSink sink(os);
-    TraceRunLabel label;
-    label.core = "CVA6";
-    label.config = "T";
-    label.workload = "unit_test";
+    const TraceRunLabel label{"CVA6", "T", "unit_test", 0};
     sink.beginRun(label);
     EpisodeTrace e;
     e.irqAssert = 10;
