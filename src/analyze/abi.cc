@@ -19,14 +19,11 @@
 #include <array>
 #include <climits>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "linter.hh"
+#include "walker.hh"
 
 namespace rtu {
 
@@ -85,111 +82,46 @@ struct AbiState
     }
 };
 
-class AbiWalker
+/** Per-function walk; calls are stepped over. */
+class AbiPolicy
 {
   public:
-    AbiWalker(const Cfg &cfg, const LintOptions &options,
-              std::vector<Diagnostic> &out)
-        : cfg_(cfg), options_(options), out_(out)
+    using State = AbiState;
+
+    AbiPolicy(PathWalker &walker, Addr begin, Addr end)
+        : walker_(walker), begin_(begin), end_(end)
     {
     }
 
-    void
-    runFunction(const std::string &name, Addr begin, Addr end)
-    {
-        fnName_ = name;
-        fnBegin_ = begin;
-        fnEnd_ = end;
-        visited_.clear();
-        work_.clear();
-        work_.emplace_back(begin, AbiState{});
-        while (!work_.empty()) {
-            auto [pc, state] = std::move(work_.back());
-            work_.pop_back();
-            walk(pc, std::move(state));
-        }
-    }
-
-  private:
-    bool
-    inFunction(Addr pc) const
-    {
-        return pc >= fnBegin_ && pc < fnEnd_ && cfg_.contains(pc);
-    }
-
-    void
-    report(const std::string &code, Addr pc, const std::string &message)
-    {
-        if (!reported_.insert(code + "@" + std::to_string(pc)).second)
-            return;
-        Diagnostic d;
-        d.severity = Severity::kError;
-        d.code = code;
-        d.pc = pc;
-        d.hasPc = true;
-        d.function = fnName_;
-        d.insn = disassemble(cfg_.insnAt(pc).raw);
-        d.message = message;
-        out_.push_back(std::move(d));
-    }
+    std::string key(const AbiState &st) const { return st.key(); }
 
     bool
-    enter(Addr pc, const AbiState &state)
+    inRange(Addr pc) const
     {
-        if (cfg_.blocks().count(pc) == 0)
-            return true;
-        if (statesSeen_ >= options_.stateBudget)
-            return false;
-        if (!visited_[pc].insert(state.key()).second)
-            return false;
-        ++statesSeen_;
-        return true;
+        return pc >= begin_ && pc < end_ && walker_.cfg().contains(pc);
     }
 
-    void
-    walk(Addr pc, AbiState st)
+    Addr
+    step(Addr pc, const DecodedInsn &d, AbiState &st)
     {
-        while (inFunction(pc)) {
-            if (!enter(pc, st))
-                return;
-            const DecodedInsn &d = cfg_.insnAt(pc);
-
-            switch (d.op) {
-              case Op::kJal:
-                if (d.rd == RA) {
-                    st.clobbered |= 1u << kRaIndex;
-                    pc += 4;  // callee assumed balanced + s-preserving
-                    continue;
-                }
-                pc += static_cast<Word>(d.imm);
-                continue;  // loop check via inFunction()
-              case Op::kJalr:
-                if (d.rd == Zero && d.rs1 == RA && d.imm == 0)
-                    checkAtReturn(pc, st);
-                return;
-              case Op::kMret:
-              case Op::kInvalid:
-                return;
-              default:
-                break;
+        switch (d.op) {
+          case Op::kJal:
+            if (d.rd == RA) {
+                st.clobbered |= 1u << kRaIndex;
+                return pc + 4;  // callee assumed balanced + s-preserving
             }
-
-            if (classOf(d.op) == InsnClass::kBranch) {
-                const Addr taken = pc + static_cast<Word>(d.imm);
-                if (inFunction(taken))
-                    work_.emplace_back(taken, st);
-                pc += 4;
-                continue;
-            }
-
-            step(d, st);
-            pc += 4;
+            return pc + static_cast<Word>(d.imm);
+          case Op::kJalr:
+            if (isReturn(d))
+                checkAtReturn(pc, st);
+            return kPathEnd;
+          case Op::kMret:
+          case Op::kInvalid:
+            return kPathEnd;
+          default:
+            break;
         }
-    }
 
-    void
-    step(const DecodedInsn &d, AbiState &st)
-    {
         // Spill to a stack slot.
         if (d.op == Op::kSw && d.rs1 == SP) {
             const int idx = csIndexOf(d.rs2);
@@ -222,8 +154,10 @@ class AbiWalker
                 }
             }
         }
+        return pc + 4;
     }
 
+  private:
     void
     checkAtReturn(Addr pc, const AbiState &st)
     {
@@ -236,40 +170,36 @@ class AbiWalker
             }
         }
         if (!bad.empty()) {
-            report("abi-callee-saved", pc,
-                   csprintf("callee-saved registers clobbered and not "
-                            "restored on a path reaching ret: %s",
-                            bad.c_str()));
+            walker_.report(Severity::kError, "abi-callee-saved", pc,
+                           csprintf("callee-saved registers clobbered and "
+                                    "not restored on a path reaching "
+                                    "ret: %s", bad.c_str()));
         }
         if (st.clobbered & (1u << kRaIndex)) {
-            report("abi-ra-clobbered", pc,
-                   "ra overwritten (by a call or plain write) and not "
-                   "restored before ret: returns to the wrong address");
+            walker_.report(Severity::kError, "abi-ra-clobbered", pc,
+                           "ra overwritten (by a call or plain write) and "
+                           "not restored before ret: returns to the "
+                           "wrong address");
         }
     }
 
-    const Cfg &cfg_;
-    const LintOptions &options_;
-    std::vector<Diagnostic> &out_;
-    std::string fnName_;
-    Addr fnBegin_ = 0;
-    Addr fnEnd_ = 0;
-    std::vector<std::pair<Addr, AbiState>> work_;
-    std::unordered_map<Addr, std::unordered_set<std::string>> visited_;
-    std::unordered_set<std::string> reported_;
-    unsigned statesSeen_ = 0;
+    PathWalker &walker_;
+    Addr begin_;
+    Addr end_;
 };
 
 } // namespace
 
 void
-checkCalleeSaved(const Cfg &cfg, const LintOptions &options,
+checkCalleeSaved(const Cfg &cfg, const LintOptions &,
                  std::vector<Diagnostic> &out)
 {
-    AbiWalker walker(cfg, options, out);
+    PathWalker walker(cfg, out, "callee-saved");
     for (const auto &[name, range] : cfg.program().functions) {
-        if (range.second > range.first && cfg.contains(range.first))
-            walker.runFunction(name, range.first, range.second);
+        if (range.second > range.first && cfg.contains(range.first)) {
+            AbiPolicy policy(walker, range.first, range.second);
+            walker.walk(policy, range.first, AbiState{});
+        }
     }
 }
 

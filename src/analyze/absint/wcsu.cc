@@ -4,21 +4,87 @@
  */
 
 #include <algorithm>
-#include <tuple>
 
 #include "analyze/absint/wcsu.hh"
 #include "common/logging.hh"
 
 namespace rtu {
 
-namespace {
+/**
+ * One function's walk over the SP lattice. It differs from the stack
+ * pass's policy in three documented ways: the memo key keeps the
+ * unknown-mode value (offsets applied after a frame switch are charged
+ * as depth), jumps out of the function charge their target like a
+ * call, and SWITCH_RF makes sp unknown (it now belongs to the other
+ * register bank).
+ */
+class WcsuAnalyzer::FunctionPolicy
+{
+  public:
+    using State = SpValue;
 
-constexpr unsigned kSpReg = 2;
+    FunctionPolicy(WcsuAnalyzer &wcsu, Addr begin, Addr end)
+        : wcsu_(wcsu), begin_(begin), end_(end)
+    {
+    }
 
-} // namespace
+    std::uint64_t key(const SpValue &sp) const { return sp.key(); }
 
-WcsuAnalyzer::WcsuAnalyzer(const Cfg &cfg, const WcsuOptions &options)
-    : cfg_(cfg), program_(cfg.program()), options_(options)
+    bool
+    inRange(Addr pc) const
+    {
+        return pc >= begin_ && pc < end_ && wcsu_.cfg_.contains(pc);
+    }
+
+    Addr
+    step(Addr pc, const DecodedInsn &d, SpValue &sp)
+    {
+        switch (d.op) {
+          case Op::kJal: {
+            const Addr target = pc + static_cast<Word>(d.imm);
+            if (d.rd == RA) {
+                // Call: charge the callee below the current sp, then
+                // continue balanced (pass 3 verifies the callee
+                // preserves sp).
+                wcsu_.touch(sp, wcsu_.depthOf(target), depth);
+                return pc + 4;
+            }
+            if (inRange(target))
+                return target;
+            // Tail jump out of the function: charge the target like a
+            // call and stop this path.
+            if (wcsu_.cfg_.contains(target))
+                wcsu_.touch(sp, wcsu_.depthOf(target), depth);
+            return kPathEnd;
+          }
+          case Op::kJalr:
+          case Op::kMret:
+          case Op::kInvalid:
+            return kPathEnd;
+          case Op::kSwitchRf:
+            sp = {SpValue::kUnknown, 0};
+            return pc + 4;
+          default:
+            break;
+        }
+        if (writesRd(d.op) && d.rd == SP) {
+            sp.write(pc, d);
+            wcsu_.touch(sp, 0, depth);
+        }
+        return pc + 4;
+    }
+
+    unsigned depth = 0;  ///< entry-relative worst depth so far
+
+  private:
+    WcsuAnalyzer &wcsu_;
+    Addr begin_;
+    Addr end_;
+};
+
+WcsuAnalyzer::WcsuAnalyzer(const Cfg &cfg)
+    : cfg_(cfg), program_(cfg.program()),
+      walker_(cfg, diags_, "stack-usage")
 {
     for (const auto &[name, addr] : program_.symbols) {
         const bool task_stack =
@@ -79,7 +145,6 @@ WcsuAnalyzer::depthOf(Addr entry)
         return 0;
     }
 
-    Addr begin = entry;
     Addr end = 0;
     const std::string name = program_.functionAt(entry);
     auto fit = program_.functions.find(name);
@@ -90,24 +155,25 @@ WcsuAnalyzer::depthOf(Addr entry)
         end = bb ? bb->end : entry;
     }
 
-    const unsigned depth = walkFunction(entry, begin, end);
+    FunctionPolicy policy(*this, entry, end);
+    walker_.walk(policy, entry, SpValue{});
     inProgress_.erase(entry);
-    summaries_[entry] = {depth, true};
-    return depth;
+    summaries_[entry] = {policy.depth, true};
+    return policy.depth;
 }
 
 void
-WcsuAnalyzer::touch(const SpState &st, std::int64_t extra,
+WcsuAnalyzer::touch(const SpValue &st, std::int64_t extra,
                     unsigned &depth)
 {
     switch (st.mode) {
-      case SpState::kEntryRel: {
+      case SpValue::kEntryRel: {
         const std::int64_t cur = -st.value + extra;
         if (cur > 0)
             depth = std::max(depth, static_cast<unsigned>(cur));
         return;
       }
-      case SpState::kAbsolute:
+      case SpValue::kAbsolute:
         for (const StackRegion &r : regions_) {
             if (st.value < static_cast<std::int64_t>(r.base) ||
                 st.value > static_cast<std::int64_t>(r.top))
@@ -121,7 +187,7 @@ WcsuAnalyzer::touch(const SpState &st, std::int64_t extra,
             return;
         }
         return;
-      case SpState::kUnknown: {
+      case SpValue::kUnknown: {
         const std::int64_t cur = -st.value + extra;
         if (cur > 0)
             unknownExtra_ =
@@ -131,110 +197,10 @@ WcsuAnalyzer::touch(const SpState &st, std::int64_t extra,
     }
 }
 
-unsigned
-WcsuAnalyzer::walkFunction(Addr entry, Addr begin, Addr end)
-{
-    unsigned depth = 0;
-    std::set<std::tuple<Addr, int, std::int64_t>> visited;
-    std::vector<std::pair<Addr, SpState>> work;
-    work.emplace_back(entry, SpState{});
-
-    auto inRange = [&](Addr pc) {
-        return pc >= begin && pc < end && cfg_.contains(pc);
-    };
-
-    while (!work.empty()) {
-        auto [pc, st] = work.back();
-        work.pop_back();
-        while (inRange(pc)) {
-            if (statesSeen_ >= options_.stateBudget) {
-                converged_ = false;
-                return depth;
-            }
-            if (!visited.insert({pc, st.mode, st.value}).second)
-                break;
-            ++statesSeen_;
-
-            const DecodedInsn &d = cfg_.insnAt(pc);
-            switch (d.op) {
-              case Op::kJal:
-                if (d.rd == 1) {
-                    // Call: charge the callee below the current sp,
-                    // then continue balanced (pass 2 verifies the
-                    // callee preserves sp).
-                    touch(st, depthOf(pc + static_cast<Word>(d.imm)),
-                          depth);
-                    pc += 4;
-                    continue;
-                }
-                {
-                    const Addr target = pc + static_cast<Word>(d.imm);
-                    if (inRange(target)) {
-                        pc = target;
-                        continue;
-                    }
-                    // Tail jump out of the function: charge the
-                    // target like a call and stop this path.
-                    if (cfg_.contains(target))
-                        touch(st, depthOf(target), depth);
-                    break;
-                }
-              case Op::kJalr:
-              case Op::kMret:
-              case Op::kInvalid:
-                pc = end;  // path ends
-                continue;
-              case Op::kSwitchRf:
-                // Hardware register-file swap: sp now belongs to the
-                // other context.
-                st = SpState{SpState::kUnknown, 0};
-                pc += 4;
-                continue;
-              default:
-                break;
-            }
-            if (!inRange(pc))
-                break;
-
-            if (classOf(d.op) == InsnClass::kBranch) {
-                const Addr taken = pc + static_cast<Word>(d.imm);
-                if (inRange(taken))
-                    work.emplace_back(taken, st);
-                pc += 4;
-                continue;
-            }
-
-            if (writesRd(d.op) && d.rd == kSpReg) {
-                if (d.op == Op::kAddi && d.rs1 == kSpReg) {
-                    st.value += d.imm;
-                } else if (d.op == Op::kLui) {
-                    st = SpState{SpState::kAbsolute,
-                                 static_cast<std::int64_t>(
-                                     static_cast<std::int32_t>(
-                                         static_cast<Word>(d.imm)
-                                         << 12))};
-                } else if (d.op == Op::kAuipc) {
-                    st = SpState{SpState::kAbsolute,
-                                 static_cast<std::int64_t>(
-                                     static_cast<std::int32_t>(
-                                         pc + (static_cast<Word>(d.imm)
-                                               << 12)))};
-                } else {
-                    // Frame switch (`lw sp, ...`) or computed rebase.
-                    st = SpState{SpState::kUnknown, 0};
-                }
-                touch(st, 0, depth);
-            }
-            pc += 4;
-        }
-    }
-    return depth;
-}
-
 void
 WcsuAnalyzer::checkOverflow(std::vector<Diagnostic> &out) const
 {
-    if (!converged_) {
+    if (!converged()) {
         Diagnostic d;
         d.severity = Severity::kWarning;
         d.code = "wcsu-unanalyzable";

@@ -3,11 +3,12 @@
  * Whole-program worst-case stack usage (WCSU).
  *
  * Composes per-function stack depths over the call graph: each
- * function's walk tracks the stack pointer symbolically (entry-
- * relative delta, absolute after an `la sp, <region>_top` rebase, or
- * unknown after a frame switch) and charges callee depths at every
- * call site. The result is, per task entry function, the worst number
- * of bytes ever live below its entry stack pointer -- including the
+ * function is one PathWalker walk (analyze/walker.hh) over the shared
+ * SP lattice (entry-relative delta, absolute after an `la sp,
+ * <region>_top` rebase, or unknown after a frame switch) that charges
+ * callee depths at every call site and tail jump. The result is, per
+ * task entry function, the worst number of bytes ever live below its
+ * entry stack pointer -- including the
  * ISR add-on (the trap handler's own entry-relative depth, which
  * lands on whatever stack the interrupted task was running on) -- and
  * per stack region, the worst absolute usage reached through rebases
@@ -26,7 +27,6 @@
 #ifndef RTU_ANALYZE_ABSINT_WCSU_HH
 #define RTU_ANALYZE_ABSINT_WCSU_HH
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -34,26 +34,23 @@
 
 #include "analyze/cfg.hh"
 #include "analyze/diag.hh"
+#include "analyze/walker.hh"
 
 namespace rtu {
-
-struct WcsuOptions
-{
-    /** Per-program (pc, sp-state) visit budget (safety valve). */
-    unsigned stateBudget = 50'000;
-};
 
 class WcsuAnalyzer
 {
   public:
-    explicit WcsuAnalyzer(const Cfg &cfg, const WcsuOptions &options = {});
+    explicit WcsuAnalyzer(const Cfg &cfg);
+    WcsuAnalyzer(const WcsuAnalyzer &) = delete;
+    WcsuAnalyzer &operator=(const WcsuAnalyzer &) = delete;
 
     /** Analyze every declared function. Call once. */
     void run();
 
-    /** False when the visit budget was exhausted; results are then
-     *  partial and the overflow check degrades to a warning. */
-    bool converged() const { return converged_; }
+    /** False when the walk exhausted kWalkStateBudget; results are
+     *  then partial and the overflow check degrades to a warning. */
+    bool converged() const { return !walker_.exhausted(); }
 
     /**
      * Worst bytes live below the entry stack pointer of @p fn,
@@ -111,34 +108,21 @@ class WcsuAnalyzer
         bool done = false;
     };
 
-    struct SpState
-    {
-        enum Mode : std::uint8_t { kEntryRel, kAbsolute, kUnknown };
-        Mode mode = kEntryRel;
-        std::int64_t value = 0;
-
-        bool operator<(const SpState &o) const
-        {
-            return mode != o.mode ? mode < o.mode : value < o.value;
-        }
-    };
+    class FunctionPolicy;
 
     unsigned depthOf(Addr entry);
-    unsigned walkFunction(Addr entry, Addr begin, Addr end);
-    void touch(const SpState &st, std::int64_t extra, unsigned &depth);
+    void touch(const SpValue &st, std::int64_t extra, unsigned &depth);
 
     const Cfg &cfg_;
     const Program &program_;
-    WcsuOptions options_;
 
     std::vector<StackRegion> regions_;
     std::map<Addr, FnSummary> summaries_;
     std::set<Addr> inProgress_;
     std::map<std::string, unsigned> regionUsage_;
     unsigned unknownExtra_ = 0;
-    unsigned statesSeen_ = 0;
-    bool converged_ = true;
     std::vector<Diagnostic> diags_;
+    PathWalker walker_;  ///< reports into diags_
 };
 
 } // namespace rtu

@@ -17,9 +17,7 @@ termKindOf(const DecodedInsn &d)
       case Op::kJal:
         return d.rd == RA ? TermKind::kCall : TermKind::kJump;
       case Op::kJalr:
-        if (d.rd == Zero && d.rs1 == RA && d.imm == 0)
-            return TermKind::kReturn;
-        return TermKind::kIndirect;
+        return isReturn(d) ? TermKind::kReturn : TermKind::kIndirect;
       case Op::kMret:
         return TermKind::kTrapReturn;
       default:

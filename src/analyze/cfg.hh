@@ -36,6 +36,13 @@ enum class TermKind : std::uint8_t {
     kFallOffText,  ///< last text word without a terminator
 };
 
+/** `ret`, i.e. `jalr zero, ra, 0`. */
+inline bool
+isReturn(const DecodedInsn &d)
+{
+    return d.op == Op::kJalr && d.rd == Zero && d.rs1 == RA && d.imm == 0;
+}
+
 struct BasicBlock
 {
     Addr begin = 0;  ///< first instruction address

@@ -31,16 +31,13 @@
  */
 
 #include <array>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "kernel/layout.hh"
 #include "linter.hh"
+#include "walker.hh"
 
 namespace rtu {
 
@@ -129,13 +126,17 @@ struct CtxState
     }
 };
 
-class ContextWalker
+/** Trap-path calls nested deeper than this are reported, not followed. */
+constexpr size_t kMaxCallDepth = 16;
+
+/** Interprocedural walk from k_isr: calls push a return stack. */
+class ContextPolicy
 {
   public:
-    ContextWalker(const Cfg &cfg, const RtosUnitConfig &unit,
-                  const LintOptions &options,
-                  std::vector<Diagnostic> &out)
-        : cfg_(cfg), unit_(unit), options_(options), out_(out)
+    using State = CtxState;
+
+    ContextPolicy(PathWalker &walker, const RtosUnitConfig &unit)
+        : walker_(walker), unit_(unit)
     {
         if (unit_.store) {
             hwSaved_ = ctxGprMask() | bitOf(SP) | bitOf(kMepcBit) |
@@ -150,128 +151,74 @@ class ContextWalker
         }
     }
 
-    void
-    run(Addr isr_entry)
+    CtxState
+    entryState() const
     {
         CtxState init;
         init.saved = hwSaved_;
-        work_.emplace_back(isr_entry, std::move(init));
-        while (!work_.empty()) {
-            auto [pc, state] = std::move(work_.back());
-            work_.pop_back();
-            walk(pc, std::move(state));
+        return init;
+    }
+
+    std::string key(const CtxState &st) const { return st.key(); }
+
+    /** Falling off text ends a path; the soundness pass reports it. */
+    bool inRange(Addr pc) const { return walker_.cfg().contains(pc); }
+
+    Addr
+    step(Addr pc, const DecodedInsn &d, CtxState &st)
+    {
+        checkReads(pc, d, st);
+
+        switch (d.op) {
+          case Op::kMret:
+            finishAtMret(pc, st);
+            return kPathEnd;
+          case Op::kJal:
+            applyWrite(pc, d, st, /*is_restore=*/false);
+            if (d.rd == RA) {
+                if (st.retStack.size() >= kMaxCallDepth) {
+                    walker_.report(Severity::kError, "lint-call-depth", pc,
+                                   "call depth exceeded on trap path");
+                    return kPathEnd;
+                }
+                st.retStack.push_back(pc + 4);
+            }
+            return pc + static_cast<Word>(d.imm);
+          case Op::kJalr: {
+            // "ret" out of the trap path ends it; other indirect
+            // jumps are the soundness pass's to report.
+            if (!isReturn(d) || st.retStack.empty())
+                return kPathEnd;
+            const Addr ret = st.retStack.back();
+            st.retStack.pop_back();
+            return ret;
+          }
+          case Op::kSwitchRf:
+            if (unit_.omit) {
+                walker_.report(Severity::kError, "omit-live-load", pc,
+                               "SWITCH_RF on the trap path makes omitted "
+                               "restore loads live: software touches the "
+                               "application register bank under (O)");
+            }
+            st.switchedRf = true;
+            st.frameSwitched = true;
+            return pc + 4;
+          case Op::kInvalid:
+            return kPathEnd;  // the soundness pass reports it
+          default:
+            break;
         }
+
+        applySave(d, st);
+        const bool restore = isRestoreLoad(pc, d, st);
+        applyWrite(pc, d, st, restore);
+        applyCsr(pc, d, st);
+        if (d.op == Op::kSetContextId)
+            st.frameSwitched = true;  // a next task is latched
+        return pc + 4;
     }
 
   private:
-    void
-    report(Severity sev, const std::string &code, Addr pc,
-           const std::string &message)
-    {
-        if (!reported_.insert(code + "@" + std::to_string(pc)).second)
-            return;
-        Diagnostic d;
-        d.severity = sev;
-        d.code = code;
-        d.pc = pc;
-        d.hasPc = true;
-        d.function = cfg_.program().functionAt(pc);
-        d.insn = cfg_.contains(pc) ? disassemble(cfg_.insnAt(pc).raw)
-                                   : std::string();
-        d.message = message;
-        out_.push_back(std::move(d));
-    }
-
-    /** Memoize at block leaders; false = state already explored. */
-    bool
-    enter(Addr pc, const CtxState &state)
-    {
-        if (cfg_.blocks().count(pc) == 0)
-            return true;  // mid-block continuation
-        if (statesSeen_ >= options_.stateBudget) {
-            report(Severity::kWarning, "lint-budget-exceeded", pc,
-                   "context-integrity exploration exceeded the state "
-                   "budget; results are partial");
-            return false;
-        }
-        if (!visited_[pc].insert(state.key()).second)
-            return false;
-        ++statesSeen_;
-        return true;
-    }
-
-    void
-    walk(Addr pc, CtxState st)
-    {
-        while (true) {
-            if (!cfg_.contains(pc))
-                return;  // fell off text; the soundness pass reports it
-            if (!enter(pc, st))
-                return;
-            const DecodedInsn &d = cfg_.insnAt(pc);
-
-            checkReads(pc, d, st);
-
-            switch (d.op) {
-              case Op::kMret:
-                finishAtMret(pc, st);
-                return;
-              case Op::kJal:
-                applyWrite(pc, d, st, /*is_restore=*/false);
-                if (d.rd == RA) {
-                    if (st.retStack.size() >= 16) {
-                        report(Severity::kError, "lint-call-depth", pc,
-                               "call depth exceeded on trap path");
-                        return;
-                    }
-                    st.retStack.push_back(pc + 4);
-                }
-                pc += static_cast<Word>(d.imm);
-                continue;
-              case Op::kJalr:
-                if (d.rd == Zero && d.rs1 == RA && d.imm == 0) {
-                    if (st.retStack.empty())
-                        return;  // "ret" out of the trap path
-                    pc = st.retStack.back();
-                    st.retStack.pop_back();
-                    continue;
-                }
-                return;  // indirect; the soundness pass reports it
-              case Op::kSwitchRf:
-                if (unit_.omit) {
-                    report(Severity::kError, "omit-live-load", pc,
-                           "SWITCH_RF on the trap path makes omitted "
-                           "restore loads live: software touches the "
-                           "application register bank under (O)");
-                }
-                st.switchedRf = true;
-                st.frameSwitched = true;
-                pc += 4;
-                continue;
-              case Op::kInvalid:
-                return;  // the soundness pass reports it
-              default:
-                break;
-            }
-
-            if (classOf(d.op) == InsnClass::kBranch) {
-                CtxState taken = st;
-                work_.emplace_back(pc + static_cast<Word>(d.imm),
-                                   std::move(taken));
-                pc += 4;
-                continue;
-            }
-
-            applySave(d, st);
-            const bool restore = isRestoreLoad(pc, d, st);
-            applyWrite(pc, d, st, restore);
-            applyCsr(pc, d, st);
-            if (d.op == Op::kSetContextId)
-                st.frameSwitched = true;  // a next task is latched
-            pc += 4;
-        }
-    }
-
     /** Store-family ISR banks hold stale values at trap entry. */
     void
     checkReads(Addr pc, const DecodedInsn &d, const CtxState &st)
@@ -280,10 +227,10 @@ class ContextWalker
             return;
         auto check = [&](RegIndex r) {
             if (r != Zero && (st.written & bitOf(r)) == 0) {
-                report(Severity::kError, "isr-uninit-read", pc,
-                       csprintf("read of %s before any write on the "
-                                "trap path: the ISR register bank is "
-                                "stale at entry", regName(r)));
+                walker_.report(Severity::kError, "isr-uninit-read", pc,
+                               csprintf("read of %s before any write on the "
+                                        "trap path: the ISR register bank is "
+                                        "stale at entry", regName(r)));
             }
         };
         if (readsRs1(d.op))
@@ -320,12 +267,12 @@ class ContextWalker
                 return false;
             if (unit_.cv32rt && (hwSaved_ & bitOf(d.rd)) != 0 &&
                 !st.switchedRf) {
-                report(Severity::kError, "ctx-restore-before-barrier",
-                       pc,
-                       csprintf("frame slot of %s is drained by "
-                                "hardware; reloading it before the "
-                                "SWITCH_RF barrier races the drain",
-                                regName(d.rd)));
+                walker_.report(Severity::kError, "ctx-restore-before-barrier",
+                               pc,
+                               csprintf("frame slot of %s is drained by "
+                                        "hardware; reloading it before the "
+                                        "SWITCH_RF barrier races the drain",
+                                        regName(d.rd)));
             }
             return true;
         }
@@ -335,10 +282,10 @@ class ContextWalker
         if (ctxSlotFor(d.rd) != d.imm)
             return false;
         if (!st.switchedRf) {
-            report(Severity::kError, "ctx-restore-before-barrier", pc,
-                   csprintf("context reload of %s before SWITCH_RF "
-                            "lands on the ISR bank and is lost at the "
-                            "bank switch", regName(d.rd)));
+            walker_.report(Severity::kError, "ctx-restore-before-barrier", pc,
+                           csprintf("context reload of %s before SWITCH_RF "
+                                    "lands on the ISR bank and is lost at the "
+                                    "bank switch", regName(d.rd)));
         }
         return true;
     }
@@ -362,9 +309,9 @@ class ContextWalker
             return;
         }
         if (r == GP || r == TP) {
-            report(Severity::kError, "ctx-clobbered-before-save", pc,
-                   csprintf("%s is static in FreeRTOS and must never "
-                            "be written on a trap path", regName(r)));
+            walker_.report(Severity::kError, "ctx-clobbered-before-save", pc,
+                           csprintf("%s is static in FreeRTOS and must never "
+                                    "be written on a trap path", regName(r)));
             return;
         }
         if (is_restore) {
@@ -373,11 +320,11 @@ class ContextWalker
         }
         st.restored &= ~bitOf(r);
         if ((st.saved & bitOf(r)) == 0) {
-            report(Severity::kError, "ctx-clobbered-before-save", pc,
-                   csprintf("%s written on the trap path before being "
-                            "saved (config %s does not save it in "
-                            "hardware)", regName(r),
-                            unit_.name().c_str()));
+            walker_.report(Severity::kError, "ctx-clobbered-before-save", pc,
+                           csprintf("%s written on the trap path before being "
+                                    "saved (config %s does not save it in "
+                                    "hardware)", regName(r),
+                                    unit_.name().c_str()));
         }
     }
 
@@ -405,10 +352,10 @@ class ContextWalker
         if (b == 0)
             return;
         if ((st.saved & bitOf(b)) == 0) {
-            report(Severity::kError, "ctx-clobbered-before-save", pc,
-                   csprintf("%s overwritten on the trap path before "
-                            "being saved",
-                            b == kMepcBit ? "mepc" : "mstatus"));
+            walker_.report(Severity::kError, "ctx-clobbered-before-save", pc,
+                           csprintf("%s overwritten on the trap path before "
+                                    "being saved",
+                                    b == kMepcBit ? "mepc" : "mstatus"));
         }
         st.restored |= bitOf(b);
     }
@@ -441,37 +388,31 @@ class ContextWalker
                                           : regName(b);
         }
         if (!missing.empty()) {
-            report(Severity::kError, "ctx-not-restored", pc,
-                   csprintf("mret reached with context registers not "
-                            "reinstated under config %s: %s",
-                            unit_.name().c_str(), missing.c_str()));
+            walker_.report(Severity::kError, "ctx-not-restored", pc,
+                           csprintf("mret reached with context registers not "
+                                    "reinstated under config %s: %s",
+                                    unit_.name().c_str(), missing.c_str()));
         }
     }
 
-    const Cfg &cfg_;
+    PathWalker &walker_;
     const RtosUnitConfig &unit_;
-    const LintOptions &options_;
-    std::vector<Diagnostic> &out_;
     std::uint64_t hwSaved_ = 0;
     std::uint64_t hwRestored_ = 0;
-    std::vector<std::pair<Addr, CtxState>> work_;
-    std::unordered_map<Addr, std::unordered_set<std::string>> visited_;
-    std::set<std::string> reported_;
-    unsigned statesSeen_ = 0;
 };
 
 } // namespace
 
 void
 checkContextIntegrity(const Cfg &cfg, const RtosUnitConfig &unit,
-                      const LintOptions &options,
-                      std::vector<Diagnostic> &out)
+                      const LintOptions &, std::vector<Diagnostic> &out)
 {
     const auto it = cfg.program().symbols.find("k_isr");
     if (it == cfg.program().symbols.end() || !cfg.contains(it->second))
         return;  // no trap entry: nothing to verify
-    ContextWalker walker(cfg, unit, options, out);
-    walker.run(it->second);
+    PathWalker walker(cfg, out, "context-integrity");
+    ContextPolicy policy(walker, unit);
+    walker.walk(policy, it->second, policy.entryState());
 }
 
 } // namespace rtu

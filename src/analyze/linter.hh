@@ -23,6 +23,11 @@
  *     (which would make the WCET analysis unsound), trap handlers
  *     that cannot reach `mret`, indirect jumps on the ISR path.
  *
+ * Passes 1-3 are policies on one path walker (walker.hh): pass 1 walks
+ * interprocedurally from k_isr with a return stack, passes 2-3 walk
+ * each function on its own. A walk that exhausts the shared state
+ * budget stops and warns once ("lint-budget-exceeded").
+ *
  * The passes never abort on a broken program: every violation is a
  * Diagnostic (diag.hh). `rtu_lint` runs them over the full generated
  * kernel x workload x RtosUnitConfig matrix as a lint gate.
@@ -46,8 +51,6 @@ struct LintOptions
 {
     /** Run the WCET-soundness lints (annotation coverage). */
     bool wcetChecks = true;
-    /** State-exploration budget per dataflow pass (visited states). */
-    unsigned stateBudget = 200'000;
     /**
      * Run the abstract-interpretation pass family (pass 5): inferred
      * loop bounds cross-checked against annotations, whole-program

@@ -2,26 +2,18 @@
  * @file
  * Pass 3: stack-pointer discipline, per function.
  *
- * Tracks the SP value along every path in one of three modes:
- *
- *  - entry-relative: a known delta from the function's entry SP
- *    (the common case — `addi sp, sp, imm` frame pushes and pops);
- *  - absolute: a known machine address, entered through a
- *    `lui sp` / `auipc sp` rebase (the ISR-stack rebase `la sp,
- *    k_isr_stack_top` expands to `lui` + `addi`, both of which stay
- *    precise in this mode);
- *  - unknown: a frame switch through memory (`lw sp, ...`) or a
- *    computed rebase; unknown values carry no balance obligation
- *    (context-restore paths load the next task's SP legitimately and
- *    end in `mret`, which pass 1 owns).
+ * Tracks SP along every path as an SpValue (walker.hh): entry-relative,
+ * absolute after a `lui`/`auipc` rebase, or unknown after a frame
+ * switch. Unknown values carry no balance obligation: context-restore
+ * paths load the next task's SP legitimately and end in `mret`, which
+ * pass 1 owns.
  *
  * Checks:
  *
  *  - joining paths must agree on the SP value ("stack-imbalance"): a
  *    block entered with two different values in the same mode means
- *    some path leaked or double-popped frame bytes — this now also
- *    catches disagreeing absolute rebases, which the old delta-only
- *    tracker lumped into "unknown" and silently accepted;
+ *    some path leaked or double-popped frame bytes, or two absolute
+ *    rebases disagree;
  *  - `ret` must see the entry SP ("stack-ret-imbalance") — returning
  *    with a rebased (absolute-mode) SP abandons the caller's frame
  *    and is reported under the same code;
@@ -30,231 +22,153 @@
  *    clobber it at any instruction boundary.
  */
 
-#include <cstdint>
-#include <map>
-#include <set>
+#include <array>
+#include <optional>
 #include <string>
-#include <tuple>
-#include <unordered_set>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "linter.hh"
+#include "walker.hh"
 
 namespace rtu {
 
 namespace {
 
-class StackWalker
+std::string
+describe(const SpValue &sp)
+{
+    switch (sp.mode) {
+      case SpValue::kEntryRel:
+        return csprintf("entry%+d", static_cast<int>(sp.value));
+      case SpValue::kAbsolute:
+        return csprintf("0x%08x", static_cast<Word>(sp.value));
+      default:
+        return "unknown";
+    }
+}
+
+/** Per-function walk over the SP lattice; calls are stepped over. */
+class StackPolicy
 {
   public:
-    StackWalker(const Cfg &cfg, const LintOptions &options,
-                std::vector<Diagnostic> &out)
-        : cfg_(cfg), options_(options), out_(out)
+    using State = SpValue;
+
+    StackPolicy(PathWalker &walker, Addr begin, Addr end)
+        : walker_(walker), begin_(begin), end_(end)
     {
     }
 
-    void
-    runFunction(const std::string &name, Addr begin, Addr end)
+    /** Unknown values carry no obligation: one state, whatever the
+     *  `addi sp` offsets applied since the frame switch. */
+    std::uint64_t
+    key(const SpValue &sp) const
     {
-        fnName_ = name;
-        fnBegin_ = begin;
-        fnEnd_ = end;
-        visited_.clear();
-        leaderStates_.clear();
-        work_.clear();
-        work_.emplace_back(begin, State{});
-        while (!work_.empty()) {
-            auto [pc, state] = work_.back();
-            work_.pop_back();
-            walk(pc, state);
+        return sp.mode == SpValue::kUnknown ? SpValue{sp.mode, 0}.key()
+                                            : sp.key();
+    }
+
+    bool
+    inRange(Addr pc) const
+    {
+        return pc >= begin_ && pc < end_ && walker_.cfg().contains(pc);
+    }
+
+    /**
+     * The first value seen per mode at each leader stands for every
+     * later arrival: another value in the same mode means joining
+     * paths disagree. Mixed modes (entry-relative vs absolute) are
+     * incomparable statically and join silently.
+     */
+    void
+    join(Addr leader, const SpValue &sp)
+    {
+        if (sp.mode == SpValue::kUnknown)
+            return;
+        std::optional<std::int64_t> &first = firstValue_[leader][sp.mode];
+        if (!first) {
+            first = sp.value;
+        } else if (*first != sp.value) {
+            walker_.report(Severity::kError, "stack-imbalance", leader,
+                           csprintf("block entered with conflicting sp "
+                                    "values (%s vs %s): paths disagree "
+                                    "on the frame size",
+                                    describe({sp.mode, *first}).c_str(),
+                                    describe(sp).c_str()));
         }
+    }
+
+    Addr
+    step(Addr pc, const DecodedInsn &d, SpValue &sp)
+    {
+        switch (d.op) {
+          case Op::kJal:
+            // A call returns balanced (checked per callee).
+            return d.rd == RA ? pc + 4 : pc + static_cast<Word>(d.imm);
+          case Op::kJalr:
+            if (isReturn(d))
+                checkAtReturn(pc, sp);
+            return kPathEnd;
+          case Op::kMret:
+          case Op::kInvalid:
+            return kPathEnd;
+          default:
+            break;
+        }
+
+        if ((d.cls == InsnClass::kLoad || d.cls == InsnClass::kStore) &&
+            d.rs1 == SP && d.imm < 0) {
+            walker_.report(Severity::kError, "stack-below-sp", pc,
+                           csprintf("memory access at %d below sp: the "
+                                    "region below the stack pointer is "
+                                    "dead and interrupts may overwrite "
+                                    "it", d.imm));
+        }
+        // SWITCH_RF writes no rd: the pass follows the current bank's
+        // sp through a register-file swap.
+        if (writesRd(d.op) && d.rd == SP)
+            sp.write(pc, d);
+        return pc + 4;
     }
 
   private:
-    struct State
-    {
-        enum Mode { kEntryRel, kAbsolute, kUnknown };
-        Mode mode = kEntryRel;
-        /** Delta from entry SP (kEntryRel) or address (kAbsolute). */
-        std::int64_t value = 0;
-    };
-
-    bool
-    inFunction(Addr pc) const
-    {
-        return pc >= fnBegin_ && pc < fnEnd_ && cfg_.contains(pc);
-    }
-
     void
-    report(const std::string &code, Addr pc, const std::string &message)
+    checkAtReturn(Addr pc, const SpValue &sp)
     {
-        if (!reported_.insert(code + "@" + std::to_string(pc)).second)
-            return;
-        Diagnostic d;
-        d.severity = Severity::kError;
-        d.code = code;
-        d.pc = pc;
-        d.hasPc = true;
-        d.function = fnName_;
-        d.insn = disassemble(cfg_.insnAt(pc).raw);
-        d.message = message;
-        out_.push_back(std::move(d));
-    }
-
-    static std::string
-    describe(const State &st)
-    {
-        switch (st.mode) {
-          case State::kEntryRel:
-            return csprintf("entry%+d", static_cast<int>(st.value));
-          case State::kAbsolute:
-            return csprintf("0x%08x",
-                            static_cast<Word>(st.value));
-          default:
-            return "unknown";
+        if (sp.mode == SpValue::kEntryRel && sp.value != 0) {
+            walker_.report(Severity::kError, "stack-ret-imbalance", pc,
+                           csprintf("ret with sp offset %d from the entry "
+                                    "value: frame not fully popped",
+                                    static_cast<int>(sp.value)));
+        } else if (sp.mode == SpValue::kAbsolute) {
+            walker_.report(Severity::kError, "stack-ret-imbalance", pc,
+                           csprintf("ret with sp rebased to %s: the "
+                                    "caller's frame is abandoned",
+                                    describe(sp).c_str()));
         }
     }
 
-    bool
-    enter(Addr pc, const State &st)
-    {
-        if (cfg_.blocks().count(pc) == 0)
-            return true;
-        if (st.mode != State::kUnknown) {
-            auto &states = leaderStates_[pc];
-            states.insert({st.mode, st.value});
-            // Two values in the same mode disagree outright. Mixed
-            // modes (entry-relative vs absolute) are incomparable
-            // statically and join like the old known-vs-unknown case.
-            std::map<int, std::int64_t> by_mode;
-            for (const auto &[mode, value] : states) {
-                auto [it, inserted] = by_mode.emplace(mode, value);
-                if (!inserted && it->second != value) {
-                    report("stack-imbalance", pc,
-                           csprintf("block entered with conflicting "
-                                    "sp values (%s vs %s): paths "
-                                    "disagree on the frame size",
-                                    describe(State{
-                                        static_cast<State::Mode>(mode),
-                                        it->second}).c_str(),
-                                    describe(st).c_str()));
-                }
-            }
-        }
-        if (statesSeen_ >= options_.stateBudget)
-            return false;
-        if (!visited_.insert({pc, st.mode, st.value}).second)
-            return false;
-        ++statesSeen_;
-        return true;
-    }
-
-    void
-    walk(Addr pc, State st)
-    {
-        while (inFunction(pc)) {
-            if (!enter(pc, st))
-                return;
-            const DecodedInsn &d = cfg_.insnAt(pc);
-
-            switch (d.op) {
-              case Op::kJal:
-                if (d.rd == RA) {
-                    pc += 4;  // callee assumed balanced
-                    continue;
-                }
-                pc += static_cast<Word>(d.imm);
-                continue;
-              case Op::kJalr:
-                if (d.rd == Zero && d.rs1 == RA && d.imm == 0) {
-                    if (st.mode == State::kEntryRel && st.value != 0) {
-                        report("stack-ret-imbalance", pc,
-                               csprintf("ret with sp offset %d from "
-                                        "the entry value: frame not "
-                                        "fully popped",
-                                        static_cast<int>(st.value)));
-                    } else if (st.mode == State::kAbsolute) {
-                        report("stack-ret-imbalance", pc,
-                               csprintf("ret with sp rebased to %s: "
-                                        "the caller's frame is "
-                                        "abandoned",
-                                        describe(st).c_str()));
-                    }
-                }
-                return;
-              case Op::kMret:
-              case Op::kInvalid:
-                return;
-              default:
-                break;
-            }
-
-            if (classOf(d.op) == InsnClass::kBranch) {
-                const Addr taken = pc + static_cast<Word>(d.imm);
-                if (inFunction(taken))
-                    work_.emplace_back(taken, st);
-                pc += 4;
-                continue;
-            }
-
-            const InsnClass cls = classOf(d.op);
-            if ((cls == InsnClass::kLoad || cls == InsnClass::kStore) &&
-                d.rs1 == SP && d.imm < 0) {
-                report("stack-below-sp", pc,
-                       csprintf("memory access at %d below sp: the "
-                                "region below the stack pointer is "
-                                "dead and interrupts may overwrite it",
-                                d.imm));
-            }
-
-            if (writesRd(d.op) && d.rd == SP) {
-                if (d.op == Op::kAddi && d.rs1 == SP) {
-                    if (st.mode != State::kUnknown)
-                        st.value += d.imm;
-                } else if (d.op == Op::kLui) {
-                    st.mode = State::kAbsolute;
-                    st.value = static_cast<std::int32_t>(
-                        static_cast<Word>(d.imm) << 12);
-                } else if (d.op == Op::kAuipc) {
-                    st.mode = State::kAbsolute;
-                    st.value = static_cast<std::int32_t>(
-                        pc + (static_cast<Word>(d.imm) << 12));
-                } else {
-                    st.mode = State::kUnknown;  // frame switch
-                    st.value = 0;
-                }
-            }
-            pc += 4;
-        }
-    }
-
-    const Cfg &cfg_;
-    const LintOptions &options_;
-    std::vector<Diagnostic> &out_;
-    std::string fnName_;
-    Addr fnBegin_ = 0;
-    Addr fnEnd_ = 0;
-    std::vector<std::pair<Addr, State>> work_;
-    std::set<std::tuple<Addr, int, std::int64_t>> visited_;
-    std::map<Addr, std::set<std::pair<int, std::int64_t>>>
-        leaderStates_;
-    std::unordered_set<std::string> reported_;
-    unsigned statesSeen_ = 0;
+    PathWalker &walker_;
+    Addr begin_;
+    Addr end_;
+    std::unordered_map<Addr,
+                       std::array<std::optional<std::int64_t>, 2>>
+        firstValue_;
 };
 
 } // namespace
 
 void
-checkStackDiscipline(const Cfg &cfg, const LintOptions &options,
+checkStackDiscipline(const Cfg &cfg, const LintOptions &,
                      std::vector<Diagnostic> &out)
 {
-    StackWalker walker(cfg, options, out);
+    PathWalker walker(cfg, out, "stack-discipline");
     for (const auto &[name, range] : cfg.program().functions) {
-        if (range.second > range.first && cfg.contains(range.first))
-            walker.runFunction(name, range.first, range.second);
+        if (range.second > range.first && cfg.contains(range.first)) {
+            StackPolicy policy(walker, range.first, range.second);
+            walker.walk(policy, range.first, SpValue{});
+        }
     }
 }
 

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analyze/absint/wcsu.hh"
 #include "analyze/linter.hh"
+#include "analyze/walker.hh"
 #include "asm/assembler.hh"
 #include "kernel/layout.hh"
 #include "wcet/wcet.hh"
@@ -34,6 +38,49 @@ std::vector<Diagnostic>
 lint(const Program &program, const std::string &config)
 {
     return lintProgram(program, RtosUnitConfig::fromName(config)).diags;
+}
+
+unsigned
+countCode(const std::vector<Diagnostic> &diags, const std::string &code)
+{
+    return static_cast<unsigned>(
+        std::count_if(diags.begin(), diags.end(),
+                      [&](const Diagnostic &d) { return d.code == code; }));
+}
+
+/** @p prefix followed by @p i, e.g. "skip3". */
+std::string
+numbered(const char *prefix, unsigned i)
+{
+    std::string name = prefix;
+    name += std::to_string(i);  // not operator+: GCC 12 -Wrestrict
+    return name;
+}
+
+/** Trap handler making @p nested calls: k_isr -> c0 -> c1 -> ... */
+Program
+callChainIsr(unsigned calls)
+{
+    Assembler a(kTextBase, kDataBase);
+    a.label("k_isr");
+    a.call("c0");
+    a.mret();
+    for (unsigned i = 0; i < calls; ++i) {
+        a.fnBegin(numbered("c", i));
+        if (i + 1 < calls)
+            a.call(numbered("c", i + 1));
+        a.ret();
+        a.fnEnd();
+    }
+    return a.finish();
+}
+
+/** Push @p bytes with as few `addi sp` as the 12-bit immediate allows. */
+void
+pushBytes(Assembler &a, int bytes)
+{
+    for (; bytes > 0; bytes -= 2048)
+        a.addi(SP, SP, -std::min(bytes, 2048));
 }
 
 } // namespace
@@ -210,6 +257,23 @@ TEST(ContextIntegrity, Cv32rtRestoreBeforeBarrier)
         << diagsText(diags);
 }
 
+TEST(ContextIntegrity, CallChainDeeperThanSixteenIsReported)
+{
+    const RtosUnitConfig unit = RtosUnitConfig::vanilla();
+    std::vector<Diagnostic> deep;
+    checkContextIntegrity(Cfg(callChainIsr(17)), unit, {}, deep);
+    ASSERT_EQ(countCode(deep, "lint-call-depth"), 1u) << diagsText(deep);
+    for (const Diagnostic &d : deep) {
+        if (d.code == "lint-call-depth") {
+            EXPECT_EQ(d.function, "c15");  // its call is the 17th
+        }
+    }
+
+    std::vector<Diagnostic> limit;
+    checkContextIntegrity(Cfg(callChainIsr(16)), unit, {}, limit);
+    EXPECT_FALSE(hasCode(limit, "lint-call-depth")) << diagsText(limit);
+}
+
 // ---- pass 2: callee-saved ABI ----------------------------------------
 
 TEST(CalleeSaved, ClobberedSRegisterNotRestored)
@@ -330,6 +394,75 @@ TEST(StackDiscipline, BalancedFrameIsClean)
     EXPECT_FALSE(hasCode(diags, "stack-ret-imbalance"))
         << diagsText(diags);
     EXPECT_FALSE(hasCode(diags, "stack-below-sp")) << diagsText(diags);
+}
+
+TEST(StackDiscipline, SixteenImbalancedDiamondsStayTractable)
+{
+    // Each diamond pushes 2^min(i, 11) bytes on one arm only, so up to
+    // 12288 distinct sp values meet at the last joins; the join check
+    // must stay linear in them.
+    Assembler a(kTextBase, kDataBase);
+    a.fnBegin("f");
+    for (int i = 0; i < 16; ++i) {
+        const std::string skip = numbered("skip", i);
+        a.beqz(A0, skip);
+        pushBytes(a, 1 << std::min(i, 11));
+        a.label(skip);
+    }
+    a.ret();
+    a.fnEnd();
+    const auto diags = lint(a.finish(), "vanilla");
+    EXPECT_TRUE(hasCode(diags, "stack-imbalance")) << diagsText(diags);
+    EXPECT_TRUE(hasCode(diags, "stack-ret-imbalance"))
+        << diagsText(diags);
+    EXPECT_FALSE(hasCode(diags, "lint-budget-exceeded"))
+        << diagsText(diags);
+}
+
+// ---- state budget ----------------------------------------------------
+
+TEST(LintBudget, EachWalkingPassWarnsOnceWhenExhausted)
+{
+    // 18 diamonds whose arms each write their own register and push
+    // 2^i bytes: 2^18 distinct states reach the last join in every
+    // walking pass, past the shared budget.
+    constexpr int kDiamonds = 18;
+    static_assert((1u << kDiamonds) > kWalkStateBudget);
+    Assembler a(kTextBase, kDataBase);
+    a.fnBegin("k_isr");
+    for (int i = 0; i < kDiamonds; ++i) {
+        const std::string skip = numbered("skip", i);
+        a.beqz(A0, skip);
+        // x5..x9, x11..x23: any register but a0, the branch operand.
+        a.addi(static_cast<Reg>(i < 5 ? 5 + i : 6 + i), Zero, 1);
+        pushBytes(a, 1 << i);
+        a.label(skip);
+    }
+    a.mret();
+    a.fnEnd();
+    const Program p = a.finish();
+    const Cfg cfg(p);
+
+    std::vector<Diagnostic> ctx, abi, stack;
+    checkContextIntegrity(cfg, RtosUnitConfig::vanilla(), {}, ctx);
+    checkCalleeSaved(cfg, {}, abi);
+    checkStackDiscipline(cfg, {}, stack);
+    for (const auto *diags : {&ctx, &abi, &stack}) {
+        EXPECT_EQ(countCode(*diags, "lint-budget-exceeded"), 1u)
+            << diagsText(*diags);
+    }
+
+    // WCSU walks the same lattice under the same budget and keeps its
+    // own verdict: not converged, overflow check skipped.
+    WcsuAnalyzer wcsu(cfg);
+    wcsu.run();
+    EXPECT_FALSE(wcsu.converged());
+    EXPECT_EQ(countCode(wcsu.diags(), "lint-budget-exceeded"), 1u)
+        << diagsText(wcsu.diags());
+    std::vector<Diagnostic> overflow;
+    wcsu.checkOverflow(overflow);
+    EXPECT_TRUE(hasCode(overflow, "wcsu-unanalyzable"))
+        << diagsText(overflow);
 }
 
 // ---- pass 4: CFG soundness and WCET coverage -------------------------
