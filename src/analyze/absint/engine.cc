@@ -1,7 +1,6 @@
 #include "engine.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.hh"
 
@@ -18,6 +17,16 @@ constexpr unsigned kSpReg = 2;
 constexpr unsigned kRaReg = 1;
 constexpr unsigned kA0Reg = 10;
 
+/** Outer (memory / entry-state) fixpoint round cap. */
+constexpr unsigned kMaxOuterRounds = 24;
+/** Round at which memory/entry joins switch to widening. */
+constexpr unsigned kWidenRound = 4;
+/** Loop-head visits before register widening kicks in. */
+constexpr unsigned kWideningDelay = 2;
+/** Descending (narrowing) sweeps after the widened fixpoint. */
+constexpr unsigned kNarrowSweeps = 2;
+/** Block-transfer budget per function fixpoint (safety valve). */
+constexpr unsigned kBlockVisitBudget = 20'000;
 
 /** Exact predicate on two concrete words. */
 bool
@@ -62,41 +71,27 @@ startsWith(const std::string &s, const char *prefix)
 // ---- RegState --------------------------------------------------------------
 
 bool
-RegState::operator==(const RegState &o) const
+RegState::joinFrom(const RegState &o, bool widen)
 {
-    if (live != o.live)
+    if (!o.live)
         return false;
-    if (!live)
+    if (!live) {
+        *this = o;
         return true;
-    return v == o.v;
-}
-
-RegState
-RegState::join(const RegState &a, const RegState &b)
-{
-    if (!a.live)
-        return b;
-    if (!b.live)
-        return a;
-    RegState out;
-    out.live = true;
-    for (unsigned i = 0; i < kNumSlots; ++i)
-        out.v[i] = AbsVal::join(a.v[i], b.v[i]);
-    return out;
-}
-
-RegState
-RegState::widen(const RegState &prev, const RegState &next)
-{
-    if (!prev.live)
-        return next;
-    if (!next.live)
-        return prev;
-    RegState out;
-    out.live = true;
-    for (unsigned i = 0; i < kNumSlots; ++i)
-        out.v[i] = AbsVal::widen(prev.v[i], next.v[i]);
-    return out;
+    }
+    bool changed = false;
+    for (unsigned i = 0; i < kNumSlots; ++i) {
+        if (v[i] == o.v[i])
+            continue;  // join and widen are idempotent
+        AbsVal next = AbsVal::join(v[i], o.v[i]);
+        if (widen)
+            next = AbsVal::widen(v[i], next);
+        if (!(next == v[i])) {
+            v[i] = std::move(next);
+            changed = true;
+        }
+    }
+    return changed;
 }
 
 // ---- decisions -------------------------------------------------------------
@@ -123,9 +118,8 @@ absDecide(Op op, const AbsVal &a, const AbsVal &b)
 
 // ---- engine ----------------------------------------------------------------
 
-AbsintEngine::AbsintEngine(const Program &program,
-                           const AbsintOptions &options)
-    : program_(program), options_(options), cfg_(program)
+AbsintEngine::AbsintEngine(const Program &program)
+    : program_(program), cfg_(program)
 {
     dataBase_ = program.dataBase;
     dataEnd_ = program.dataBase +
@@ -133,6 +127,14 @@ AbsintEngine::AbsintEngine(const Program &program,
     buildStackRanges();
     buildDataObjects();
     buildRegions();
+    buildLayouts();
+    const size_t n = regions_.size();
+    entryStates_.resize(n);
+    returnValues_.assign(n, AbsVal::bottom());
+    entryStamps_.resize(n);
+    returnStamps_.resize(n);
+    deps_.resize(n);
+    cellStamps_.resize(program.data.size());
 }
 
 void
@@ -268,6 +270,56 @@ AbsintEngine::buildRegions()
     }
 }
 
+void
+AbsintEngine::buildLayouts()
+{
+    layouts_.resize(regions_.size());
+    for (size_t r = 0; r < regions_.size(); ++r) {
+        const Region &region = regions_[r];
+        RegionLayout &layout = layouts_[r];
+        std::vector<Addr> leaders;
+        for (auto it = cfg_.blocks().lower_bound(region.begin);
+             it != cfg_.blocks().end() && it->first < region.end; ++it) {
+            leaders.push_back(it->first);
+            layout.blocks.push_back(&it->second);
+        }
+        const auto indexOf = [&](Addr a) {
+            const auto it =
+                std::lower_bound(leaders.begin(), leaders.end(), a);
+            rtu_assert(it != leaders.end() && *it == a,
+                       "successor 0x%08x is not a block leader", a);
+            return static_cast<unsigned>(it - leaders.begin());
+        };
+        const size_t n = leaders.size();
+        layout.head.assign(n, false);
+        layout.inEdges.resize(n);
+        layout.edgeBegin.push_back(0);
+        for (size_t b = 0; b < n; ++b) {
+            const BasicBlock &bb = *layout.blocks[b];
+            for (Addr s : bb.succs) {
+                if (s <= bb.begin && s >= region.begin)
+                    layout.head[indexOf(s)] = true;
+                const auto first =
+                    layout.edgeAddr.begin() + layout.edgeBegin[b];
+                if (std::find(first, layout.edgeAddr.end(), s) !=
+                    layout.edgeAddr.end())
+                    continue;  // both branch edges reach one block
+                const bool inside = s >= region.begin && s < region.end &&
+                                    cfg_.blockContaining(s);
+                const unsigned to =
+                    inside ? indexOf(s) : RegionLayout::kOutside;
+                if (inside)
+                    layout.inEdges[to].push_back(
+                        static_cast<unsigned>(layout.edgeAddr.size()));
+                layout.edgeAddr.push_back(s);
+                layout.edgeTo.push_back(to);
+            }
+            layout.edgeBegin.push_back(
+                static_cast<unsigned>(layout.edgeAddr.size()));
+        }
+    }
+}
+
 RegState
 AbsintEngine::rootEntry() const
 {
@@ -317,6 +369,8 @@ AbsintEngine::cellValue(Addr addr) const
     for (const auto &[lo, hi] : havocRanges_)
         if (a >= lo && a <= hi)
             return AbsVal::top();
+    if (reading_)
+        reading_->cells.push_back((a - dataBase_) / 4);
     const auto it = cells_.find(a);
     if (it != cells_.end())
         return it->second;
@@ -338,10 +392,11 @@ AbsintEngine::joinCell(Addr cell, const AbsVal &val)
     }
     const AbsVal cur = cellValue(cell);
     AbsVal next = AbsVal::join(cur, v);
-    if (round_ >= options_.widenRound)
+    if (round_ >= kWidenRound)
         next = AbsVal::widen(cur, next);
     if (!(next == cur)) {
-        cells_[cell] = next;
+        cells_[cell] = std::move(next);
+        cellStamps_[(cell - dataBase_) / 4] = stamp();
         changed_ = true;
     }
 }
@@ -477,15 +532,15 @@ AbsintEngine::storeWord(const AbsVal &addr, const AbsVal &val)
         if (first >= lo && last <= hi)
             return;
     havocRanges_.emplace_back(first, last);
+    havocStamp_ = stamp();
     changed_ = true;
 }
 
-AbsVal
+const AbsVal &
 AbsintEngine::value(const RegState &st, unsigned reg) const
 {
-    if (reg == 0)
-        return AbsVal::constant(0);
-    return st.v[reg];
+    static const AbsVal zero = AbsVal::constant(0);
+    return reg == 0 ? zero : st.v[reg];
 }
 
 void
@@ -529,8 +584,8 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
       case Op::kOr: case Op::kAnd:
       case Op::kMul: case Op::kMulh: case Op::kMulhsu: case Op::kMulhu:
       case Op::kDiv: case Op::kDivu: case Op::kRem: case Op::kRemu: {
-        const AbsVal a = value(st, d.rs1);
-        const AbsVal b = value(st, d.rs2);
+        const AbsVal &a = value(st, d.rs1);
+        const AbsVal &b = value(st, d.rs2);
         AbsVal r = absEval(d.op, a, b);
         // Indexed addressing stays inside the addressed object
         // (assumption list): when exactly one operand of an `add` is
@@ -584,15 +639,20 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
       case Op::kGetHwSched:
         // Only ids previously inserted into the hardware lists can
         // come back out (assumption list in the header).
+        if (reading_)
+            reading_->hwListIds = true;
         setRd(hwListIds_);
         return;
       case Op::kSetContextId:
       case Op::kAddReady: {
+        if (reading_)
+            reading_->hwListIds = true;
         const AbsVal next = AbsVal::join(hwListIds_, value(st, d.rs1));
         if (!(next == hwListIds_)) {
-            hwListIds_ = round_ >= options_.widenRound
+            hwListIds_ = round_ >= kWidenRound
                              ? AbsVal::widen(hwListIds_, next)
                              : next;
+            hwListIdsStamp_ = stamp();
             changed_ = true;
         }
         return;
@@ -623,273 +683,331 @@ AbsintEngine::recordCallEntry(Addr target, const RegState &st)
     const Region *r = regionContaining(target);
     if (!r || r->begin != target)
         return;  // call into a region interior: no model
-    auto &cur = entryStates_[target];
-    RegState next = RegState::join(cur, st);
-    if (round_ >= options_.widenRound)
-        next = RegState::widen(cur, next);
-    if (!(next == cur)) {
-        cur = next;
+    const size_t idx = r - regions_.data();
+    if (entryStates_[idx].joinFrom(st, round_ >= kWidenRound)) {
+        entryStamps_[idx] = stamp();
         changed_ = true;
     }
 }
 
 void
-AbsintEngine::recordJumpEntry(Addr target, const RegState &st)
+AbsintEngine::transfer(unsigned region, unsigned block,
+                       const RegState &in, bool record)
 {
-    recordCallEntry(target, st);
+    const RegionLayout &layout = layouts_[region];
+    const BasicBlock &bb = *layout.blocks[block];
+    FnState &f = fn_;
+    RegState &st = *f.st;
+    st = in;
+    const bool bodyIncludesLast = bb.term == TermKind::kFallThrough ||
+                                  bb.term == TermKind::kFallOffText;
+    const Addr bodyEnd = bodyIncludesLast ? bb.end : bb.termPc();
+    for (Addr pc = bb.begin; pc < bodyEnd; pc += 4)
+        applyInsn(pc, cfg_.insnAt(pc), st);
+    if (record)
+        f.term[block] = st;
+
+    // Queue an out-edge state (taking it from @p out) when the
+    // successor is inside the region; otherwise it enters another
+    // region.
+    f.numOuts = 0;
+    const auto emit = [&](Addr target, StatePtr &out) {
+        unsigned e = layout.edgeBegin[block];
+        const unsigned last = layout.edgeBegin[block + 1];
+        while (e < last && layout.edgeAddr[e] != target)
+            ++e;
+        rtu_assert(e < last, "edge to 0x%08x is not a CFG successor",
+                   target);
+        if (layout.edgeTo[e] == RegionLayout::kOutside) {
+            recordCallEntry(target, *out);
+            return;
+        }
+        if (f.numOuts == f.outs.size())
+            f.outs.emplace_back(0, std::make_unique<RegState>());
+        auto &[slot, state] = f.outs[f.numOuts++];
+        slot = e;
+        std::swap(state, out);
+    };
+
+    switch (bb.term) {
+      case TermKind::kFallThrough:
+        emit(bb.end, f.st);
+        break;
+      case TermKind::kBranch: {
+        const Addr tpc = bb.termPc();
+        const DecodedInsn &d = cfg_.insnAt(tpc);
+        std::optional<bool> dec;
+        if (d.rs1 == d.rs2)
+            dec = predOnEqualOperands(d.op);
+        else
+            dec = absDecide(d.op, value(st, d.rs1), value(st, d.rs2));
+        if (dec.value_or(true)) {  // taken edge not refuted
+            RegState &ts = *f.taken;
+            ts = st;
+            if (d.rs1 != d.rs2) {
+                AbsVal a = value(ts, d.rs1), b = value(ts, d.rs2);
+                refineByBranch(d.op, true, a, b);
+                if (a.isBottom() || b.isBottom()) {
+                    dec = false;
+                } else {
+                    if (d.rs1 != 0)
+                        ts.v[d.rs1] = std::move(a);
+                    if (d.rs2 != 0)
+                        ts.v[d.rs2] = std::move(b);
+                }
+            }
+            if (dec.value_or(true))
+                emit(bb.takenTarget, f.taken);
+        }
+        if (!dec.value_or(false)) {  // fall-through not refuted
+            if (d.rs1 != d.rs2) {
+                AbsVal a = value(st, d.rs1), b = value(st, d.rs2);
+                refineByBranch(d.op, false, a, b);
+                if (a.isBottom() || b.isBottom()) {
+                    dec = true;
+                } else {
+                    if (d.rs1 != 0)
+                        st.v[d.rs1] = std::move(a);
+                    if (d.rs2 != 0)
+                        st.v[d.rs2] = std::move(b);
+                }
+            }
+            if (!dec.value_or(false))
+                emit(bb.end, f.st);
+        }
+        if (record) {
+            // Overwrite, never accumulate: early worklist visits
+            // see pre-fixpoint states (a loop's first iterate can
+            // "refute" its own exit); only the verdict of the
+            // final visit — the converged input — is a fact.
+            infeasibleFall_.erase(tpc);
+            infeasibleTaken_.erase(tpc);
+            if (dec && *dec)
+                infeasibleFall_.insert(tpc);
+            else if (dec && !*dec)
+                infeasibleTaken_.insert(tpc);
+        }
+        break;
+      }
+      case TermKind::kJump:
+        emit(bb.takenTarget, f.st);
+        break;
+      case TermKind::kCall: {
+        // The callee entry and the continuation both see ra = the
+        // return address; the continuation then loses the
+        // caller-saved registers.
+        const Addr tpc = bb.termPc();
+        st.v[kRaReg] = AbsVal::constant(tpc + 4);
+        recordCallEntry(bb.takenTarget, st);
+
+        for (unsigned r : kCallerSaved)
+            st.v[r] = AbsVal::top();
+        st.v[RegState::kMscratchSlot] = AbsVal::top();
+        const Region *cr = regionContaining(bb.takenTarget);
+        // No recorded `ret` yet means the callee (so far) never
+        // returns; the continuation stays unreachable until a
+        // later round proves otherwise.
+        if (cr) {
+            const auto callee =
+                static_cast<std::uint32_t>(cr - regions_.data());
+            if (reading_)
+                reading_->callees.push_back(callee);
+            st.v[kA0Reg] = returnValues_[callee];
+        } else {
+            st.v[kA0Reg] = AbsVal::bottom();
+        }
+        if (!st.v[kA0Reg].isBottom())
+            emit(bb.end, f.st);
+        break;
+      }
+      case TermKind::kReturn: {
+        // The summary starts from bottom (a default AbsVal is top,
+        // which would pin the monotone summary there forever).
+        AbsVal &rv = returnValues_[region];
+        const AbsVal next = AbsVal::join(rv, value(st, kA0Reg));
+        if (!(next == rv)) {
+            rv = round_ >= kWidenRound ? AbsVal::widen(rv, next) : next;
+            returnStamps_[region] = stamp();
+            changed_ = true;
+        }
+        break;
+      }
+      case TermKind::kTrapReturn:
+      case TermKind::kIndirect:
+      case TermKind::kFallOffText:
+        break;
+    }
 }
 
 void
-AbsintEngine::analyzeRegion(const Region &region, bool record)
+AbsintEngine::analyzeRegion(unsigned region, bool record)
 {
-    const auto eit = entryStates_.find(region.begin);
-    if (eit == entryStates_.end() || !eit->second.live)
+    if (!entryStates_[region].live)
         return;
-    const RegState entry = eit->second;
+    // A copy: a recursive call may widen the live entry mid-analysis.
+    const RegState entry = entryStates_[region];
+    const RegionLayout &layout = layouts_[region];
+    const unsigned n = static_cast<unsigned>(layout.blocks.size());
+    rtu_assert(n > 0 && layout.blocks[0]->begin == regions_[region].begin,
+               "no basic block starts at 0x%08x", regions_[region].begin);
 
-    // Region blocks and loop heads (targets of intra-region back
-    // edges), for widening placement.
-    std::vector<Addr> leaders;
-    std::set<Addr> heads;
-    for (auto it = cfg_.blocks().lower_bound(region.begin);
-         it != cfg_.blocks().end() && it->first < region.end; ++it) {
-        leaders.push_back(it->first);
-        for (Addr s : it->second.succs)
-            if (s <= it->first && s >= region.begin)
-                heads.insert(s);
+    FnState &f = fn_;
+    if (f.in.size() < n) {
+        f.term.resize(n);
+        f.visits.resize(n);
+        f.queued.resize(n);
+        f.work.resize(n);
+        while (f.in.size() < n)
+            f.in.push_back(std::make_unique<RegState>());
     }
-
-    std::map<Addr, RegState> in;
-    std::map<std::pair<Addr, Addr>, RegState> edgeOut;
-    std::map<Addr, RegState> term;
-    std::map<Addr, unsigned> visits;
-
-    in[region.begin] = entry;
-
-    // One block transfer: returns successor edge states; applies
-    // global side effects (stores, call entries, return values).
-    const auto transfer =
-        [&](Addr leader, const RegState &inState,
-            std::vector<std::pair<Addr, RegState>> &outs) {
-        const BasicBlock &bb = cfg_.blockAt(leader);
-        RegState st = inState;
-        const bool bodyIncludesLast = bb.term == TermKind::kFallThrough ||
-                                      bb.term == TermKind::kFallOffText;
-        const Addr bodyEnd = bodyIncludesLast ? bb.end : bb.termPc();
-        for (Addr pc = bb.begin; pc < bodyEnd; pc += 4)
-            applyInsn(pc, cfg_.insnAt(pc), st);
-        term[leader] = st;
-
-        const auto emit = [&](Addr target, const RegState &out) {
-            if (target >= region.begin && target < region.end &&
-                cfg_.blockContaining(target))
-                outs.emplace_back(target, out);
-            else
-                recordJumpEntry(target, out);
-        };
-
-        switch (bb.term) {
-          case TermKind::kFallThrough:
-            emit(bb.end, st);
-            break;
-          case TermKind::kBranch: {
-            const Addr tpc = bb.termPc();
-            const DecodedInsn &d = cfg_.insnAt(tpc);
-            std::optional<bool> dec;
-            if (d.rs1 == d.rs2)
-                dec = predOnEqualOperands(d.op);
-            else
-                dec = absDecide(d.op, value(st, d.rs1), value(st, d.rs2));
-            if (dec.value_or(true)) {  // taken edge not refuted
-                RegState ts = st;
-                if (d.rs1 != d.rs2) {
-                    AbsVal a = value(ts, d.rs1), b = value(ts, d.rs2);
-                    refineByBranch(d.op, true, a, b);
-                    if (a.isBottom() || b.isBottom()) {
-                        dec = false;
-                    } else {
-                        if (d.rs1 != 0)
-                            ts.v[d.rs1] = a;
-                        if (d.rs2 != 0)
-                            ts.v[d.rs2] = b;
-                    }
-                }
-                if (dec.value_or(true))
-                    emit(bb.takenTarget, ts);
-            }
-            if (!dec.value_or(false)) {  // fall-through not refuted
-                RegState fs = st;
-                if (d.rs1 != d.rs2) {
-                    AbsVal a = value(fs, d.rs1), b = value(fs, d.rs2);
-                    refineByBranch(d.op, false, a, b);
-                    if (a.isBottom() || b.isBottom()) {
-                        dec = true;
-                    } else {
-                        if (d.rs1 != 0)
-                            fs.v[d.rs1] = a;
-                        if (d.rs2 != 0)
-                            fs.v[d.rs2] = b;
-                    }
-                }
-                if (!dec.value_or(false))
-                    emit(bb.end, fs);
-            }
-            if (record) {
-                // Overwrite, never accumulate: early worklist visits
-                // see pre-fixpoint states (a loop's first iterate can
-                // "refute" its own exit); only the verdict of the
-                // final visit — the converged input — is a fact.
-                infeasibleFall_.erase(tpc);
-                infeasibleTaken_.erase(tpc);
-                if (dec && *dec)
-                    infeasibleFall_.insert(tpc);
-                else if (dec && !*dec)
-                    infeasibleTaken_.insert(tpc);
-            }
-            break;
-          }
-          case TermKind::kJump:
-            emit(bb.takenTarget, st);
-            break;
-          case TermKind::kCall: {
-            const Addr tpc = bb.termPc();
-            RegState callee = st;
-            callee.v[kRaReg] = AbsVal::constant(tpc + 4);
-            recordCallEntry(bb.takenTarget, callee);
-
-            RegState cont = st;
-            for (unsigned r : kCallerSaved)
-                cont.v[r] = AbsVal::top();
-            cont.v[RegState::kMscratchSlot] = AbsVal::top();
-            cont.v[kRaReg] = AbsVal::constant(tpc + 4);
-            const Region *cr = regionContaining(bb.takenTarget);
-            const auto rv = cr ? returnValues_.find(cr->begin)
-                               : returnValues_.end();
-            // No recorded `ret` yet means the callee (so far) never
-            // returns; the continuation stays unreachable until a
-            // later round proves otherwise.
-            cont.v[kA0Reg] = rv != returnValues_.end()
-                                 ? rv->second
-                                 : AbsVal::bottom();
-            if (!cont.v[kA0Reg].isBottom())
-                emit(bb.end, cont);
-            break;
-          }
-          case TermKind::kReturn: {
-            // First `ret` seen for the region: start the summary from
-            // bottom (a default AbsVal is top, which would pin the
-            // monotone summary there forever).
-            auto ins = returnValues_.try_emplace(region.begin,
-                                                 AbsVal::bottom());
-            AbsVal &rv = ins.first->second;
-            const AbsVal next = AbsVal::join(rv, value(st, kA0Reg));
-            if (!(next == rv)) {
-                rv = round_ >= options_.widenRound
-                         ? AbsVal::widen(rv, next)
-                         : next;
-                changed_ = true;
-            }
-            break;
-          }
-          case TermKind::kTrapReturn:
-          case TermKind::kIndirect:
-          case TermKind::kFallOffText:
-            break;
-        }
-    };
+    while (f.edges.size() < layout.edgeAddr.size())
+        f.edges.push_back(std::make_unique<RegState>());
+    for (unsigned b = 0; b < n; ++b) {
+        f.in[b]->live = false;
+        f.term[b].live = false;
+        f.visits[b] = 0;
+        f.queued[b] = false;
+    }
+    for (size_t e = 0; e < layout.edgeAddr.size(); ++e)
+        f.edges[e]->live = false;
 
     // Phase 1: ascending worklist iteration with widening at heads.
-    std::deque<Addr> work{region.begin};
-    std::set<Addr> queued{region.begin};
-    unsigned budget = options_.blockVisitBudget;
-    while (!work.empty()) {
+    *f.in[0] = entry;
+    f.work[0] = 0;
+    f.queued[0] = true;
+    unsigned front = 0, queued = 1;
+    unsigned budget = kBlockVisitBudget;
+    while (queued > 0) {
         if (budget-- == 0) {
             converged_ = false;
             break;
         }
-        const Addr leader = work.front();
-        work.pop_front();
-        queued.erase(leader);
-        std::vector<std::pair<Addr, RegState>> outs;
-        transfer(leader, in[leader], outs);
-        for (auto &[succ, os] : outs) {
-            edgeOut[{leader, succ}] = os;
-            auto prevIt = in.find(succ);
-            const RegState prev =
-                prevIt != in.end() ? prevIt->second : RegState{};
-            RegState next = RegState::join(prev, os);
-            if (heads.count(succ) &&
-                ++visits[succ] > options_.wideningDelay)
-                next = RegState::widen(prev, next);
-            if (!(next == prev)) {
-                in[succ] = next;
-                if (queued.insert(succ).second)
-                    work.push_back(succ);
+        const unsigned b = f.work[front];
+        front = (front + 1) % n;
+        --queued;
+        f.queued[b] = false;
+        transfer(region, b, *f.in[b], record);
+        for (unsigned k = 0; k < f.numOuts; ++k) {
+            auto &[e, os] = f.outs[k];
+            const unsigned succ = layout.edgeTo[e];
+            const bool widen = layout.head[succ] &&
+                               ++f.visits[succ] > kWideningDelay;
+            if (f.in[succ]->joinFrom(*os, widen) && !f.queued[succ]) {
+                f.queued[succ] = true;
+                f.work[(front + queued++) % n] = succ;
             }
+            std::swap(f.edges[e], os);
         }
     }
 
     // Phase 2: bounded descending sweeps (narrowing) recomputing each
     // reachable block's entry from its predecessor edges.
-    for (unsigned sweep = 0; sweep < options_.narrowSweeps; ++sweep) {
-        for (Addr leader : leaders) {
-            RegState newIn =
-                leader == region.begin ? entry : RegState{};
-            for (const auto &[edge, os] : edgeOut)
-                if (edge.second == leader)
-                    newIn = RegState::join(newIn, os);
+    for (unsigned sweep = 0; sweep < kNarrowSweeps; ++sweep) {
+        for (unsigned b = 0; b < n; ++b) {
+            RegState &newIn = *f.narrowed;
+            newIn.live = false;
+            if (b == 0)
+                newIn = entry;
+            for (unsigned e : layout.inEdges[b])
+                newIn.joinFrom(*f.edges[e], false);
             if (!newIn.live)
                 continue;
-            in[leader] = newIn;
-            std::vector<std::pair<Addr, RegState>> outs;
+            std::swap(f.in[b], f.narrowed);
             // Drop stale edges from this block before re-emitting.
-            for (auto it = edgeOut.lower_bound({leader, 0});
-                 it != edgeOut.end() && it->first.first == leader;)
-                it = edgeOut.erase(it);
-            transfer(leader, newIn, outs);
-            for (auto &[succ, os] : outs)
-                edgeOut[{leader, succ}] = os;
+            for (unsigned e = layout.edgeBegin[b];
+                 e < layout.edgeBegin[b + 1]; ++e)
+                f.edges[e]->live = false;
+            transfer(region, b, *f.in[b], record);
+            for (unsigned k = 0; k < f.numOuts; ++k)
+                std::swap(f.edges[f.outs[k].first], f.outs[k].second);
         }
     }
 
     if (record) {
-        for (auto &[leader, st] : in)
-            if (st.live)
-                blockEntries_[leader] = st;
-        for (auto &[leader, st] : term)
-            termStates_[leader] = st;
-        for (auto &[edge, st] : edgeOut)
-            edgeStates_[edge] = st;
+        for (unsigned b = 0; b < n; ++b) {
+            const Addr leader = layout.blocks[b]->begin;
+            if (f.in[b]->live)
+                blockEntries_[leader] = *f.in[b];
+            if (f.term[b].live)
+                termStates_[leader] = f.term[b];
+            for (unsigned e = layout.edgeBegin[b];
+                 e < layout.edgeBegin[b + 1]; ++e)
+                if (f.edges[e]->live)
+                    edgeStates_[{leader, layout.edgeAddr[e]}] = *f.edges[e];
+        }
     }
+}
+
+bool
+AbsintEngine::needsAnalysis(unsigned region) const
+{
+    const RegionDeps &deps = deps_[region];
+    if (!deps.analyzed)
+        return true;
+    const auto newer = [&](std::uint64_t stamp) {
+        return stamp > deps.start;
+    };
+    if (newer(entryStamps_[region]) || newer(havocStamp_) ||
+        (deps.hwListIds && newer(hwListIdsStamp_)))
+        return true;
+    for (std::uint32_t c : deps.callees)
+        if (newer(returnStamps_[c]))
+            return true;
+    for (std::uint32_t c : deps.cells)
+        if (newer(cellStamps_[c]))
+            return true;
+    return false;
 }
 
 void
 AbsintEngine::run()
 {
     converged_ = true;
-    for (const Region &r : regions_)
-        if (r.root && r.analyzed)
-            entryStates_[r.begin] = rootEntry();
+    for (size_t i = 0; i < regions_.size(); ++i) {
+        if (regions_[i].root && regions_[i].analyzed) {
+            entryStates_[i] = rootEntry();
+            entryStamps_[i] = stamp();
+        }
+    }
 
+    // Round-robin to the global fixpoint. A region is re-analyzed only
+    // when an input it read last time has been written since that
+    // analysis started: with identical inputs it would recompute the
+    // same effects, and joining those again changes nothing.
     unsigned round = 0;
-    for (; round < options_.maxOuterRounds; ++round) {
+    for (; round < kMaxOuterRounds; ++round) {
         round_ = round;
         changed_ = false;
-        for (const Region &r : regions_)
-            if (r.analyzed)
-                analyzeRegion(r, false);
+        for (unsigned i = 0; i < regions_.size(); ++i) {
+            if (!regions_[i].analyzed || !needsAnalysis(i))
+                continue;
+            RegionDeps &deps = deps_[i];
+            deps.analyzed = true;
+            deps.start = seq_;
+            deps.cells.clear();
+            deps.callees.clear();
+            deps.hwListIds = false;
+            reading_ = &deps;
+            analyzeRegion(i, false);
+            reading_ = nullptr;
+            for (auto *ids : {&deps.cells, &deps.callees}) {
+                std::sort(ids->begin(), ids->end());
+                ids->erase(std::unique(ids->begin(), ids->end()),
+                           ids->end());
+            }
+        }
         if (!changed_)
             break;
     }
-    if (round == options_.maxOuterRounds)
+    if (round == kMaxOuterRounds)
         converged_ = false;
 
     // Final recording pass over the converged global state. Branch
     // infeasibility is only trusted from this pass (and only when the
     // outer fixpoint converged).
-    for (const Region &r : regions_)
-        if (r.analyzed)
-            analyzeRegion(r, true);
+    for (unsigned i = 0; i < regions_.size(); ++i)
+        if (regions_[i].analyzed)
+            analyzeRegion(i, true);
     if (!converged_) {
         infeasibleTaken_.clear();
         infeasibleFall_.clear();

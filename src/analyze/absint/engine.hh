@@ -57,7 +57,9 @@
 #define RTU_ANALYZE_ABSINT_ENGINE_HH
 
 #include <array>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -72,20 +74,6 @@
 
 namespace rtu {
 
-struct AbsintOptions
-{
-    /** Outer (memory / entry-state) fixpoint round cap. */
-    unsigned maxOuterRounds = 24;
-    /** Round at which memory/entry joins switch to widening. */
-    unsigned widenRound = 4;
-    /** Loop-head visits before register widening kicks in. */
-    unsigned wideningDelay = 2;
-    /** Descending (narrowing) sweeps after the widened fixpoint. */
-    unsigned narrowSweeps = 2;
-    /** Block-transfer budget per function fixpoint (safety valve). */
-    unsigned blockVisitBudget = 20'000;
-};
-
 /** Register-file state: x0..x31 plus mscratch (the only CSR the
  *  generated kernels use to carry a value). */
 struct RegState
@@ -99,10 +87,9 @@ struct RegState
     AbsVal &reg(unsigned i) { return v[i]; }
     const AbsVal &reg(unsigned i) const { return v[i]; }
 
-    bool operator==(const RegState &o) const;
-
-    static RegState join(const RegState &a, const RegState &b);
-    static RegState widen(const RegState &prev, const RegState &next);
+    /** Join @p o into this state, widening against the old value when
+     *  @p widen; true when this state changed. */
+    bool joinFrom(const RegState &o, bool widen);
 };
 
 /**
@@ -115,15 +102,13 @@ std::optional<bool> absDecide(Op op, const AbsVal &a, const AbsVal &b);
 class AbsintEngine
 {
   public:
-    explicit AbsintEngine(const Program &program,
-                          const AbsintOptions &options = {});
+    explicit AbsintEngine(const Program &program);
 
     /** Run to fixpoint. Call once; queries below are valid after. */
     void run();
 
     const Cfg &cfg() const { return cfg_; }
     const Program &program() const { return program_; }
-    const AbsintOptions &options() const { return options_; }
 
     /** False when a budget/round cap was hit; derived facts are then
      *  discarded by the clients (conservative, never wrong). */
@@ -170,9 +155,64 @@ class AbsintEngine
     bool inStack(Addr a) const;
 
   private:
-    struct FnState;  // per-region intra-procedural scratch
+    /** A region's blocks, indexed by their position among the
+     *  region's leaders (ascending address). */
+    struct RegionLayout
+    {
+        static constexpr unsigned kOutside = ~0u;
+
+        std::vector<const BasicBlock *> blocks;
+        /** Targets of intra-region back edges: widening points. */
+        std::vector<bool> head;
+        /** Block b's out-edges are the slots [edgeBegin[b],
+         *  edgeBegin[b + 1]), one per distinct successor address. */
+        std::vector<unsigned> edgeBegin;
+        std::vector<Addr> edgeAddr;
+        /** Target block of each edge slot, or kOutside when the
+         *  successor lies outside the region. */
+        std::vector<unsigned> edgeTo;
+        /** Per block, the edge slots into it by ascending source. */
+        std::vector<std::vector<unsigned>> inEdges;
+    };
+
+    /**
+     * What a region's last non-final analysis read. The region is
+     * re-analyzed only when one of these inputs was written after
+     * that analysis started (see run()).
+     */
+    struct RegionDeps
+    {
+        bool analyzed = false;
+        std::uint64_t start = 0;  ///< write sequence number at start
+        std::vector<std::uint32_t> cells;    ///< data word indices
+        std::vector<std::uint32_t> callees;  ///< region indices
+        bool hwListIds = false;
+    };
+
+    /**
+     * Intra-region scratch, reused across analyses: states by block
+     * index, edge states by edge slot (dead = not computed). Moving
+     * states between the transfer, the out-edges and the edge slots
+     * swaps owners instead of copying ~1.9 KB register files.
+     */
+    using StatePtr = std::unique_ptr<RegState>;
+    struct FnState
+    {
+        std::vector<StatePtr> in;
+        std::vector<RegState> term;
+        std::vector<StatePtr> edges;
+        std::vector<unsigned> visits;
+        std::vector<bool> queued;
+        std::vector<unsigned> work;  ///< FIFO ring, one slot per block
+        std::vector<std::pair<unsigned, StatePtr>> outs;
+        unsigned numOuts = 0;
+        StatePtr st = std::make_unique<RegState>();     ///< block transfer
+        StatePtr taken = std::make_unique<RegState>();  ///< branch taken edge
+        StatePtr narrowed = std::make_unique<RegState>();  ///< phase 2 entry
+    };
 
     void buildRegions();
+    void buildLayouts();
     void buildStackRanges();
     void buildDataObjects();
     RegState rootEntry() const;
@@ -180,22 +220,23 @@ class AbsintEngine
     /** Extent of the data symbol containing @p a, or bottom. */
     Interval objectExtent(Addr a) const;
 
-    void analyzeRegion(const Region &region, bool record);
-    void transferBlock(const BasicBlock &bb, RegState &st,
-                       const Region &region, bool record);
+    bool needsAnalysis(unsigned region) const;
+    void analyzeRegion(unsigned region, bool record);
+    void transfer(unsigned region, unsigned block, const RegState &in,
+                  bool record);
     void applyInsn(Addr pc, const DecodedInsn &d, RegState &st);
-    AbsVal value(const RegState &st, unsigned reg) const;
+    const AbsVal &value(const RegState &st, unsigned reg) const;
 
     AbsVal loadSized(const AbsVal &addr, Op op) const;
     void storeWord(const AbsVal &addr, const AbsVal &val);
     void joinCell(Addr cell, const AbsVal &val);
     void recordCallEntry(Addr target, const RegState &st);
-    void recordJumpEntry(Addr target, const RegState &st);
+    /** Bump the write sequence number and return it. */
+    std::uint64_t stamp() { return ++seq_; }
 
     const Region *regionContaining(Addr pc) const;
 
     const Program &program_;
-    AbsintOptions options_;
     Cfg cfg_;
 
     Addr dataBase_ = 0;
@@ -210,17 +251,31 @@ class AbsintEngine
     std::map<Addr, Interval> invariantCells_;
 
     std::vector<Region> regions_;
+    std::vector<RegionLayout> layouts_;
     std::set<Addr> callTargets_;
+    FnState fn_;
 
-    // Outer-fixpoint state.
+    // Outer-fixpoint state. Every global write stamps its target with
+    // the next sequence number.
     unsigned round_ = 0;
     bool changed_ = false;
     bool converged_ = false;
     std::unordered_map<Addr, AbsVal> cells_;
     std::vector<std::pair<Addr, Addr>> havocRanges_;
-    std::map<Addr, RegState> entryStates_;
-    std::map<Addr, AbsVal> returnValues_;  ///< region begin -> a0
+    std::vector<RegState> entryStates_;  ///< by region; dead = no entry
+    std::vector<AbsVal> returnValues_;   ///< by region: a0 summary
     AbsVal hwListIds_ = AbsVal::bottom();
+
+    std::uint64_t seq_ = 0;
+    std::vector<std::uint64_t> cellStamps_;  ///< by data word index
+    std::vector<std::uint64_t> entryStamps_;
+    std::vector<std::uint64_t> returnStamps_;
+    std::uint64_t hwListIdsStamp_ = 0;
+    std::uint64_t havocStamp_ = 0;
+    std::vector<RegionDeps> deps_;
+    /** Read log of the analysis in progress; null outside the
+     *  non-final rounds (cellValue is also a public query). */
+    mutable RegionDeps *reading_ = nullptr;
 
     // Final recorded pass.
     std::map<Addr, RegState> blockEntries_;

@@ -122,6 +122,16 @@ negatePredicate(Op op)
     }
 }
 
+/** The AbsVal of @p n arbitrary values, sorted and deduplicated in
+ *  place. */
+AbsVal
+setOf(I64 *values, size_t n)
+{
+    std::sort(values, values + n);
+    const size_t unique = std::unique(values, values + n) - values;
+    return AbsVal::fromSorted(values, unique);
+}
+
 } // namespace
 
 // ---- Interval --------------------------------------------------------------
@@ -366,6 +376,32 @@ Interval::str() const
     return s;
 }
 
+// ---- ConstSet --------------------------------------------------------------
+
+void
+ConstSet::assignSlow(const std::int64_t *values, size_t n)
+{
+    rtu_assert(n <= kCapacity, "value set of %zu exceeds %zu", n, kCapacity);
+    if (n > kInline) {
+        if (!onHeap())
+            heap_ = new std::int64_t[kCapacity];
+        if (values != heap_)
+            std::copy(values, values + n, heap_);
+    } else {
+        std::int64_t kept[kInline];
+        std::copy(values, values + n, kept);
+        release();
+        std::copy(kept, kept + n, inline_);
+    }
+    size_ = static_cast<std::uint32_t>(n);
+}
+
+bool
+ConstSet::operator==(const ConstSet &o) const
+{
+    return size_ == o.size_ && std::equal(begin(), end(), o.begin());
+}
+
 // ---- AbsVal ----------------------------------------------------------------
 
 AbsVal
@@ -382,7 +418,7 @@ AbsVal::constant(std::int64_t c)
     AbsVal v;
     v.iv = Interval::constant(c);
     v.hasSet = true;
-    v.consts = {c};
+    v.consts.assign(&c, 1);
     return v;
 }
 
@@ -393,7 +429,7 @@ AbsVal::fromInterval(const Interval &iv)
     v.iv = iv;
     if (iv.isConst()) {
         v.hasSet = true;
-        v.consts = {iv.lo};
+        v.consts.assign(&iv.lo, 1);
     }
     return v;
 }
@@ -401,15 +437,19 @@ AbsVal::fromInterval(const Interval &iv)
 AbsVal
 AbsVal::fromSet(std::vector<std::int64_t> values)
 {
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    if (values.empty())
+    return setOf(values.data(), values.size());
+}
+
+AbsVal
+AbsVal::fromSorted(const std::int64_t *values, size_t n)
+{
+    if (n == 0)
         return bottom();
     AbsVal v;
-    v.iv = {values.front(), values.back()};
-    if (values.size() <= kMaxConsts) {
+    v.iv = {values[0], values[n - 1]};
+    if (n <= kMaxConsts) {
         v.hasSet = true;
-        v.consts = std::move(values);
+        v.consts.assign(values, n);
     }
     return v;
 }
@@ -430,11 +470,11 @@ AbsVal::strided(const Interval &iv, std::int64_t stride,
     if (count <= static_cast<I64>(kMaxConsts)) {
         // Few enough congruent values to enumerate exactly: reduce to
         // the value set, which downstream pointer reasoning prefers.
-        std::vector<I64> values;
-        values.reserve(static_cast<size_t>(count));
+        I64 values[kMaxConsts];
+        size_t n = 0;
         for (I64 v = lo; v <= hi; v += stride)
-            values.push_back(v);
-        return fromSet(std::move(values));
+            values[n++] = v;
+        return fromSorted(values, n);
     }
     AbsVal v;
     v.iv = {lo, hi};
@@ -471,12 +511,12 @@ AbsVal::join(const AbsVal &a, const AbsVal &b)
     if (b.isBottom())
         return a;
     if (a.hasSet && b.hasSet) {
-        std::vector<std::int64_t> u = a.consts;
-        u.insert(u.end(), b.consts.begin(), b.consts.end());
-        std::sort(u.begin(), u.end());
-        u.erase(std::unique(u.begin(), u.end()), u.end());
-        if (u.size() <= kMaxConsts)
-            return fromSet(std::move(u));
+        I64 u[2 * kMaxConsts];
+        const size_t n =
+            std::set_union(a.consts.begin(), a.consts.end(),
+                           b.consts.begin(), b.consts.end(), u) - u;
+        if (n <= kMaxConsts)
+            return fromSorted(u, n);
     }
     // The joined congruence must hold for both operands' values and
     // make their anchors congruent to each other.
@@ -514,11 +554,11 @@ AbsVal::refined(const Interval &bounds) const
     if (m.isBottom())
         return bottom();
     if (hasSet) {
-        std::vector<std::int64_t> kept;
-        for (std::int64_t c : consts)
-            if (m.contains(c))
-                kept.push_back(c);
-        return fromSet(std::move(kept));
+        I64 kept[kMaxConsts];
+        const size_t n =
+            std::copy_if(consts.begin(), consts.end(), kept,
+                         [&](I64 c) { return m.contains(c); }) - kept;
+        return fromSorted(kept, n);
     }
     return strided(m, stride, iv.lo);
 }
@@ -529,11 +569,10 @@ AbsVal::without(std::int64_t v) const
     if (isBottom())
         return *this;
     if (hasSet) {
-        std::vector<std::int64_t> kept;
-        for (std::int64_t c : consts)
-            if (c != v)
-                kept.push_back(c);
-        return fromSet(std::move(kept));
+        I64 kept[kMaxConsts];
+        const size_t n =
+            std::remove_copy(consts.begin(), consts.end(), kept, v) - kept;
+        return fromSorted(kept, n);
     }
     AbsVal out = *this;
     const I64 step = out.stride > 1 ? out.stride : 1;
@@ -574,7 +613,8 @@ absEval(Op op, const AbsVal &a, const AbsVal &b)
     // Exact set-pointwise evaluation when both operand sets are small.
     if (a.hasSet && b.hasSet &&
         a.consts.size() * b.consts.size() <= 4 * AbsVal::kMaxConsts) {
-        std::vector<std::int64_t> results;
+        I64 results[4 * AbsVal::kMaxConsts];
+        size_t n = 0;
         bool exact = true;
         for (std::int64_t x : a.consts) {
             for (std::int64_t y : b.consts) {
@@ -583,13 +623,13 @@ absEval(Op op, const AbsVal &a, const AbsVal &b)
                     exact = false;
                     break;
                 }
-                results.push_back(*r);
+                results[n++] = *r;
             }
             if (!exact)
                 break;
         }
         if (exact)
-            return AbsVal::fromSet(std::move(results));
+            return setOf(results, n);
     }
 
     const Interval &x = a.iv;
@@ -705,11 +745,12 @@ refineByBranch(Op op, bool taken, AbsVal &a, AbsVal &b)
         const Interval m = Interval::meet(a.iv, b.iv);
         AbsVal ra = a.refined(m), rb = b.refined(m);
         if (a.hasSet && b.hasSet) {
-            std::vector<std::int64_t> both;
-            for (std::int64_t c : a.consts)
-                if (std::binary_search(b.consts.begin(), b.consts.end(), c))
-                    both.push_back(c);
-            ra = rb = AbsVal::fromSet(std::move(both));
+            I64 both[AbsVal::kMaxConsts];
+            const size_t n =
+                std::set_intersection(a.consts.begin(), a.consts.end(),
+                                      b.consts.begin(), b.consts.end(),
+                                      both) - both;
+            ra = rb = AbsVal::fromSorted(both, n);
         }
         a = ra;
         b = rb;

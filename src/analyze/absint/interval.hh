@@ -33,6 +33,7 @@
 #ifndef RTU_ANALYZE_ABSINT_INTERVAL_HH
 #define RTU_ANALYZE_ABSINT_INTERVAL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -99,6 +100,89 @@ struct Interval
 };
 
 /**
+ * Sorted, duplicate-free set of at most kCapacity words with a small
+ * buffer: up to kInline members live inline (constants and the common
+ * two-way pointer joins never allocate), larger sets own one heap
+ * block of kCapacity slots. A fully inline kCapacity array would grow
+ * every register slot from 56 to ~300 bytes and multiply the engine's
+ * working set; the heap block is paid only by the large pointer sets.
+ */
+class ConstSet
+{
+  public:
+    static constexpr size_t kInline = 2;
+    static constexpr size_t kCapacity = 32;
+
+    ConstSet() = default;
+    ConstSet(const ConstSet &o) { *this = o; }
+    ConstSet(ConstSet &&o) noexcept { steal(o); }
+    ConstSet &operator=(const ConstSet &o)
+    {
+        if (this != &o)
+            assign(o.data(), o.size());
+        return *this;
+    }
+    ConstSet &operator=(ConstSet &&o) noexcept
+    {
+        if (this != &o) {
+            release();
+            steal(o);
+        }
+        return *this;
+    }
+    ~ConstSet() { release(); }
+
+    /** Replace the contents with the @p n (<= kCapacity) sorted,
+     *  unique values at @p values. */
+    void assign(const std::int64_t *values, size_t n)
+    {
+        if (n > kInline || onHeap()) {
+            assignSlow(values, n);
+            return;
+        }
+        // The common case, inline to inline, stays in the header.
+        std::copy(values, values + n, inline_);
+        size_ = static_cast<std::uint32_t>(n);
+    }
+
+    size_t size() const { return size_; }
+    const std::int64_t *data() const { return onHeap() ? heap_ : inline_; }
+    const std::int64_t *begin() const { return data(); }
+    const std::int64_t *end() const { return data() + size_; }
+    std::int64_t operator[](size_t i) const { return data()[i]; }
+    std::int64_t front() const { return data()[0]; }
+    std::int64_t back() const { return data()[size_ - 1]; }
+
+    bool operator==(const ConstSet &o) const;
+
+  private:
+    bool onHeap() const { return size_ > kInline; }
+    void assignSlow(const std::int64_t *values, size_t n);
+    void release()
+    {
+        if (onHeap())
+            delete[] heap_;
+        size_ = 0;
+    }
+    void steal(ConstSet &o)
+    {
+        size_ = o.size_;
+        if (o.onHeap())
+            heap_ = o.heap_;
+        else
+            std::copy(o.inline_, o.inline_ + o.size_, inline_);
+        o.size_ = 0;
+    }
+
+    std::uint32_t size_ = 0;
+    union
+    {
+        std::int64_t inline_[kInline] = {};
+        std::int64_t *heap_;
+    };
+};
+
+/**
  * Abstract RV32 word: interval plus optional exact value set, plus a
  * congruence stride on the interval.
  * Invariants: hasSet implies consts is non-empty, sorted, unique, and
@@ -113,11 +197,11 @@ struct AbsVal
      *  8 ready sentinels, delay/event sentinels, null) never degrade:
      *  a degraded store address falls back to the stack-store
      *  assumption and would silently drop kernel-data updates. */
-    static constexpr size_t kMaxConsts = 32;
+    static constexpr size_t kMaxConsts = ConstSet::kCapacity;
 
     Interval iv = Interval::top();
     bool hasSet = false;
-    std::vector<std::int64_t> consts;
+    ConstSet consts;
     /** Congruence: concrete values are == iv.lo (mod stride). */
     std::int64_t stride = 1;
 
@@ -126,6 +210,8 @@ struct AbsVal
     static AbsVal constant(std::int64_t v);
     static AbsVal fromInterval(const Interval &iv);
     static AbsVal fromSet(std::vector<std::int64_t> values);
+    /** fromSet over @p n values that are already sorted and unique. */
+    static AbsVal fromSorted(const std::int64_t *values, size_t n);
     /** Interval @p iv restricted to values == @p anchor (mod
      *  @p stride); bounds are aligned inward, degenerate results
      *  collapse to constant/bottom. */

@@ -258,6 +258,120 @@ TEST(AbsintEngine, ProvesInfeasibleBranchEdges)
     EXPECT_EQ(facts.infeasibleTaken.size(), 1u);
 }
 
+// ---- outer-fixpoint dependency tracking ------------------------------
+//
+// The engine re-analyzes a region only when an input it read was
+// written after its last analysis started. Each fixture below chains
+// three root-or-called regions in address order so that a dropped
+// dependency is visible in the recorded states: the first region loads
+// k_relay; the second stores into k_relay a value it gets through the
+// dependency under test, which only a later region provides, in
+// round 0. Tracked, the second region runs again in round 1 and the
+// first in round 2. Untracked, the second region is skipped, the
+// rounds stop, and the final recording pass reaches the first region
+// before the second one has updated k_relay.
+
+namespace {
+
+/** True when @p v admits the concrete word @p x. */
+bool
+admits(const AbsVal &v, std::int64_t x)
+{
+    if (v.hasSet)
+        return std::find(v.consts.begin(), v.consts.end(), x) !=
+               v.consts.end();
+    return v.iv.contains(x);
+}
+
+/** a1 at the return of the first region, which loads k_relay. */
+AbsVal
+readerValue(const Program &p)
+{
+    AbsintEngine engine(p);
+    engine.run();
+    EXPECT_TRUE(engine.converged());
+    const Addr reader = p.functions.at("k_task_reader").first;
+    const RegState *st = engine.termState(reader);
+    return st ? st->reg(A1) : AbsVal::bottom();
+}
+
+/** Start a fixture: the data cells and the first region. */
+Assembler
+relayFixture()
+{
+    Assembler a(kTextBase, kDataBase);
+    a.dataWord("k_relay", 0);
+    a.dataWord("k_source", 0);
+    a.fnBegin("k_task_reader");
+    a.la(T0, "k_relay");
+    a.lw(A1, 0, T0);
+    a.ret();
+    a.fnEnd();
+    return a;
+}
+
+/** Store @p reg into k_relay and return. */
+void
+storeRelayAndReturn(Assembler &a, Reg reg)
+{
+    a.la(T0, "k_relay");
+    a.sw(reg, 0, T0);
+    a.ret();
+    a.fnEnd();
+}
+
+} // namespace
+
+TEST(AbsintDeps, DataCellStoredByALaterRegion)
+{
+    Assembler a = relayFixture();
+    a.fnBegin("k_task_relay");
+    a.la(T0, "k_source");
+    a.lw(T1, 0, T0);
+    storeRelayAndReturn(a, T1);
+    a.fnBegin("k_task_writer");
+    a.la(T0, "k_source");
+    a.li(T1, 7);
+    a.sw(T1, 0, T0);
+    a.ret();
+    a.fnEnd();
+    const AbsVal v = readerValue(a.finish());
+    EXPECT_TRUE(admits(v, 0)) << v.str();
+    EXPECT_TRUE(admits(v, 7)) << v.str();
+}
+
+TEST(AbsintDeps, CalleeReturnSummary)
+{
+    Assembler a = relayFixture();
+    a.fnBegin("k_task_relay");
+    a.call("get_seven");
+    storeRelayAndReturn(a, A0);
+    a.fnBegin("get_seven");
+    a.li(A0, 7);
+    a.ret();
+    a.fnEnd();
+    const AbsVal v = readerValue(a.finish());
+    EXPECT_TRUE(admits(v, 0)) << v.str();
+    EXPECT_TRUE(admits(v, 7)) << v.str();
+}
+
+TEST(AbsintDeps, HardwareListIdsAddedLater)
+{
+    Assembler a = relayFixture();
+    a.fnBegin("k_task_relay");
+    a.rtuGetHwSched(A0);
+    storeRelayAndReturn(a, A0);
+    a.fnBegin("k_task_writer");
+    a.li(T1, 5);
+    a.li(T2, 1);
+    a.rtuAddReady(T1, T2);
+    a.ret();
+    a.fnEnd();
+    const AbsVal v = readerValue(a.finish());
+    EXPECT_TRUE(admits(v, 0)) << v.str();
+    EXPECT_TRUE(admits(v, 5)) << v.str();
+}
+
 // ---- loop-bound inference + seeded defects ---------------------------
 
 TEST(LoopBound, InfersCountdownTripCount)

@@ -12,6 +12,11 @@
  *    emission order) that passes 1-3 plus WCSU produce on seeded
  *    single-word mutants of those images. The unmutated matrix lints
  *    clean, so only mutants exercise the reporting paths.
+ *
+ * AbsintGolden pins the abstract-interpretation engine's final states
+ * over the same images. The matrix lints clean, so a change that
+ * moved an abstract value without flipping a verdict would pass every
+ * diagnostic-level check; this digest catches it.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +25,8 @@
 #include <string>
 #include <string_view>
 
+#include "analyze/absint/engine.hh"
+#include "analyze/absint/loopbound.hh"
 #include "analyze/absint/wcsu.hh"
 #include "analyze/linter.hh"
 #include "asm/decode.hh"
@@ -113,6 +120,20 @@ mutationSites(const Program &program)
     return sites;
 }
 
+/** A register state as its 33 slot values, or null/dead. */
+std::string
+stateText(const RegState *st)
+{
+    if (!st)
+        return "null";
+    if (!st->live)
+        return "dead";
+    std::string s;
+    for (const AbsVal &v : st->v)
+        s.append(v.str()).append(" ");
+    return s;
+}
+
 constexpr unsigned kMutantsPerImage = 8;
 constexpr Word kNop = 0x00000013;  // addi zero, zero, 0
 
@@ -180,4 +201,43 @@ TEST(LintMutationGolden, SeededSingleWordEdits)
     EXPECT_EQ(mutants, 105u * kMutantsPerImage);
     EXPECT_EQ(digest.count, 1072u) << digest.text;
     EXPECT_EQ(digest.value(), 0x648a1401a8319bc3ull) << digest.text;
+}
+
+TEST(AbsintGolden, GeneratedMatrixStates)
+{
+    Digest digest;
+    unsigned images = 0;
+    forEachGeneratedProgram([&](const LintPoint &point) {
+        ++images;
+        AbsintEngine engine(point.program);
+        engine.run();
+        const std::string at = pointName(point) + " ";
+        digest.add({at, "converged=", std::to_string(engine.converged())});
+        for (const auto &[leader, bb] : engine.cfg().blocks()) {
+            const std::string pc = at + std::to_string(leader);
+            digest.add({pc, " in ", stateText(engine.blockEntry(leader))});
+            digest.add({pc, " term ", stateText(engine.termState(leader))});
+            for (Addr succ : bb.succs)
+                digest.add({pc, "->", std::to_string(succ), " ",
+                            stateText(engine.edgeState(leader, succ))});
+        }
+        for (Addr pc : engine.infeasibleTaken())
+            digest.add({at, "infeasible-taken ", std::to_string(pc)});
+        for (Addr pc : engine.infeasibleFall())
+            digest.add({at, "infeasible-fall ", std::to_string(pc)});
+        const Program &program = point.program;
+        for (size_t i = 0; i < program.data.size(); ++i) {
+            const Addr cell = program.dataBase + 4 * static_cast<Addr>(i);
+            digest.add({at, "cell ", std::to_string(cell), " ",
+                        engine.cellValue(cell).str()});
+        }
+        for (const auto &[pc, bound] : inferLoopBounds(engine).inferred)
+            digest.add({at, "bound ", std::to_string(pc), " ",
+                        std::to_string(bound)});
+    });
+    EXPECT_EQ(images, 105u);
+    // The folded text runs to ~10^5 lines: report only the totals, and
+    // diff `digest.text` between two builds to see what moved.
+    EXPECT_EQ(digest.count, 108219u);
+    EXPECT_EQ(digest.value(), 0x99250de66972df25ull);
 }
