@@ -8,7 +8,9 @@
 #ifndef RTU_CORES_CORE_HH
 #define RTU_CORES_CORE_HH
 
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "arch_state.hh"
 #include "asm/decode.hh"
@@ -61,6 +63,85 @@ struct CoreStats
     /** Block-summary words re-formed by text writes. Accounted at the
      *  simulation level (the index is shared, not per-core). */
     std::uint64_t blockInvalidations = 0;
+};
+
+/** Bimodal branch predictor: 2-bit saturating counters indexed by the
+ *  word address, all starting weakly not-taken. */
+class BimodalPredictor
+{
+  public:
+    explicit BimodalPredictor(unsigned entries)
+        : counters_(entries, 1), mask_(entries - 1)
+    {}
+
+    bool predictsTaken(Addr pc) const { return counters_[index(pc)] >= 2; }
+
+    /** Train the counter at @p pc on the resolved direction.
+     *  @return true if the prediction was wrong. */
+    bool
+    resolve(Addr pc, bool taken)
+    {
+        std::uint8_t &ctr = counters_[index(pc)];
+        const bool mispredicted = (ctr >= 2) != taken;
+        if (taken) {
+            if (ctr < 3)
+                ++ctr;
+        } else if (ctr > 0) {
+            --ctr;
+        }
+        return mispredicted;
+    }
+
+  private:
+    unsigned index(Addr pc) const { return (pc >> 2) & mask_; }
+
+    std::vector<std::uint8_t> counters_;
+    unsigned mask_;
+};
+
+/**
+ * Block accounting of one blockRun(): a retired branch or jump closes
+ * a block, the run's exit closes the partial block before it, and a
+ * run that stops at a word the block path may not execute counts one
+ * fallback.
+ */
+class BlockTally
+{
+  public:
+    explicit BlockTally(CoreStats &stats) : stats_(stats) {}
+
+    [[gnu::always_inline]] void
+    retired(InsnClass cls)
+    {
+        if (cls == InsnClass::kBranch || cls == InsnClass::kJump) {
+            ++stats_.blocksExecuted;
+            sinceBoundary_ = 0;
+        } else {
+            ++sinceBoundary_;
+        }
+    }
+
+    /** The run ends at its horizon; @return the @p ran cycles. */
+    [[gnu::always_inline]] Cycle
+    finish(Cycle ran)
+    {
+        if (sinceBoundary_ > 0)
+            ++stats_.blocksExecuted;  // partial run up to the exit point
+        return ran;
+    }
+
+    /** The run ends before a word it may not execute, which the
+     *  per-instruction path takes over; @return the @p ran cycles. */
+    [[gnu::always_inline]] Cycle
+    bail(Cycle ran)
+    {
+        ++stats_.blockFallbacks;
+        return finish(ran);
+    }
+
+  private:
+    CoreStats &stats_;
+    std::uint32_t sinceBoundary_ = 0;
 };
 
 class Core : public Clocked
@@ -137,25 +218,96 @@ class Core : public Clocked
             listener_->trapTaken(cause, now);
     }
 
+    /** True while a custom-instruction / mret stall condition holds. */
+    bool
+    stalledByUnit(const DecodedInsn &insn) const
+    {
+        RtosUnitPort *unit = exec_.unit();
+        if (!unit)
+            return false;
+        switch (insn.op) {
+          case Op::kSwitchRf: return unit->switchRfStall();
+          case Op::kGetHwSched: return unit->getHwSchedStall();
+          case Op::kMret: return unit->mretStall();
+          case Op::kSemTake:
+          case Op::kSemGive:
+            return unit->semOpStall();
+          default: return false;
+        }
+    }
+
+    /** Significant dividend bits of a divide (the iterative dividers
+     *  take one step per bit); 0 for anything else. Read before the
+     *  instruction executes: rd may alias rs1. */
+    unsigned
+    dividendBits(const DecodedInsn &insn) const
+    {
+        if (insn.cls != InsnClass::kDiv)
+            return 0;
+        return 32 - std::countl_zero(state_.reg(insn.rs1) | 1);
+    }
+
+    /** True if a data access at @p addr goes through the data cache:
+     *  DMEM is cacheable, devices are not. */
+    static bool
+    cacheable(Addr addr)
+    {
+        return addr >= memmap::kDmemBase &&
+               addr < memmap::kDmemBase + memmap::kDmemSize;
+    }
+
     /**
-     * True if the in-block data access [@p ea, @p ea + @p size) is
-     * contained in plain SRAM (imem or dmem). Anything else — CLINT,
-     * host I/O, unmapped, device-straddling — must take the
-     * per-instruction path, which owns the exact device and fault
-     * semantics.
+     * True if blockRun() may start: a block index is installed, the
+     * core is not @p busy (asleep or with an in-flight condition the
+     * per-cycle path owns) and no interrupt is ready.
      */
     bool
-    blockSafeAccess(Addr ea, unsigned size) const
+    blockRunOpen(bool busy) const
     {
+        return blockindex_ != nullptr && !busy && !exec_.interruptReady();
+    }
+
+    /**
+     * The instruction at @p pc if the block path may execute it: the
+     * index covers @p pc, the word is no stop word, and a load/store
+     * passes blockAccessSafe(). nullptr means the run must bail with
+     * nothing executed. The flags are re-read on every call: an
+     * in-block store to text may have re-formed the very run being
+     * executed.
+     */
+    [[gnu::always_inline]] const DecodedInsn *
+    blockWord(Addr pc) const
+    {
+        if (!blockindex_->covers(pc) ||
+            (blockindex_->flagsAt(pc) & BlockIndex::kStop)) {
+            return nullptr;
+        }
+        const DecodedInsn &insn = predecode_->at(pc);
+        return blockAccessSafe(insn) ? &insn : nullptr;
+    }
+
+    /**
+     * False if @p insn is a load/store whose access, at its address
+     * from the current registers, leaves plain SRAM (imem or dmem).
+     * CLINT, host I/O, unmapped and device-straddling accesses must
+     * take the per-instruction path, which owns the exact device and
+     * fault semantics. The address is exact for in-order in-block
+     * execution: every older instruction has already executed.
+     */
+    [[gnu::always_inline]] bool
+    blockAccessSafe(const DecodedInsn &insn) const
+    {
+        if (insn.cls != InsnClass::kLoad && insn.cls != InsnClass::kStore)
+            return true;
+        const Addr ea = effectiveAddr(insn);
+        const unsigned size = accessSize(insn.op);
         return (ea >= memmap::kImemBase &&
                 ea + size <= memmap::kImemBase + memmap::kImemSize) ||
                (ea >= memmap::kDmemBase &&
                 ea + size <= memmap::kDmemBase + memmap::kDmemSize);
     }
 
-    /** Effective address of a load/store, from the current registers
-     *  (exact for in-order in-block execution: every older instruction
-     *  has already executed). */
+    /** Effective address of a load/store from the current registers. */
     Addr
     effectiveAddr(const DecodedInsn &insn) const
     {

@@ -1,29 +1,6 @@
 #include "cv32e40p.hh"
 
-#include <bit>
-
 namespace rtu {
-
-bool
-Cv32e40pCore::stalledByUnit(const DecodedInsn &insn) const
-{
-    RtosUnitPort *unit = exec_.unit();
-    if (!unit)
-        return false;
-    switch (insn.op) {
-      case Op::kSwitchRf:
-        return unit->switchRfStall();
-      case Op::kGetHwSched:
-        return unit->getHwSchedStall();
-      case Op::kMret:
-        return unit->mretStall();
-      case Op::kSemTake:
-      case Op::kSemGive:
-        return unit->semOpStall();
-      default:
-        return false;
-    }
-}
 
 unsigned
 Cv32e40pCore::costOf(const DecodedInsn &insn, const ExecResult &res) const
@@ -124,24 +101,8 @@ Cv32e40pCore::tick(Cycle now)
 
     const InsnClass cls = insn.cls;
 
-    // Load-use hazard: one bubble when the previous instruction was a
-    // load whose destination this instruction consumes.
-    unsigned extra = 0;
-    if (lastWasLoad_ && lastLoadRd_ != 0) {
-        const bool uses =
-            (insn.useRs1 && insn.rs1 == lastLoadRd_) ||
-            (insn.useRs2 && insn.rs2 == lastLoadRd_);
-        if (uses)
-            extra = params_.loadUseStall;
-    }
-
-    // Capture the dividend before execution mutates the register file
-    // (rd may alias rs1).
-    divOperandBits_ = 0;
-    if (cls == InsnClass::kDiv) {
-        const Word dividend = state_.reg(insn.rs1);
-        divOperandBits_ = 32 - std::countl_zero(dividend | 1);
-    }
+    const unsigned extra = loadUseStall(insn);
+    divOperandBits_ = dividendBits(insn);
 
     const ExecResult res = exec_.execute(insn, pc);
 
@@ -181,43 +142,34 @@ Cv32e40pCore::tick(Cycle now)
     lastLoadRd_ = insn.rd;
 }
 
+unsigned
+Cv32e40pCore::loadUseStall(const DecodedInsn &insn) const
+{
+    // One bubble when the previous instruction was a load whose
+    // destination this instruction consumes.
+    if (!lastWasLoad_ || lastLoadRd_ == 0)
+        return 0;
+    const bool uses = (insn.useRs1 && insn.rs1 == lastLoadRd_) ||
+                      (insn.useRs2 && insn.rs2 == lastLoadRd_);
+    return uses ? params_.loadUseStall : 0;
+}
+
 // Inlined into blockRun(), its one caller: the per-instruction hot path.
-[[gnu::always_inline]] inline Cv32e40pCore::BlockStep
-Cv32e40pCore::blockStep(Cycle &t, Cycle bound)
+[[gnu::always_inline]] inline bool
+Cv32e40pCore::blockStep(DecodedInsn insn, Cycle &t, Cycle bound)
 {
     const Addr pc = state_.pc();
-    const DecodedInsn &insn = predecode_->at(pc);
     const InsnClass cls = insn.cls;
-
-    // An address the per-instruction path would route to a device (or
-    // fault on) carries semantics this loop does not model: bail with
-    // nothing executed.
-    if (cls == InsnClass::kLoad || cls == InsnClass::kStore) {
-        if (!blockSafeAccess(effectiveAddr(insn), accessSize(insn.op)))
-            return BlockStep::kBailMem;
-    }
-
     ++stats_.fetchPredecoded;
 
     // Load-use hazard from the *dynamic* previous instruction — exact,
     // unlike the decode-time schedule, which is only a worst case.
-    unsigned extra = 0;
-    if (lastWasLoad_ && lastLoadRd_ != 0) {
-        const bool uses = (insn.useRs1 && insn.rs1 == lastLoadRd_) ||
-                          (insn.useRs2 && insn.rs2 == lastLoadRd_);
-        if (uses)
-            extra = params_.loadUseStall;
-    }
-
-    divOperandBits_ = 0;
-    if (cls == InsnClass::kDiv) {
-        const Word dividend = state_.reg(insn.rs1);
-        divOperandBits_ = 32 - std::countl_zero(dividend | 1);
-    }
+    const unsigned extra = loadUseStall(insn);
+    divOperandBits_ = dividendBits(insn);
 
     // Stop classes were excluded up front, so this cannot trap, sleep
     // or touch the RTOSUnit; a wild jalr target is caught by the
-    // coverage check before the next step.
+    // coverage check before the next run.
     const ExecResult res = exec_.execute(insn, pc);
     state_.setPc(res.nextPc);
     ++stats_.instret;
@@ -240,82 +192,56 @@ Cv32e40pCore::blockStep(Cycle &t, Cycle bound)
         remaining_ = static_cast<unsigned>(cost - (bound - t));
         abortable_ = cls == InsnClass::kDiv || cls == InsnClass::kMul;
         t = bound;
-        return BlockStep::kHorizon;
+        return true;
     }
     stats_.stallCycles += cost - 1;
     abortable_ =
         cost > 1 && (cls == InsnClass::kDiv || cls == InsnClass::kMul);
     t += cost;
-    return (cls == InsnClass::kBranch || cls == InsnClass::kJump)
-               ? BlockStep::kControl
-               : BlockStep::kDone;
+    return false;
 }
 
 Cycle
 Cv32e40pCore::blockRun(Cycle now, Cycle bound)
 {
-    if (blockindex_ == nullptr || remaining_ > 0 || sleeping_ ||
-        exec_.interruptReady()) {
+    if (!blockRunOpen(remaining_ > 0 || sleeping_))
         return 0;
-    }
 
     Cycle t = now;
-    std::uint32_t sinceBoundary = 0;
-    bool bailed = false;
+    BlockTally tally(stats_);
     while (t < bound) {
         const Addr pc = state_.pc();
-        if (!blockindex_->covers(pc)) {
-            bailed = true;
-            break;
-        }
-        const std::uint8_t flags = blockindex_->flagsAt(pc);
-        if (flags & BlockIndex::kStop) {
-            bailed = true;
-            break;
-        }
+        const DecodedInsn *insn = blockWord(pc);
+        if (!insn)
+            return tally.bail(t - now);
 
         // Block-entry fast path: a store-free run whose worst-case
         // cost (plus one inherited load-use stall of margin) fits the
-        // horizon needs no per-instruction re-validation — one bound
-        // check for the whole block (kHorizon cannot happen in it).
-        // Otherwise step once and re-check: store-carrying or
-        // horizon-limited runs re-validate every word (a store may
-        // have re-formed the very block being executed).
+        // horizon needs no coverage or stop re-check per word, and
+        // cannot reach the horizon inside the run. Otherwise step once
+        // and re-verify: store-carrying or horizon-limited runs
+        // re-verify every word (a store may have re-formed the very
+        // block being executed).
         std::uint32_t steps = 1;
-        if (!(flags & BlockIndex::kSuffixStore) &&
+        if (!(blockindex_->flagsAt(pc) & BlockIndex::kSuffixStore) &&
             t + blockindex_->worstCyclesAt(pc) + params_.loadUseStall <=
                 bound) {
             steps = blockindex_->runLenAt(pc);
         }
-        bool stop = false;
-        for (std::uint32_t i = 0; i < steps && !stop; ++i) {
-            switch (blockStep(t, bound)) {
-              case BlockStep::kControl:
-                ++stats_.blocksExecuted;
-                sinceBoundary = 0;
+        while (true) {
+            const InsnClass cls = insn->cls;
+            const bool horizon = blockStep(*insn, t, bound);
+            tally.retired(cls);
+            if (horizon)
+                return tally.finish(t - now);
+            if (--steps == 0)
                 break;
-              case BlockStep::kDone:
-                ++sinceBoundary;
-                break;
-              case BlockStep::kHorizon:
-                ++sinceBoundary;
-                stop = true;
-                break;
-              case BlockStep::kBailMem:
-                bailed = true;
-                stop = true;
-                break;
-            }
+            insn = &predecode_->at(state_.pc());
+            if (!blockAccessSafe(*insn))
+                return tally.bail(t - now);
         }
-        if (stop)
-            break;
     }
-
-    if (sinceBoundary > 0)
-        ++stats_.blocksExecuted;  // partial run up to the exit point
-    if (bailed)
-        ++stats_.blockFallbacks;
-    return t - now;
+    return tally.finish(t - now);
 }
 
 } // namespace rtu

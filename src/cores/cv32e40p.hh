@@ -25,16 +25,6 @@
 
 namespace rtu {
 
-struct Cv32e40pParams
-{
-    unsigned trapEntryCycles = 4;   ///< constant interrupt entry
-    unsigned mretCycles = 5;        ///< pipeline refill on return
-    unsigned takenBranchCycles = 3; ///< branch resolved in EX
-    unsigned jumpCycles = 2;
-    unsigned loadUseStall = 1;
-    unsigned divBaseCycles = 3;     ///< plus one per significant bit
-};
-
 class Cv32e40pCore : public Core
 {
   public:
@@ -60,20 +50,15 @@ class Cv32e40pCore : public Core
     /** Cycles the instruction at hand occupies the pipeline. */
     unsigned costOf(const DecodedInsn &insn, const ExecResult &res) const;
 
-    /** True while a custom-instruction / mret stall condition holds. */
-    bool stalledByUnit(const DecodedInsn &insn) const;
+    /** Load-use bubble cycles @p insn owes the previous instruction. */
+    unsigned loadUseStall(const DecodedInsn &insn) const;
 
-    /** Outcome of one in-block instruction step. */
-    enum class BlockStep
-    {
-        kDone,     ///< retired, run continues at the next word
-        kControl,  ///< retired a branch/jump: block boundary
-        kBailMem,  ///< unsafe access, nothing executed: fall back
-        kHorizon,  ///< issued, stall crosses the bound: window full
-    };
-    /** Execute the (pre-validated non-stop) instruction at pc; @p t is
-     *  advanced by the instruction's full pipeline occupancy. */
-    BlockStep blockStep(Cycle &t, Cycle bound);
+    /** Execute @p insn, verified for the block path at pc, advancing
+     *  @p t by its full pipeline occupancy (by value: a store may
+     *  re-decode its own word). @return true if that occupancy
+     *  crosses @p bound: t is then the bound and the remainder
+     *  resumes per-cycle. */
+    bool blockStep(DecodedInsn insn, Cycle &t, Cycle bound);
 
     Cv32e40pParams params_;
 

@@ -1,41 +1,12 @@
 #include "cva6.hh"
 
-#include <bit>
-
-#include "sim/memmap.hh"
-
 namespace rtu {
 
 Cva6Core::Cva6Core(const Env &env, SharedPort &bus_port,
                    const Cva6Params &params)
     : Core(env), params_(params), busPort_(bus_port),
-      dcache_(params.cache)
-{
-    predictor_.assign(params_.predictorEntries, 1);  // weakly not-taken
-}
-
-unsigned
-Cva6Core::predictorIndex(Addr pc) const
-{
-    return (pc >> 2) & (params_.predictorEntries - 1);
-}
-
-bool
-Cva6Core::stalledByUnit(const DecodedInsn &insn) const
-{
-    RtosUnitPort *unit = exec_.unit();
-    if (!unit)
-        return false;
-    switch (insn.op) {
-      case Op::kSwitchRf: return unit->switchRfStall();
-      case Op::kGetHwSched: return unit->getHwSchedStall();
-      case Op::kMret: return unit->mretStall();
-      case Op::kSemTake:
-      case Op::kSemGive:
-        return unit->semOpStall();
-      default: return false;
-    }
-}
+      dcache_(params.cache), predictor_(params.predictorEntries)
+{}
 
 Cycle
 Cva6Core::nextEventAt(Cycle now) const
@@ -160,11 +131,7 @@ Cva6Core::issueDecoded(Cycle now, Addr pc, DecodedInsn insn)
         return false;
     }
 
-    unsigned div_bits = 0;
-    if (cls == InsnClass::kDiv) {
-        const Word dividend = state_.reg(insn.rs1);
-        div_bits = 32 - std::countl_zero(dividend | 1);
-    }
+    const unsigned div_bits = dividendBits(insn);
 
     const ExecResult res = exec_.execute(insn, pc);
     if (res.trap) {
@@ -188,10 +155,7 @@ Cva6Core::issueDecoded(Cycle now, Addr pc, DecodedInsn insn)
         break;
       case InsnClass::kLoad: {
         ++stats_.memOps;
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
-        if (cacheable) {
+        if (cacheable(res.memAddr)) {
             const auto acc = dcache_.access(res.memAddr, false);
             if (acc.hit) {
                 complete = now + params_.loadHitLatency;
@@ -211,30 +175,17 @@ Cva6Core::issueDecoded(Cycle now, Addr pc, DecodedInsn insn)
       }
       case InsnClass::kStore: {
         ++stats_.memOps;
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
-        if (cacheable)
+        if (cacheable(res.memAddr))
             dcache_.access(res.memAddr, true);
         ++storeBuf_;  // drains through the bus in the background
         break;
       }
-      case InsnClass::kBranch: {
-        const unsigned idx = predictorIndex(pc);
-        std::uint8_t &ctr = predictor_[idx];
-        const bool predicted_taken = ctr >= 2;
-        if (predicted_taken != res.branchTaken) {
+      case InsnClass::kBranch:
+        if (predictor_.resolve(pc, res.branchTaken)) {
             ++stats_.branchMispredicts;
             issue_next = now + 1 + params_.mispredictPenalty;
         }
-        if (res.branchTaken) {
-            if (ctr < 3)
-                ++ctr;
-        } else if (ctr > 0) {
-            --ctr;
-        }
         break;
-      }
       case InsnClass::kJump:
         issue_next = now + (insn.op == Op::kJal ? params_.jalCycles
                                                 : params_.jalrCycles);
@@ -263,14 +214,11 @@ Cva6Core::issueDecoded(Cycle now, Addr pc, DecodedInsn insn)
 Cycle
 Cva6Core::blockRun(Cycle now, Cycle bound)
 {
-    if (blockindex_ == nullptr || mretPending_ || sleeping_ ||
-        exec_.interruptReady()) {
+    if (!blockRunOpen(mretPending_ || sleeping_))
         return 0;
-    }
 
     Cycle t = now;
-    std::uint32_t sinceBoundary = 0;
-    bool bailed = false;
+    BlockTally tally(stats_);
     while (t < bound) {
         if (t < issueReadyAt_) {
             // Committed stall cycles up to the issue boundary: the
@@ -286,26 +234,12 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
             continue;
         }
 
-        // Pre-validate before applying any cycle-t effect, so a bail
-        // leaves cycle t wholly unconsumed for the per-cycle path.
-        // Flags are re-read every word: an in-block store to text may
-        // have re-formed the very run being executed.
+        // Verify before applying any cycle-t effect, so a bail leaves
+        // cycle t wholly unconsumed for the per-cycle path.
         const Addr pc = state_.pc();
-        if (!blockindex_->covers(pc)) {
-            bailed = true;
-            break;
-        }
-        const std::uint8_t flags = blockindex_->flagsAt(pc);
-        if (flags & BlockIndex::kStop) {
-            bailed = true;
-            break;
-        }
-        const DecodedInsn &insn = predecode_->at(pc);
-        if ((flags & BlockIndex::kMem) &&
-            !blockSafeAccess(effectiveAddr(insn), accessSize(insn.op))) {
-            bailed = true;
-            break;
-        }
+        const DecodedInsn *insn = blockWord(pc);
+        if (!insn)
+            return tally.bail(t - now);
 
         // Cycle t is committed: bus-occupancy / store-buffer step,
         // exactly the top of tick(). beginCycle() substitutes for the
@@ -325,23 +259,12 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
         // attempt retires nothing and is retried next cycle, exactly
         // as tick() would.
         ++stats_.fetchPredecoded;
-        const InsnClass cls = insn.cls;
-        if (issueDecoded(t, pc, insn)) {
-            if (cls == InsnClass::kBranch || cls == InsnClass::kJump) {
-                ++stats_.blocksExecuted;
-                sinceBoundary = 0;
-            } else {
-                ++sinceBoundary;
-            }
-        }
+        const InsnClass cls = insn->cls;
+        if (issueDecoded(t, pc, *insn))
+            tally.retired(cls);
         t += 1;
     }
-
-    if (sinceBoundary > 0)
-        ++stats_.blocksExecuted;  // partial run up to the exit point
-    if (bailed)
-        ++stats_.blockFallbacks;
-    return t - now;
+    return tally.finish(t - now);
 }
 
 } // namespace rtu

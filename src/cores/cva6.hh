@@ -70,14 +70,12 @@ class Cva6Core : public Core
     CacheModel &dcache() { return dcache_; }
 
   private:
-    bool stalledByUnit(const DecodedInsn &insn) const;
     /** Fetch and issue one instruction; updates timing state. */
     void issue(Cycle now);
     /** Issue @p insn, fetched from @p pc and past the RTOSUnit stall
      *  check (by value: a store may re-decode its own word). True if
      *  it retired, false on a RAW/structural stall or a trap. */
     bool issueDecoded(Cycle now, Addr pc, DecodedInsn insn);
-    unsigned predictorIndex(Addr pc) const;
 
     Cva6Params params_;
     SharedPort &busPort_;
@@ -93,8 +91,7 @@ class Cva6Core : public Core
     Cycle busBusyUntil_ = 0;
     /** Write-through store buffer occupancy. */
     unsigned storeBuf_ = 0;
-    /** Bimodal 2-bit counters. */
-    std::vector<std::uint8_t> predictor_;
+    BimodalPredictor predictor_;
     bool sleeping_ = false;
     bool mretPending_ = false;
     Cycle mretDoneAt_ = 0;

@@ -284,9 +284,8 @@ Executor::execCsr(const DecodedInsn &d)
 void
 Executor::execCustom(const DecodedInsn &d, Addr pc)
 {
-    if (!unit_)
-        panic("custom instruction %s without an RTOSUnit at pc "
-              "0x%08x", opName(d.op), pc);
+    if (!unit_ || !unit_->implements(d.op))
+        execInvalid(d, pc);
     ArchState &s = state_;
     const Word rs1 = s.reg(d.rs1);
     const Word rs2 = s.reg(d.rs2);

@@ -38,7 +38,8 @@ class Executor
         : state_(state), mem_(mem), irq_(irq)
     {}
 
-    /** Attach the RTOSUnit (null => custom instructions are illegal). */
+    /** Attach the RTOSUnit. A custom op is an illegal instruction
+     *  with no unit, or when the unit does not implement it. */
     void setUnit(RtosUnitPort *unit) { unit_ = unit; }
     RtosUnitPort *unit() const { return unit_; }
 

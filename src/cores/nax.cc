@@ -1,9 +1,5 @@
 #include "nax.hh"
 
-#include <bit>
-
-#include "sim/memmap.hh"
-
 namespace rtu {
 
 // ---- ctxQueue port -------------------------------------------------------
@@ -98,33 +94,9 @@ NaxCore::NaxCore(const Env &env, const NaxParams &params)
     : Core(env), params_(params), dcache_(params.cache),
       cachePort_("nax-dcache-port"),
       ctxPort_(*env.mem, dcache_, cachePort_, params_),
-      rob_(params.robEntries)
+      rob_(params.robEntries), predictor_(params.predictorEntries)
 {
     rtu_assert(params_.robEntries > 0, "NaxRiscv needs a ROB entry");
-    predictor_.assign(params_.predictorEntries, 1);
-}
-
-unsigned
-NaxCore::predictorIndex(Addr pc) const
-{
-    return (pc >> 2) & (params_.predictorEntries - 1);
-}
-
-bool
-NaxCore::stalledByUnit(const DecodedInsn &insn) const
-{
-    RtosUnitPort *unit = exec_.unit();
-    if (!unit)
-        return false;
-    switch (insn.op) {
-      case Op::kSwitchRf: return unit->switchRfStall();
-      case Op::kGetHwSched: return unit->getHwSchedStall();
-      case Op::kMret: return unit->mretStall();
-      case Op::kSemTake:
-      case Op::kSemGive:
-        return unit->semOpStall();
-      default: return false;
-    }
 }
 
 Cycle
@@ -232,7 +204,7 @@ NaxCore::tick(Cycle now)
         return;
     }
 
-    for (unsigned slot = 0; slot < params_.dispatchWidth; ++slot) {
+    for (unsigned slot = 0; slot < kDispatchWidth; ++slot) {
         if (!dispatchOne(now))
             break;
     }
@@ -268,11 +240,7 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
 
     const InsnClass cls = insn.cls;
 
-    unsigned div_bits = 0;
-    if (cls == InsnClass::kDiv) {
-        const Word dividend = state_.reg(insn.rs1);
-        div_bits = 32 - std::countl_zero(dividend | 1);
-    }
+    const unsigned div_bits = dividendBits(insn);
 
     const ExecResult res = exec_.execute(insn, pc);
     if (res.trap) {
@@ -306,11 +274,8 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
         lsuFreeAt_ = start + 1;
         if (!cachePort_.claimed())
             cachePort_.claim();
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
         unsigned lat = params_.loadHitLatency;
-        if (cacheable) {
+        if (cacheable(res.memAddr)) {
             const auto acc = dcache_.access(res.memAddr, false);
             if (!acc.hit) {
                 ++stats_.cacheMisses;
@@ -334,10 +299,7 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
         lsuFreeAt_ = start + 1;
         if (!cachePort_.claimed())
             cachePort_.claim();
-        const bool cacheable = res.memAddr >= memmap::kDmemBase &&
-                               res.memAddr <
-                                   memmap::kDmemBase + memmap::kDmemSize;
-        if (cacheable) {
+        if (cacheable(res.memAddr)) {
             const auto acc = dcache_.access(res.memAddr, true);
             if (!acc.hit) {
                 ++stats_.cacheMisses;
@@ -356,20 +318,11 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
         auto &fu = aluFreeAt_[aluFreeAt_[0] <= aluFreeAt_[1] ? 0 : 1];
         fu = start + 1;
         complete = start + 1;
-        const unsigned idx = predictorIndex(pc);
-        std::uint8_t &ctr = predictor_[idx];
-        const bool predicted_taken = ctr >= 2;
-        if (predicted_taken != res.branchTaken) {
+        if (predictor_.resolve(pc, res.branchTaken)) {
             ++stats_.branchMispredicts;
             // Front-end redirect after the branch resolves.
             dispatchBlockedUntil_ = complete + params_.redirectPenalty;
             block_group = true;
-        }
-        if (res.branchTaken) {
-            if (ctr < 3)
-                ++ctr;
-        } else if (ctr > 0) {
-            --ctr;
         }
         break;
       }
@@ -409,9 +362,9 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
       }
     }
 
-    // In-order commit, up to dispatchWidth per cycle.
+    // In-order commit, up to kDispatchWidth per cycle.
     Cycle commit = std::max(complete, lastCommitAt_);
-    if (commit == lastCommitAt_ && commitsAtLast_ >= params_.dispatchWidth)
+    if (commit == lastCommitAt_ && commitsAtLast_ >= kDispatchWidth)
         commit += 1;
     if (commit == lastCommitAt_) {
         ++commitsAtLast_;
@@ -431,16 +384,11 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
 Cycle
 NaxCore::blockRun(Cycle now, Cycle bound)
 {
-    // Wider front-ends would need deeper group pre-verification than
-    // the two-slot analysis below.
-    if (blockindex_ == nullptr || params_.dispatchWidth > 2 ||
-        mretPending_ || sleeping_ || exec_.interruptReady()) {
+    if (!blockRunOpen(mretPending_ || sleeping_))
         return 0;
-    }
 
     Cycle t = now;
-    std::uint32_t sinceBoundary = 0;
-    bool bailed = false;
+    BlockTally tally(stats_);
     while (t < bound) {
         if (t < dispatchBlockedUntil_) {
             // Committed redirect/trap-shadow stall cycles: same
@@ -474,78 +422,50 @@ NaxCore::blockRun(Cycle now, Cycle bound)
 
         // ---- group pre-verification (no effects until it passes) ----
         const Addr pc0 = state_.pc();
-        if (!blockindex_->covers(pc0)) {
-            bailed = true;
-            break;
-        }
-        const std::uint8_t flags0 = blockindex_->flagsAt(pc0);
-        if (flags0 & BlockIndex::kStop) {
-            bailed = true;
-            break;
-        }
-        const DecodedInsn &insn0 = predecode_->at(pc0);
-        if ((flags0 & BlockIndex::kMem) &&
-            !blockSafeAccess(effectiveAddr(insn0), accessSize(insn0.op))) {
-            bailed = true;
-            break;
-        }
-        const InsnClass cls0 = insn0.cls;
+        const DecodedInsn *insn0 = blockWord(pc0);
+        if (!insn0)
+            return tally.bail(t - now);
+        const InsnClass cls0 = insn0->cls;
 
         // Resolve slot 0's control flow without executing it, to learn
-        // the group width and slot 1's pc.
-        bool one_wide = params_.dispatchWidth < 2;
+        // whether slot 1 dispatches this cycle and from which pc.
+        bool pair = true;
         Addr pc1 = pc0 + 4;
         if (cls0 == InsnClass::kBranch) {
             const bool taken = Executor::evalBranch(
-                insn0.op, state_.reg(insn0.rs1), state_.reg(insn0.rs2));
-            if ((predictor_[predictorIndex(pc0)] >= 2) != taken)
-                one_wide = true;  // mispredict redirects the front-end
+                insn0->op, state_.reg(insn0->rs1), state_.reg(insn0->rs2));
+            // A mispredict redirects the front-end.
+            pair = predictor_.predictsTaken(pc0) == taken;
             if (taken)
-                pc1 = pc0 + static_cast<Word>(insn0.imm);
+                pc1 = pc0 + static_cast<Word>(insn0->imm);
         } else if (cls0 == InsnClass::kJump) {
-            if (insn0.op == Op::kJal)
-                pc1 = pc0 + static_cast<Word>(insn0.imm);
+            if (insn0->op == Op::kJal)
+                pc1 = pc0 + static_cast<Word>(insn0->imm);
             else
-                one_wide = true;  // jalr resolves at execute: redirect
+                pair = false;  // jalr resolves at execute: redirect
         }
 
-        InsnClass cls1 = InsnClass::kAlu;
-        if (!one_wide) {
-            if (!blockindex_->covers(pc1)) {
-                bailed = true;
-                break;
-            }
-            const std::uint8_t flags1 = blockindex_->flagsAt(pc1);
-            if (flags1 & BlockIndex::kStop) {
-                bailed = true;
-                break;
-            }
-            const DecodedInsn &insn1 = predecode_->at(pc1);
-            if (flags1 & BlockIndex::kMem) {
-                // Slot 0's result may feed slot 1's address register;
-                // the address can't be checked before slot 0 runs.
-                if (insn0.hasRd && insn0.rd != 0 && insn1.useRs1 &&
-                    insn1.rs1 == insn0.rd) {
-                    bailed = true;
-                    break;
-                }
-                if (!blockSafeAccess(effectiveAddr(insn1),
-                                     accessSize(insn1.op))) {
-                    bailed = true;
-                    break;
-                }
+        const DecodedInsn *insn1 = nullptr;
+        if (pair) {
+            insn1 = blockWord(pc1);
+            if (!insn1)
+                return tally.bail(t - now);
+            // Slot 0's result may feed slot 1's address register: the
+            // address blockWord() checked is not the one slot 1 uses.
+            const bool mem1 = insn1->cls == InsnClass::kLoad ||
+                              insn1->cls == InsnClass::kStore;
+            if (mem1 && insn0->hasRd && insn0->rd != 0 &&
+                insn1->useRs1 && insn1->rs1 == insn0->rd) {
+                return tally.bail(t - now);
             }
             // A slot-0 store that lands on slot 1's instruction word
             // re-decodes it before the per-cycle path would fetch it;
-            // the pre-verification above would be stale.
+            // the verification above would be stale.
             if (cls0 == InsnClass::kStore) {
-                const Addr ea0 = effectiveAddr(insn0);
-                if (ea0 < pc1 + 4 && ea0 + accessSize(insn0.op) > pc1) {
-                    bailed = true;
-                    break;
-                }
+                const Addr ea0 = effectiveAddr(*insn0);
+                if (ea0 < pc1 + 4 && ea0 + accessSize(insn0->op) > pc1)
+                    return tally.bail(t - now);
             }
-            cls1 = insn1.cls;
         }
 
         // ---- dispatch, exactly tick()'s slot loop ----
@@ -553,36 +473,21 @@ NaxCore::blockRun(Cycle now, Cycle bound)
         // stall), so each dispatch that finds a free ROB entry
         // retires; the fetch is counted as dispatchOne() would.
         ++stats_.fetchPredecoded;
-        const bool cont = dispatchDecoded(t, pc0, insn0);
-        if (cls0 == InsnClass::kBranch || cls0 == InsnClass::kJump) {
-            ++stats_.blocksExecuted;
-            sinceBoundary = 0;
-        } else {
-            ++sinceBoundary;
-        }
-        if (cont && !one_wide) {
+        const bool cont = dispatchDecoded(t, pc0, *insn0);
+        tally.retired(cls0);
+        if (cont && insn1) {
             if (rob_.full()) {
                 ++stats_.stallCycles;  // slot 1 stalls, as tick() would
             } else {
+                const InsnClass cls1 = insn1->cls;
                 ++stats_.fetchPredecoded;
-                dispatchDecoded(t, pc1, predecode_->at(pc1));
-                if (cls1 == InsnClass::kBranch ||
-                    cls1 == InsnClass::kJump) {
-                    ++stats_.blocksExecuted;
-                    sinceBoundary = 0;
-                } else {
-                    ++sinceBoundary;
-                }
+                dispatchDecoded(t, pc1, *insn1);
+                tally.retired(cls1);
             }
         }
         t += 1;
     }
-
-    if (sinceBoundary > 0)
-        ++stats_.blocksExecuted;  // partial run up to the exit point
-    if (bailed)
-        ++stats_.blockFallbacks;
-    return t - now;
+    return tally.finish(t - now);
 }
 
 } // namespace rtu

@@ -35,12 +35,10 @@ namespace rtu {
 
 struct NaxParams
 {
-    unsigned dispatchWidth = 2;
     unsigned robEntries = 32;
     unsigned trapEntryPenalty = 8;
     unsigned mretPenalty = 8;
     unsigned redirectPenalty = 2;   ///< after branch resolution
-    unsigned aluCount = 2;
     unsigned mulLatency = 3;
     unsigned divBaseLatency = 4;    ///< plus one per significant bit
     unsigned loadHitLatency = 3;
@@ -179,7 +177,10 @@ class NaxCore : public Core
     UnitMemPort &ctxQueuePort() { return ctxPort_; }
 
   private:
-    bool stalledByUnit(const DecodedInsn &insn) const;
+    /** Instructions dispatched (and committed) per cycle. blockRun()'s
+     *  group verification covers exactly two slots. */
+    static constexpr unsigned kDispatchWidth = 2;
+
     /** Fetch and dispatch one instruction; false ends the group. */
     bool dispatchOne(Cycle now);
     /** Dispatch @p insn, fetched from @p pc into a free ROB entry and
@@ -187,7 +188,6 @@ class NaxCore : public Core
      *  re-decode its own word). False ends the group (redirect, mret,
      *  wfi or trap). */
     bool dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn);
-    unsigned predictorIndex(Addr pc) const;
 
     NaxParams params_;
     CacheModel dcache_;
@@ -204,7 +204,7 @@ class NaxCore : public Core
     unsigned commitsAtLast_ = 0;
     Cycle drainAt_ = 0;
     CommitRing rob_;  ///< commit cycles of in-flight insns
-    std::vector<std::uint8_t> predictor_;
+    BimodalPredictor predictor_;
     bool sleeping_ = false;
     bool mretPending_ = false;
     Cycle mretDoneAt_ = 0;

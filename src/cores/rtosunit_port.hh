@@ -12,6 +12,7 @@
 #ifndef RTU_CORES_RTOSUNIT_PORT_HH
 #define RTU_CORES_RTOSUNIT_PORT_HH
 
+#include "asm/insn.hh"
 #include "common/types.hh"
 
 namespace rtu {
@@ -20,6 +21,11 @@ class RtosUnitPort
 {
   public:
     virtual ~RtosUnitPort() = default;
+
+    /** True if this unit's configuration has custom op @p op. The
+     *  executor raises an illegal-instruction fault for any other
+     *  custom op, so the methods below only see their own ops. */
+    virtual bool implements(Op op) const = 0;
 
     // ---- custom instructions (functional semantics) ------------------
     virtual void setContextId(Word id) = 0;

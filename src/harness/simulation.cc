@@ -103,9 +103,11 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     // and worst-case block costs, kept coherent with text writes via
     // the image's invalidation listener. Only the full engine runs
     // blocks: the reference mode has no event horizon to execute them
-    // against.
+    // against. Its worst-case costs use the CV32E40P timing the core
+    // below is built with.
+    const Cv32e40pParams cv32e40p;
     if (config_.engine == EngineMode::kFull && predecode_.installed())
-        blockindex_.install(predecode_, Cv32e40pCostParams{});
+        blockindex_.install(predecode_, cv32e40p);
 
     state_.setPc(program.textBase);
     exec_.setClock(kernel_.clockPtr());
@@ -128,7 +130,7 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     NaxCore *nax = nullptr;
     switch (config_.core) {
       case CoreKind::kCv32e40p:
-        core_ = std::make_unique<Cv32e40pCore>(env);
+        core_ = std::make_unique<Cv32e40pCore>(env, cv32e40p);
         break;
       case CoreKind::kCva6:
         core_ = std::make_unique<Cva6Core>(env, busPort_);

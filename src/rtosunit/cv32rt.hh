@@ -75,6 +75,10 @@ class Cv32rtUnit : public RtosUnitPort, public Clocked
     }
 
     // ---- RtosUnitPort ---------------------------------------------------
+    /** Only SWITCH_RF, re-purposed as the drain barrier. The other
+     *  custom ops are illegal instructions under CV32RT; their methods
+     *  below panic if a caller bypasses the executor's check. */
+    bool implements(Op op) const override { return op == Op::kSwitchRf; }
     void setContextId(Word id) override;
     Word getHwSched() override;
     void addReady(Word id, Word prio) override;

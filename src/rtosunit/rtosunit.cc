@@ -44,11 +44,28 @@ RtosUnit::RtosUnit(const RtosUnitConfig &config, ArchState &state,
 
 // ---- custom instructions ----------------------------------------------
 
+bool
+RtosUnit::implements(Op op) const
+{
+    switch (op) {
+      case Op::kSetContextId: return config_.store || config_.load;
+      case Op::kSwitchRf: return config_.store;
+      case Op::kGetHwSched:
+      case Op::kAddReady:
+      case Op::kAddDelay:
+      case Op::kRmTask:
+        return config_.sched;
+      case Op::kSemTake:
+      case Op::kSemGive:
+        return config_.hwsync;
+      default:
+        return false;
+    }
+}
+
 void
 RtosUnit::setContextId(Word id)
 {
-    rtu_assert(config_.store || config_.load,
-               "SET_CONTEXT_ID requires context storing/loading");
     rtu_assert(id < memmap::kCtxMaxTasks, "task id %u out of range", id);
     currentCtxId_ = static_cast<TaskId>(id);
     if (config_.load)
@@ -58,7 +75,6 @@ RtosUnit::setContextId(Word id)
 Word
 RtosUnit::getHwSched()
 {
-    rtu_assert(config_.sched, "GET_HW_SCHED requires hardware scheduling");
     Priority prio = 0;
     const TaskId id = ready_.popHeadRoundRobin(&prio);
     currentCtxId_ = id;
@@ -72,7 +88,6 @@ RtosUnit::getHwSched()
 void
 RtosUnit::addReady(Word id, Word prio)
 {
-    rtu_assert(config_.sched, "ADD_READY requires hardware scheduling");
     rtu_assert(id < memmap::kCtxMaxTasks, "task id %u out of range", id);
     ready_.insert(static_cast<TaskId>(id), static_cast<Priority>(prio));
 }
@@ -80,14 +95,12 @@ RtosUnit::addReady(Word id, Word prio)
 void
 RtosUnit::addDelay(Word prio, Word ticks)
 {
-    rtu_assert(config_.sched, "ADD_DELAY requires hardware scheduling");
     delay_.insert(currentCtxId_, static_cast<Priority>(prio), ticks);
 }
 
 void
 RtosUnit::rmTask(Word id)
 {
-    rtu_assert(config_.sched, "RM_TASK requires hardware scheduling");
     ready_.remove(static_cast<TaskId>(id));
     delay_.remove(static_cast<TaskId>(id));
     for (HwSemaphore &s : sems_)
@@ -97,7 +110,6 @@ RtosUnit::rmTask(Word id)
 void
 RtosUnit::switchRf()
 {
-    rtu_assert(config_.store, "SWITCH_RF requires context storing");
     rtu_assert(!storeActive_, "SWITCH_RF executed while the store FSM "
                "is draining (stall logic failed)");
     state_.setActiveBank(ArchState::kAppBank);
@@ -108,7 +120,6 @@ RtosUnit::switchRf()
 Word
 RtosUnit::semTake(Word sem_id)
 {
-    rtu_assert(config_.hwsync, "SEM_TAKE without the +HS extension");
     rtu_assert(sem_id < sems_.size(), "semaphore id %u out of range",
                sem_id);
     HwSemaphore &s = sems_[sem_id];
@@ -130,7 +141,6 @@ RtosUnit::semTake(Word sem_id)
 Word
 RtosUnit::semGive(Word sem_id)
 {
-    rtu_assert(config_.hwsync, "SEM_GIVE without the +HS extension");
     rtu_assert(sem_id < sems_.size(), "semaphore id %u out of range",
                sem_id);
     HwSemaphore &s = sems_[sem_id];

@@ -107,6 +107,7 @@ class RtosUnit : public RtosUnitPort, public Clocked
     }
 
     // ---- RtosUnitPort -------------------------------------------------
+    bool implements(Op op) const override;
     void setContextId(Word id) override;
     Word getHwSched() override;
     void addReady(Word id, Word prio) override;

@@ -83,7 +83,7 @@ BlockIndex::recomputeSummary(std::size_t i)
 }
 
 void
-BlockIndex::install(PredecodedImage &image, const Cv32e40pCostParams &cost)
+BlockIndex::install(PredecodedImage &image, const Cv32e40pParams &cost)
 {
     rtu_assert(image.installed(), "BlockIndex over an empty image");
     image_ = &image;

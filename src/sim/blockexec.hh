@@ -43,13 +43,23 @@
 
 namespace rtu {
 
-struct Cv32e40pCostParams
+/**
+ * CV32E40P timing parameters. They live here, below the cores, because
+ * the block index precomputes worst-case CV32E40P block costs from the
+ * same values the core charges; the WCET analyzer reads them too.
+ */
+struct Cv32e40pParams
 {
-    unsigned takenBranchCycles = 3;
+    unsigned trapEntryCycles = 4;   ///< constant interrupt entry
+    unsigned mretCycles = 5;        ///< pipeline refill on return
+    unsigned takenBranchCycles = 3; ///< branch resolved in EX
     unsigned jumpCycles = 2;
     unsigned loadUseStall = 1;
-    unsigned divBaseCycles = 3;  ///< plus up to 32 significant bits
+    unsigned divBaseCycles = 3;     ///< plus one per significant bit
 };
+
+/** The parameters a BlockIndex costs its blocks with. */
+using Cv32e40pCostParams = Cv32e40pParams;
 
 class BlockIndex : public PredecodeListener
 {
@@ -79,7 +89,7 @@ class BlockIndex : public PredecodeListener
      * subscribe to its invalidations. @p cost parameterizes the static
      * CV32E40P worst-case block costs.
      */
-    void install(PredecodedImage &image, const Cv32e40pCostParams &cost);
+    void install(PredecodedImage &image, const Cv32e40pParams &cost);
 
     bool installed() const { return !flags_.empty(); }
 
@@ -132,7 +142,7 @@ class BlockIndex : public PredecodeListener
     bool recomputeSummary(std::size_t i);
 
     const PredecodedImage *image_ = nullptr;
-    Cv32e40pCostParams cost_;
+    Cv32e40pParams cost_;
     Addr base_ = 0;
     Addr size_ = 0;  ///< bytes covered
     std::vector<std::uint8_t> flags_;

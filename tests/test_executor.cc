@@ -308,9 +308,10 @@ TEST(ArchStateBanks, OnlyAppBankWritesSetDirtyBitsAcrossToggles)
     EXPECT_EQ(state.bankReg(ArchState::kIsrBank, A2), 0u);
 }
 
-TEST_F(ExecutorTest, CustomInsnWithoutUnitPanics)
+TEST_F(ExecutorTest, CustomInsnWithoutUnitIsIllegal)
 {
-    EXPECT_DEATH(run(Op::kSwitchRf, 0, 0, 0, 0), "without an RTOSUnit");
+    // A guest fault ends the run; it does not take down the host.
+    EXPECT_THROW(run(Op::kSwitchRf, 0, 0, 0, 0), GuestFault);
 }
 
 } // namespace
