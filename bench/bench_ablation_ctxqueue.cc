@@ -66,9 +66,7 @@ main(int argc, char **argv)
                 "(measured knee at 8: %.1f cycles)\n", at8);
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
+        std::ofstream os = openFlagFile(out_path, "--out");
         writeResultsHeaderJsonl(os, "ablation_ctxqueue");
         writeResultsJsonl(os, results);
         std::printf("results: %s (%zu points)\n", out_path.c_str(),

@@ -74,9 +74,7 @@ main(int argc, char **argv)
                 "is latency-optimal, matching the paper's choice.\n");
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
+        std::ofstream os = openFlagFile(out_path, "--out");
         writeResultsHeaderJsonl(os, "ablation_lists");
         writeResultsJsonl(os, results);
         std::printf("results: %s (%zu points)\n", out_path.c_str(),

@@ -24,7 +24,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -95,18 +94,9 @@ main(int argc, char **argv)
                    "skip the static WCET objective");
     parser.parse(argc, argv);
 
-    if (!cores_arg.empty()) {
-        spec.cores.clear();
-        for (const std::string &n : splitList(cores_arg))
-            spec.cores.push_back(coreKindFromName(n));
-    }
-    if (!configs_arg.empty()) {
-        spec.units.clear();
-        for (const std::string &n : splitList(configs_arg))
-            spec.units.push_back(RtosUnitConfig::fromName(n));
-    }
-    if (!workloads_arg.empty())
-        spec.workloads = splitList(workloads_arg);
+    parseGridFlag(cores_arg, &spec.cores);
+    parseGridFlag(configs_arg, &spec.units);
+    parseGridFlag(workloads_arg, &spec.workloads);
     if (!objectives_arg.empty()) {
         objectives.clear();
         for (const std::string &n : splitList(objectives_arg))
@@ -204,16 +194,12 @@ main(int argc, char **argv)
     }
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
+        std::ofstream os = openFlagFile(out_path, "--out");
         writeExploreJson(os, spec, evals, objectives, stats, best);
         std::printf("\njson: %s\n", out_path.c_str());
     }
     if (!md_path.empty()) {
-        std::ofstream os(md_path);
-        if (!os)
-            fatal("cannot open --md file '%s'", md_path.c_str());
+        std::ofstream os = openFlagFile(md_path, "--md");
         os << md.str();
         std::printf("markdown: %s\n", md_path.c_str());
     }

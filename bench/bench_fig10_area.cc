@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -33,9 +32,8 @@ main(int argc, char **argv)
 
     std::ofstream os;
     if (!out_path.empty()) {
-        os.open(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
+        os = openFlagFile(out_path, "--out");
+        writeSchemaHeader(os, "fig10_area", 1);
     }
 
     std::printf("Figure 10: normalized ASIC area w.r.t. each core's "
@@ -58,15 +56,14 @@ main(int argc, char **argv)
                 }
             }
             if (os.is_open()) {
-                char buf[256];
-                std::snprintf(buf, sizeof(buf),
-                              "{\"core\":\"%s\",\"config\":\"%s\","
-                              "\"norm\":%.6f,\"area_mm2\":%.6f,"
-                              "\"total_ge\":%.1f}\n",
-                              coreKindName(core),
-                              jsonEscape(cfg.name()).c_str(),
-                              a.normalized, a.areaMm2, a.totalGE);
-                os << buf;
+                std::string line;
+                JsonWriter(line).beginObject()
+                    .str("core", coreKindName(core))
+                    .str("config", cfg.name())
+                    .fixed("norm", a.normalized, "%.6f")
+                    .fixed("area_mm2", a.areaMm2, "%.6f")
+                    .fixed("total_ge", a.totalGE, "%.1f").endObject();
+                os << line << '\n';
             }
         }
     }

@@ -6,7 +6,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -28,9 +27,8 @@ main(int argc, char **argv)
 
     std::ofstream os;
     if (!out_path.empty()) {
-        os.open(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
+        os = openFlagFile(out_path, "--out");
+        writeSchemaHeader(os, "fig11_fmax", 1);
     }
 
     std::printf("Figure 11: ASIC f_max under RTOSUnit "
@@ -51,14 +49,14 @@ main(int argc, char **argv)
             std::printf("  %5.2f (%+4.0f%%)", f,
                         100.0 * (f / base - 1.0));
             if (os.is_open()) {
-                char buf[256];
-                std::snprintf(buf, sizeof(buf),
-                              "{\"core\":\"%s\",\"config\":\"%s\","
-                              "\"fmax_ghz\":%.6f,\"delta_pct\":%.3f}\n",
-                              coreKindName(core),
-                              jsonEscape(cfg.name()).c_str(), f,
-                              100.0 * (f / base - 1.0));
-                os << buf;
+                std::string line;
+                JsonWriter(line).beginObject()
+                    .str("core", coreKindName(core))
+                    .str("config", cfg.name())
+                    .fixed("fmax_ghz", f, "%.6f")
+                    .fixed("delta_pct", 100.0 * (f / base - 1.0), "%.3f")
+                    .endObject();
+                os << line << '\n';
             }
         }
         std::printf("\n");

@@ -84,9 +84,8 @@ main(int argc, char **argv)
                 "(CVA6), +13%% (NaxRiscv, CV32RT highest there)\n");
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
+        std::ofstream os = openFlagFile(out_path, "--out");
+        writeResultsHeaderJsonl(os, "fig13_power");
         writeResultsJsonl(os, results);
         std::printf("results: %s (%zu points)\n", out_path.c_str(),
                     results.size());

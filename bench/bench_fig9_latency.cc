@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/argparse.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sweep/sweep.hh"
 #include "workloads/workloads.hh"
@@ -138,18 +139,15 @@ main(int argc, char **argv)
     }
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
+        std::ofstream os = openFlagFile(out_path, "--out");
         writeResultsHeaderJsonl(os, "fig9_latency");
         writeResultsJsonl(os, results, include_timing);
         std::printf("\nresults: %s (%zu points)\n", out_path.c_str(),
                     results.size());
     }
     if (capture_trace) {
-        std::ofstream os(trace_path);
-        if (!os)
-            fatal("cannot open --trace file '%s'", trace_path.c_str());
+        std::ofstream os = openFlagFile(trace_path, "--trace");
+        writeSchemaHeader(os, "fig9_trace", kTraceSchema);
         writeTraceJsonl(os, results);
         std::printf("trace:   %s\n", trace_path.c_str());
     }

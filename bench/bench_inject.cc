@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/argparse.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "inject/campaign.hh"
 #include "inject/fault.hh"
@@ -230,11 +231,9 @@ main(int argc, char **argv)
     }
 
     SweepSpec spec;
-    for (const std::string &c : splitList(cores_arg))
-        spec.cores.push_back(coreKindFromName(c));
-    for (const std::string &c : splitList(configs_arg))
-        spec.units.push_back(RtosUnitConfig::fromName(c));
-    spec.workloads = splitList(workloads_arg);
+    parseGridFlag(cores_arg, &spec.cores);
+    parseGridFlag(configs_arg, &spec.units);
+    parseGridFlag(workloads_arg, &spec.workloads);
     spec.iterations = iterations;
     spec.timerPeriods = {timer_period};
 
@@ -252,9 +251,8 @@ main(int argc, char **argv)
 
     const CampaignResult res = runCampaign(cs, runner);
 
-    std::ofstream out(out_path);
-    if (!out)
-        fatal("cannot open '%s'", out_path.c_str());
+    std::ofstream out = openFlagFile(out_path, "--out");
+    writeSchemaHeader(out, "inject", kCampaignSchema);
     writeCampaignJsonl(out, cs, res);
     printSummary(res);
 

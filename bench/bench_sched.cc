@@ -38,6 +38,7 @@
 #include "common/argparse.hh"
 #include "common/logging.hh"
 #include "sched/campaign.hh"
+#include "sweep/sweep.hh"
 
 using namespace rtu;
 
@@ -112,16 +113,8 @@ main(int argc, char **argv)
     spec.threads = threads;
     spec.simulate = !no_sim;
     spec.lower.timerPeriodCycles = timer_period;
-    if (!cores_arg.empty()) {
-        spec.cores.clear();
-        for (const std::string &n : splitList(cores_arg))
-            spec.cores.push_back(coreKindFromName(n));
-    }
-    if (!configs_arg.empty()) {
-        spec.configs.clear();
-        for (const std::string &n : splitList(configs_arg))
-            spec.configs.push_back(RtosUnitConfig::fromName(n));
-    }
+    parseGridFlag(cores_arg, &spec.cores);
+    parseGridFlag(configs_arg, &spec.configs);
     if (!util_arg.empty())
         spec.utilGrid = parseUtilGrid(util_arg);
 
@@ -146,9 +139,7 @@ main(int argc, char **argv)
                         : "");
     }
 
-    std::ofstream os(out_path);
-    if (!os)
-        fatal("cannot open --out file '%s'", out_path.c_str());
+    std::ofstream os = openFlagFile(out_path, "--out");
     writeSchedJsonl(os, spec, result);
     std::printf("jsonl: %s (%zu points)\n", out_path.c_str(),
                 result.points.size());

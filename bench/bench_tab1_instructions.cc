@@ -77,17 +77,18 @@ main(int argc, char **argv)
     }
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        if (!os)
-            fatal("cannot open --out file '%s'", out_path.c_str());
-        os << "{\"schema\":1,\"bench\":\"tab1_instructions\"}\n";
+        std::ofstream os = openFlagFile(out_path, "--out");
+        writeSchemaHeader(os, "tab1_instructions", 1);
         for (const Row &r : rows) {
             const Word enc = encode(r.op, A0, A1, A2, 0);
-            os << "{\"name\":\"" << jsonEscape(r.name)
-               << "\",\"description\":\"" << jsonEscape(r.desc)
-               << "\",\"required_for\":\"" << jsonEscape(r.requiredFor)
-               << "\",\"extension\":" << (r.extension ? "true" : "false")
-               << ",\"encoding\":" << enc << "}\n";
+            std::string line;
+            JsonWriter(line).beginObject()
+                .str("name", r.name)
+                .str("description", r.desc)
+                .str("required_for", r.requiredFor)
+                .boolean("extension", r.extension)
+                .num("encoding", enc).endObject();
+            os << line << '\n';
         }
         std::printf("\nresults: %s\n", out_path.c_str());
     }

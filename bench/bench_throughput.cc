@@ -44,12 +44,9 @@
  * regime instead.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,30 +68,62 @@ struct PointReport
     RunThroughput nopre;    ///< fast-forward, predecoded image off
     RunThroughput noblock;  ///< fast-forward, block execution off
     Cycle cycles = 0;
-    std::uint64_t instret = 0;
-    std::uint64_t fetchPredecoded = 0;
-    std::uint64_t fetchSlowPath = 0;
-    std::uint64_t textInvalidations = 0;
-    std::uint64_t blocksExecuted = 0;
-    std::uint64_t blockFallbacks = 0;
-    std::uint64_t blockInvalidations = 0;
+    CoreStats stats;        ///< core counters of the fast-forward run
     bool traceIdentical = false;
     bool ok = false;
 };
 
+/** @p num / @p den, or 0 when @p den is not positive. */
 double
-mips(std::uint64_t instret, double seconds)
+ratio(double num, double den)
 {
-    return seconds > 0.0
-               ? static_cast<double>(instret) / seconds / 1e6
-               : 0.0;
+    return den > 0.0 ? num / den : 0.0;
 }
 
 double
-skipRatio(std::uint64_t skipped, std::uint64_t ticked)
+mips(std::uint64_t instret, double seconds)
 {
-    const double total = static_cast<double>(skipped + ticked);
-    return total > 0.0 ? static_cast<double>(skipped) / total : 0.0;
+    return ratio(static_cast<double>(instret), seconds) / 1e6;
+}
+
+/** Cycle and wall-time sums over a set of points. Block-executed
+ *  cycles count as executed (not skipped) in the skip ratio, so the
+ *  ratio is comparable with and without the block fast path. */
+struct Totals
+{
+    std::uint64_t ticked = 0, skipped = 0, instret = 0;
+    double refWall = 0, ffWall = 0, nopreWall = 0, noblockWall = 0;
+
+    void
+    add(const PointReport &r)
+    {
+        ticked += r.ff.cyclesTicked + r.ff.cyclesBlockExecuted;
+        skipped += r.ff.cyclesSkipped;
+        instret += r.stats.instret;
+        refWall += r.ref.wallSeconds;
+        ffWall += r.ff.wallSeconds;
+        nopreWall += r.nopre.wallSeconds;
+        noblockWall += r.noblock.wallSeconds;
+    }
+
+    double
+    skipRatio() const
+    {
+        return ratio(static_cast<double>(skipped),
+                     static_cast<double>(skipped + ticked));
+    }
+    double speedup() const { return ratio(refWall, ffWall); }
+    double predecodeSpeedup() const { return ratio(nopreWall, ffWall); }
+    double blockSpeedup() const { return ratio(noblockWall, ffWall); }
+};
+
+/** The speedup fields each level of the report carries. */
+void
+writeSpeedups(JsonWriter &w, const Totals &t)
+{
+    w.fixed("speedup", t.speedup(), "%.3f")
+        .fixed("predecode_speedup", t.predecodeSpeedup(), "%.3f")
+        .fixed("block_speedup", t.blockSpeedup(), "%.3f");
 }
 
 } // namespace
@@ -106,7 +135,8 @@ main(int argc, char **argv)
 
     std::vector<CoreKind> cores = {CoreKind::kCv32e40p, CoreKind::kCva6,
                                    CoreKind::kNax};
-    std::vector<std::string> configs = {"vanilla", "SLT"};
+    std::vector<RtosUnitConfig> configs = {
+        RtosUnitConfig::vanilla(), RtosUnitConfig::fromName("SLT")};
     std::vector<std::string> workloads = {"delay_wake", "sem_pingpong",
                                           "round_robin"};
     unsigned iterations = 20;
@@ -141,15 +171,9 @@ main(int argc, char **argv)
                      "fail when the overall block-exec speedup is lower");
     parser.parse(argc, argv);
 
-    if (!cores_arg.empty()) {
-        cores.clear();
-        for (const std::string &n : splitList(cores_arg))
-            cores.push_back(coreKindFromName(n));
-    }
-    if (!configs_arg.empty())
-        configs = splitList(configs_arg);
-    if (!workloads_arg.empty())
-        workloads = splitList(workloads_arg);
+    parseGridFlag(cores_arg, &cores);
+    parseGridFlag(configs_arg, &configs);
+    parseGridFlag(workloads_arg, &workloads);
     if (cores.empty() || configs.empty() || workloads.empty())
         fatal("need at least one core, config and workload");
     if (repeats == 0)
@@ -163,11 +187,11 @@ main(int argc, char **argv)
                 "ref-ms", "nopre-ms", "noblk-ms", "ff-ms", "speedup",
                 "pre-spd", "blk-spd");
     for (CoreKind core : cores) {
-        for (const std::string &cfg : configs) {
+        for (const RtosUnitConfig &cfg : configs) {
             for (const std::string &w : workloads) {
                 SweepPoint p;
                 p.core = core;
-                p.unit = RtosUnitConfig::fromName(cfg);
+                p.unit = cfg;
                 p.workload = w;
                 p.iterations = iterations;
                 p.timerPeriodCycles = timer_period;
@@ -199,15 +223,7 @@ main(int argc, char **argv)
                 r.noblock = noblock.run.throughput;
                 r.ff = ff.run.throughput;
                 r.cycles = ff.run.cycles;
-                r.instret = ff.run.coreStats.instret;
-                r.fetchPredecoded = ff.run.coreStats.fetchPredecoded;
-                r.fetchSlowPath = ff.run.coreStats.fetchSlowPath;
-                r.textInvalidations =
-                    ff.run.coreStats.textInvalidations;
-                r.blocksExecuted = ff.run.coreStats.blocksExecuted;
-                r.blockFallbacks = ff.run.coreStats.blockFallbacks;
-                r.blockInvalidations =
-                    ff.run.coreStats.blockInvalidations;
+                r.stats = ff.run.coreStats;
                 r.traceIdentical =
                     ff.trace == ref.trace && ff.trace == nopre.trace &&
                     ff.trace == noblock.trace &&
@@ -222,170 +238,96 @@ main(int argc, char **argv)
                 allIdentical = allIdentical && r.traceIdentical;
                 reports.push_back(r);
 
-                const double speedup =
-                    r.ff.wallSeconds > 0.0
-                        ? r.ref.wallSeconds / r.ff.wallSeconds
-                        : 0.0;
-                const double preSpeedup =
-                    r.ff.wallSeconds > 0.0
-                        ? r.nopre.wallSeconds / r.ff.wallSeconds
-                        : 0.0;
-                const double blkSpeedup =
-                    r.ff.wallSeconds > 0.0
-                        ? r.noblock.wallSeconds / r.ff.wallSeconds
-                        : 0.0;
+                Totals t;
+                t.add(r);
                 std::printf(
                     "%-9s %-8s %-16s %12llu %9.1f%% %9.2f %9.2f %9.2f "
                     "%9.2f %7.2fx %7.2fx %7.2fx%s\n",
-                    coreKindName(core), cfg.c_str(), w.c_str(),
+                    coreKindName(core), cfg.name().c_str(), w.c_str(),
                     static_cast<unsigned long long>(r.cycles),
-                    100.0 * skipRatio(r.ff.cyclesSkipped,
-                                      r.ff.cyclesTicked +
-                                          r.ff.cyclesBlockExecuted),
-                    r.ref.wallSeconds * 1e3, r.nopre.wallSeconds * 1e3,
-                    r.noblock.wallSeconds * 1e3,
-                    r.ff.wallSeconds * 1e3, speedup, preSpeedup,
-                    blkSpeedup,
+                    100.0 * t.skipRatio(), r.ref.wallSeconds * 1e3,
+                    r.nopre.wallSeconds * 1e3, r.noblock.wallSeconds * 1e3,
+                    r.ff.wallSeconds * 1e3, t.speedup(),
+                    t.predecodeSpeedup(), t.blockSpeedup(),
                     r.traceIdentical ? "" : "  TRACE MISMATCH");
             }
         }
     }
 
-    // Aggregates: per core and overall. Block-executed cycles count
-    // as executed (not skipped) in the skip ratio, so the ratio is
-    // comparable with and without the block fast path.
-    std::uint64_t totTicked = 0, totSkipped = 0, totInstret = 0;
-    double totRefWall = 0, totFfWall = 0, totNopreWall = 0,
-           totNoblockWall = 0;
-    std::ostringstream perCore;
-    for (size_t ci = 0; ci < cores.size(); ++ci) {
-        std::uint64_t ticked = 0, skipped = 0, instret = 0;
-        double refWall = 0, ffWall = 0, nopreWall = 0, noblockWall = 0;
-        for (const PointReport &r : reports) {
-            if (r.point.core != cores[ci])
-                continue;
-            ticked += r.ff.cyclesTicked + r.ff.cyclesBlockExecuted;
-            skipped += r.ff.cyclesSkipped;
-            instret += r.instret;
-            refWall += r.ref.wallSeconds;
-            ffWall += r.ff.wallSeconds;
-            nopreWall += r.nopre.wallSeconds;
-            noblockWall += r.noblock.wallSeconds;
-        }
-        perCore << (ci ? "," : "") << "{\"core\":\""
-                << jsonEscape(coreKindName(cores[ci]))
-                << "\",\"skip_ratio\":"
-                << csprintf("%.4f", skipRatio(skipped, ticked))
-                << ",\"ff_mips\":" << csprintf("%.3f", mips(instret,
-                                                            ffWall))
-                << ",\"speedup\":"
-                << csprintf("%.3f",
-                            ffWall > 0.0 ? refWall / ffWall : 0.0)
-                << ",\"predecode_speedup\":"
-                << csprintf("%.3f",
-                            ffWall > 0.0 ? nopreWall / ffWall : 0.0)
-                << ",\"block_speedup\":"
-                << csprintf("%.3f",
-                            ffWall > 0.0 ? noblockWall / ffWall : 0.0)
-                << "}";
-        totTicked += ticked;
-        totSkipped += skipped;
-        totInstret += instret;
-        totRefWall += refWall;
-        totFfWall += ffWall;
-        totNopreWall += nopreWall;
-        totNoblockWall += noblockWall;
+    std::string json;
+    JsonWriter w(json);
+    w.beginObject()
+        .num("schema", 2)
+        .num("iterations", iterations)
+        .num("timer_period", timer_period)
+        .num("repeats", repeats)
+        .beginArray("results");
+    Totals all;
+    for (const PointReport &r : reports) {
+        Totals t;
+        t.add(r);
+        all.add(r);
+        w.beginObject()
+            .str("core", coreKindName(r.point.core))
+            .str("config", r.point.unit.name())
+            .str("workload", r.point.workload)
+            .boolean("ok", r.ok)
+            .boolean("trace_identical", r.traceIdentical)
+            .num("cycles", r.cycles)
+            .num("cycles_ticked", r.ff.cyclesTicked)
+            .num("cycles_skipped", r.ff.cyclesSkipped)
+            .num("cycles_block_executed", r.ff.cyclesBlockExecuted)
+            .num("stride_skips", r.ff.strideSkips)
+            .num("block_runs", r.ff.blockRuns)
+            .fixed("skip_ratio", t.skipRatio(), "%.4f")
+            .num("fetch_predecoded", r.stats.fetchPredecoded)
+            .num("fetch_slow_path", r.stats.fetchSlowPath)
+            .num("text_invalidations", r.stats.textInvalidations)
+            .num("blocks_executed", r.stats.blocksExecuted)
+            .num("block_fallbacks", r.stats.blockFallbacks)
+            .num("block_invalidations", r.stats.blockInvalidations)
+            .fixed("ref_wall_ms", r.ref.wallSeconds * 1e3, "%.3f")
+            .fixed("nopre_wall_ms", r.nopre.wallSeconds * 1e3, "%.3f")
+            .fixed("noblock_wall_ms", r.noblock.wallSeconds * 1e3, "%.3f")
+            .fixed("ff_wall_ms", r.ff.wallSeconds * 1e3, "%.3f")
+            .fixed("ref_mips", mips(t.instret, t.refWall), "%.3f")
+            .fixed("nopre_mips", mips(t.instret, t.nopreWall), "%.3f")
+            .fixed("noblock_mips", mips(t.instret, t.noblockWall), "%.3f")
+            .fixed("ff_mips", mips(t.instret, t.ffWall), "%.3f");
+        writeSpeedups(w, t);
+        w.endObject();
     }
+    w.endArray().beginArray("per_core");
+    for (CoreKind core : cores) {
+        Totals t;
+        for (const PointReport &r : reports) {
+            if (r.point.core == core)
+                t.add(r);
+        }
+        w.beginObject()
+            .str("core", coreKindName(core))
+            .fixed("skip_ratio", t.skipRatio(), "%.4f")
+            .fixed("ff_mips", mips(t.instret, t.ffWall), "%.3f");
+        writeSpeedups(w, t);
+        w.endObject();
+    }
+    w.endArray()
+        .beginObject("overall")
+        .fixed("skip_ratio", all.skipRatio(), "%.4f");
+    writeSpeedups(w, all);
+    w.endObject().endObject();
+    std::ofstream os = openFlagFile(out_path, "--out");
+    os << json << '\n';
 
-    const double overallSkip = skipRatio(totSkipped, totTicked);
-    const double overallSpeedup =
-        totFfWall > 0.0 ? totRefWall / totFfWall : 0.0;
-    const double overallPreSpeedup =
-        totFfWall > 0.0 ? totNopreWall / totFfWall : 0.0;
-    const double overallBlkSpeedup =
-        totFfWall > 0.0 ? totNoblockWall / totFfWall : 0.0;
     std::printf("\noverall: skip ratio %.1f%%, speedup %.2fx, "
                 "predecode speedup %.2fx, block speedup %.2fx, "
                 "%.2f MIPS (noblock %.2f, nopre %.2f, ref %.2f)\n",
-                100.0 * overallSkip, overallSpeedup, overallPreSpeedup,
-                overallBlkSpeedup,
-                mips(totInstret, totFfWall),
-                mips(totInstret, totNoblockWall),
-                mips(totInstret, totNopreWall),
-                mips(totInstret, totRefWall));
-
-    std::ofstream os(out_path);
-    if (!os)
-        fatal("cannot open --out file '%s'", out_path.c_str());
-    os << "{\"schema\":2,\"iterations\":" << iterations
-       << ",\"timer_period\":" << timer_period
-       << ",\"repeats\":" << repeats << ",\"results\":[";
-    for (size_t i = 0; i < reports.size(); ++i) {
-        const PointReport &r = reports[i];
-        os << (i ? "," : "") << "{\"core\":\""
-           << jsonEscape(coreKindName(r.point.core)) << "\",\"config\":\""
-           << jsonEscape(r.point.unit.name()) << "\",\"workload\":\""
-           << jsonEscape(r.point.workload)
-           << "\",\"ok\":" << (r.ok ? "true" : "false")
-           << ",\"trace_identical\":"
-           << (r.traceIdentical ? "true" : "false")
-           << ",\"cycles\":" << r.cycles
-           << ",\"cycles_ticked\":" << r.ff.cyclesTicked
-           << ",\"cycles_skipped\":" << r.ff.cyclesSkipped
-           << ",\"cycles_block_executed\":" << r.ff.cyclesBlockExecuted
-           << ",\"stride_skips\":" << r.ff.strideSkips
-           << ",\"block_runs\":" << r.ff.blockRuns
-           << ",\"skip_ratio\":"
-           << csprintf("%.4f",
-                       skipRatio(r.ff.cyclesSkipped,
-                                 r.ff.cyclesTicked +
-                                     r.ff.cyclesBlockExecuted))
-           << ",\"fetch_predecoded\":" << r.fetchPredecoded
-           << ",\"fetch_slow_path\":" << r.fetchSlowPath
-           << ",\"text_invalidations\":" << r.textInvalidations
-           << ",\"blocks_executed\":" << r.blocksExecuted
-           << ",\"block_fallbacks\":" << r.blockFallbacks
-           << ",\"block_invalidations\":" << r.blockInvalidations
-           << ",\"ref_wall_ms\":"
-           << csprintf("%.3f", r.ref.wallSeconds * 1e3)
-           << ",\"nopre_wall_ms\":"
-           << csprintf("%.3f", r.nopre.wallSeconds * 1e3)
-           << ",\"noblock_wall_ms\":"
-           << csprintf("%.3f", r.noblock.wallSeconds * 1e3)
-           << ",\"ff_wall_ms\":"
-           << csprintf("%.3f", r.ff.wallSeconds * 1e3)
-           << ",\"ref_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.ref.wallSeconds))
-           << ",\"nopre_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.nopre.wallSeconds))
-           << ",\"noblock_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.noblock.wallSeconds))
-           << ",\"ff_mips\":"
-           << csprintf("%.3f", mips(r.instret, r.ff.wallSeconds))
-           << ",\"speedup\":"
-           << csprintf("%.3f", r.ff.wallSeconds > 0.0
-                                   ? r.ref.wallSeconds / r.ff.wallSeconds
-                                   : 0.0)
-           << ",\"predecode_speedup\":"
-           << csprintf("%.3f",
-                       r.ff.wallSeconds > 0.0
-                           ? r.nopre.wallSeconds / r.ff.wallSeconds
-                           : 0.0)
-           << ",\"block_speedup\":"
-           << csprintf("%.3f",
-                       r.ff.wallSeconds > 0.0
-                           ? r.noblock.wallSeconds / r.ff.wallSeconds
-                           : 0.0)
-           << "}";
-    }
-    os << "],\"per_core\":[" << perCore.str() << "]"
-       << ",\"overall\":{\"skip_ratio\":"
-       << csprintf("%.4f", overallSkip)
-       << ",\"speedup\":" << csprintf("%.3f", overallSpeedup)
-       << ",\"predecode_speedup\":"
-       << csprintf("%.3f", overallPreSpeedup)
-       << ",\"block_speedup\":"
-       << csprintf("%.3f", overallBlkSpeedup) << "}}\n";
+                100.0 * all.skipRatio(), all.speedup(),
+                all.predecodeSpeedup(), all.blockSpeedup(),
+                mips(all.instret, all.ffWall),
+                mips(all.instret, all.noblockWall),
+                mips(all.instret, all.nopreWall),
+                mips(all.instret, all.refWall));
     std::printf("json: %s\n", out_path.c_str());
 
     if (!allIdentical) {
@@ -393,26 +335,27 @@ main(int argc, char **argv)
                              "differ\n");
         return 1;
     }
-    if (min_skip_ratio > 0.0 && overallSkip < min_skip_ratio) {
+    if (min_skip_ratio > 0.0 && all.skipRatio() < min_skip_ratio) {
         std::fprintf(stderr,
                      "FAIL: overall skip ratio %.4f below the "
                      "--min-skip-ratio floor %.4f\n",
-                     overallSkip, min_skip_ratio);
+                     all.skipRatio(), min_skip_ratio);
         return 1;
     }
     if (min_predecode_speedup > 0.0 &&
-        overallPreSpeedup < min_predecode_speedup) {
+        all.predecodeSpeedup() < min_predecode_speedup) {
         std::fprintf(stderr,
                      "FAIL: overall predecode speedup %.3f below the "
                      "--min-predecode-speedup floor %.3f\n",
-                     overallPreSpeedup, min_predecode_speedup);
+                     all.predecodeSpeedup(), min_predecode_speedup);
         return 1;
     }
-    if (min_block_speedup > 0.0 && overallBlkSpeedup < min_block_speedup) {
+    if (min_block_speedup > 0.0 &&
+        all.blockSpeedup() < min_block_speedup) {
         std::fprintf(stderr,
                      "FAIL: overall block-exec speedup %.3f below the "
                      "--min-block-speedup floor %.3f\n",
-                     overallBlkSpeedup, min_block_speedup);
+                     all.blockSpeedup(), min_block_speedup);
         return 1;
     }
     return 0;

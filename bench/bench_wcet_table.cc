@@ -44,10 +44,8 @@ main(int argc, char **argv)
 
     std::ofstream out;
     if (!out_path.empty()) {
-        out.open(out_path);
-        if (!out)
-            fatal("cannot open --out file '%s'", out_path.c_str());
-        out << "{\"schema\":1,\"bench\":\"wcet_table\"}\n";
+        out = openFlagFile(out_path, "--out");
+        writeSchemaHeader(out, "wcet_table", 1);
     }
     std::printf("Worst-case context-switch latency, CV32E40P "
                 "(8 delayed tasks, 8-entry lists)\n\n");
@@ -100,20 +98,19 @@ main(int argc, char **argv)
                     m.empty() ? 0.0 : m.mean(), m.empty() ? 0.0 : m.max());
 
         if (out.is_open()) {
-            char mean[32], mx[32];
-            std::snprintf(mean, sizeof(mean), "%.3f",
-                          m.empty() ? 0.0 : m.mean());
-            std::snprintf(mx, sizeof(mx), "%.0f",
-                          m.empty() ? 0.0 : m.max());
-            out << "{\"config\":\"" << jsonEscape(name)
-                << "\",\"wcet_cycles\":" << res.totalCycles
-                << ",\"wcet_inferred\":" << inf.totalCycles
-                << ",\"sw_cycles\":" << res.softwareCycles
-                << ",\"hw_cycles\":" << res.hardwareCycles
-                << ",\"path_insns\":" << res.pathInsns
-                << ",\"path_mem_ops\":" << res.pathMemOps
-                << ",\"measured_mean\":" << mean
-                << ",\"measured_max\":" << mx << "}\n";
+            std::string line;
+            JsonWriter(line).beginObject()
+                .str("config", name)
+                .num("wcet_cycles", res.totalCycles)
+                .num("wcet_inferred", inf.totalCycles)
+                .num("sw_cycles", res.softwareCycles)
+                .num("hw_cycles", res.hardwareCycles)
+                .num("path_insns", res.pathInsns)
+                .num("path_mem_ops", res.pathMemOps)
+                .fixed("measured_mean", m.empty() ? 0.0 : m.mean(), "%.3f")
+                .fixed("measured_max", m.empty() ? 0.0 : m.max(), "%.0f")
+                .endObject();
+            out << line << '\n';
         }
     }
     std::printf("\npaper (CV32E40P): vanilla 1649, SL 1442, T 202, "

@@ -24,9 +24,9 @@
  * configuration and workload attached.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <set>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,29 +36,6 @@
 #include "common/logging.hh"
 
 using namespace rtu;
-
-namespace {
-
-std::set<std::string>
-parseList(const std::string &arg)
-{
-    std::set<std::string> out;
-    std::string cur;
-    for (char c : arg) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.insert(cur);
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty())
-        out.insert(cur);
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -93,19 +70,20 @@ main(int argc, char **argv)
     parser.addFlag("--quiet", &quiet, "suppress text diagnostics");
     parser.parse(argc, argv);
 
-    const std::set<std::string> configFilter = parseList(configs_arg);
-    const std::set<std::string> workloadFilter =
-        parseList(workloads_arg);
+    const std::vector<std::string> configFilter = splitList(configs_arg);
+    const std::vector<std::string> workloadFilter =
+        splitList(workloads_arg);
     const bool includeHwsync = !noHwsync;
 
-    std::FILE *jsonl = nullptr;
+    std::ofstream jsonl;
     if (!outPath.empty()) {
-        jsonl = std::fopen(outPath.c_str(), "w");
-        if (jsonl == nullptr) {
+        jsonl.open(outPath);
+        if (!jsonl) {
             std::fprintf(stderr, "rtu_lint: cannot open %s\n",
                          outPath.c_str());
             return 2;
         }
+        writeSchemaHeader(jsonl, "rtu_lint", kDiagSchema);
     }
 
     unsigned points = 0;
@@ -116,10 +94,12 @@ main(int argc, char **argv)
         [&](const LintPoint &point) {
             const std::string cfgName = point.unit.name();
             if (!configFilter.empty() &&
-                configFilter.count(cfgName) == 0)
+                std::count(configFilter.begin(), configFilter.end(),
+                           cfgName) == 0)
                 return;
             if (!workloadFilter.empty() &&
-                workloadFilter.count(point.workload) == 0)
+                std::count(workloadFilter.begin(), workloadFilter.end(),
+                           point.workload) == 0)
                 return;
             ++points;
             LintOptions lintOptions;
@@ -137,20 +117,16 @@ main(int argc, char **argv)
                                 point.workload.c_str(),
                                 diagToString(d).c_str());
                 }
-                if (jsonl != nullptr) {
-                    const std::string context = csprintf(
-                        "\"config\":\"%s\",\"workload\":\"%s\"",
-                        jsonEscape(cfgName).c_str(),
-                        jsonEscape(point.workload).c_str());
-                    std::fprintf(jsonl, "%s\n",
-                                 diagToJson(d, context).c_str());
+                if (jsonl.is_open()) {
+                    std::string context;
+                    JsonWriter(context)
+                        .str("config", cfgName)
+                        .str("workload", point.workload);
+                    jsonl << diagToJson(d, context) << '\n';
                 }
             }
         },
         includeHwsync);
-
-    if (jsonl != nullptr)
-        std::fclose(jsonl);
 
     if (!quiet) {
         std::printf("rtu_lint: %u program points, %u with findings, "

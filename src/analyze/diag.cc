@@ -35,21 +35,18 @@ diagToString(const Diagnostic &d)
 std::string
 diagToJson(const Diagnostic &d, const std::string &extra)
 {
-    std::string out = "{";
-    if (!extra.empty())
-        out += extra + ",";
-    out += csprintf("\"severity\":\"%s\",\"code\":\"%s\"",
-                    severityName(d.severity),
-                    jsonEscape(d.code).c_str());
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject();
+    out += extra;  // the caller's members, spliced verbatim
+    w.str("severity", severityName(d.severity)).str("code", d.code);
     if (d.hasPc)
-        out += csprintf(",\"pc\":\"0x%08x\"", d.pc);
+        w.str("pc", csprintf("0x%08x", d.pc));
     if (!d.function.empty())
-        out += csprintf(",\"function\":\"%s\"",
-                        jsonEscape(d.function).c_str());
+        w.str("function", d.function);
     if (!d.insn.empty())
-        out += csprintf(",\"insn\":\"%s\"", jsonEscape(d.insn).c_str());
-    out += csprintf(",\"message\":\"%s\"}",
-                    jsonEscape(d.message).c_str());
+        w.str("insn", d.insn);
+    w.str("message", d.message).endObject();
     return out;
 }
 

@@ -46,6 +46,10 @@ struct Diagnostic
 /** Human-readable one-liner: "error[code] fn+0x12: message (insn)". */
 std::string diagToString(const Diagnostic &d);
 
+/** Version of the diagToJson line format, stamped into the header
+ *  line of rtu_lint's --out stream. */
+constexpr unsigned kDiagSchema = 1;
+
 /**
  * One JSONL object with the diagnostic's own fields; @p extra is
  * spliced in verbatim (already-escaped "key":"value" pairs giving the

@@ -8,6 +8,15 @@
 
 namespace rtu {
 
+std::ofstream
+openFlagFile(const std::string &path, const char *flag)
+{
+    std::ofstream os(path);
+    if (!os)
+        fatal("cannot open %s file '%s'", flag, path.c_str());
+    return os;
+}
+
 std::vector<std::string> splitList(const std::string &s)
 {
     std::vector<std::string> out;

@@ -15,6 +15,7 @@
 #define RTU_COMMON_ARGPARSE_HH
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,10 @@ class ArgParser
 
 /** Split a comma-separated option value, dropping empty items. */
 std::vector<std::string> splitList(const std::string &s);
+
+/** Open the output file @p path named by option @p flag (e.g.
+ *  "--out"); an unopenable path is fatal. */
+std::ofstream openFlagFile(const std::string &path, const char *flag);
 
 } // namespace rtu
 

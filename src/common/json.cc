@@ -4,14 +4,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 
 namespace rtu {
 
-std::string
-jsonEscape(const std::string &s)
+namespace {
+
+void
+appendEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
     for (unsigned char c : s) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -31,6 +32,59 @@ jsonEscape(const std::string &s)
             }
         }
     }
+}
+
+} // namespace
+
+JsonWriter &
+JsonWriter::raw(const char *key, std::string_view json)
+{
+    if (!out_.empty() && out_.back() != '{' && out_.back() != '[' &&
+        out_.back() != '\n')
+        out_ += ',';
+    if (key != nullptr) {
+        out_ += '"';
+        out_ += key;
+        out_ += "\":";
+    }
+    out_ += json;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::str(const char *key, std::string_view v)
+{
+    raw(key, "\"");
+    appendEscaped(out_, v);
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::fixed(const char *key, double v, const char *fmt)
+{
+    if (!std::isfinite(v))
+        return null(key);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    return raw(key, buf);
+}
+
+void
+writeSchemaHeader(std::ostream &os, const char *bench, unsigned schema)
+{
+    std::string line;
+    JsonWriter(line).beginObject().num("schema", schema).str("bench", bench)
+        .endObject();
+    os << line << '\n';
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
     return out;
 }
 
@@ -114,11 +168,9 @@ jsonUnescape(const std::string &s)
 std::string
 jsonNumber(double v, const char *fmt)
 {
-    if (!std::isfinite(v))
-        return "null";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    return buf;
+    std::string out;
+    JsonWriter(out).fixed(nullptr, v, fmt);
+    return out;
 }
 
 bool

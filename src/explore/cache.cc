@@ -1,12 +1,10 @@
 #include "cache.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -14,19 +12,6 @@
 namespace rtu {
 
 namespace {
-
-/** Latencies are integral cycle counts; print them as such so the
- *  stream is byte-stable (matching writeResultsJsonl's convention).
- *  Non-finite samples (which should never occur, but must not corrupt
- *  the cache file if they do) serialize as JSON null. */
-std::string
-formatSample(double v)
-{
-    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9e15) {
-        return csprintf("%lld", static_cast<long long>(v));
-    }
-    return jsonNumber(v);
-}
 
 /** Find the value text following @p field ("\"name\":"), or npos. */
 size_t
@@ -87,33 +72,25 @@ bool
 parseSamplesField(const std::string &line, const char *field,
                   std::vector<double> *out)
 {
-    const size_t at = fieldPos(line, field);
+    size_t at = fieldPos(line, field);
     if (at == std::string::npos)
         return false;
     out->clear();
-    const char *p = line.c_str() + at;
-    if (*p == ']')
+    if (line.compare(at, 1, "]") == 0)
         return true;  // empty array (a run with no switches)
     for (;;) {
-        if (std::strncmp(p, "null", 4) == 0) {
-            // jsonNumber writes non-finite samples as null; read them
-            // back as NaN so the entry round-trips instead of being
-            // discarded as corrupt.
-            out->push_back(std::nan(""));
-            p += 4;
-        } else {
-            char *end = nullptr;
-            const double v = std::strtod(p, &end);
-            if (end == p)
-                return false;
-            out->push_back(v);
-            p = end;
-        }
-        if (*p == ',') {
-            ++p;
-        } else {
-            return *p == ']';
-        }
+        // jsonParseNumber reads the null a non-finite sample was
+        // written as back as NaN, so the entry round-trips instead of
+        // being discarded as corrupt.
+        const size_t stop = line.find_first_of(",]", at);
+        double v = 0;
+        if (stop == std::string::npos ||
+            !jsonParseNumber(line.substr(at, stop - at), &v))
+            return false;
+        out->push_back(v);
+        if (line[stop] == ']')
+            return true;
+        at = stop + 1;
     }
 }
 
@@ -143,20 +120,15 @@ ResultCache::load()
         ++lineno;
         if (line.find("\"bench\":\"explore_cache\"") !=
             std::string::npos) {
-            // Schema-stamped header (first line of files created by
-            // this writer; absent from pre-header caches). A header
-            // must be well-formed and must lead the file; a stamp from
-            // another generation makes every following entry another
-            // generation too — the per-line check below skips them.
+            // Schema header: it leads every file this writer creates,
+            // and a concatenation of caches carries more of them
+            // mid-file. Ours is skipped wherever it appears; a
+            // malformed or foreign one is an unusable line. Entries
+            // carry their own "v" stamp, so each one is judged alone
+            // by the check below.
             std::uint64_t schema = 0;
-            rtu_assert(parseU64Field(line, "\"schema\":", &schema),
-                       "result cache %s:%zu: malformed schema header",
-                       filePath().c_str(), lineno);
-            rtu_assert(lineno == 1,
-                       "result cache %s:%zu: schema header not at the "
-                       "top of the file",
-                       filePath().c_str(), lineno);
-            if (schema != kSchemaVersion)
+            if (!parseU64Field(line, "\"schema\":", &schema) ||
+                schema != kSchemaVersion)
                 ++skipped;
             continue;
         }
@@ -228,35 +200,38 @@ ResultCache::append(const std::string &key, const CachedRun &run)
     std::ofstream os(filePath(), std::ios::app);
     if (!os)
         fatal("cannot append to result cache '%s'", filePath().c_str());
-    if (fresh) {
-        // Same header convention as the sweep benches' --out streams;
-        // load() asserts its shape before trusting the entries.
-        os << "{\"schema\":" << kSchemaVersion
-           << ",\"bench\":\"explore_cache\"}\n";
-    }
+    if (fresh)
+        writeSchemaHeader(os, "explore_cache", kSchemaVersion);
 
     const ActivityCounters &a = run.activity;
-    std::ostringstream line;
-    line << "{\"v\":" << kSchemaVersion
-         << ",\"key\":\"" << jsonEscape(key)
-         << "\",\"ok\":" << (run.ok ? "true" : "false")
-         << ",\"exit_code\":" << run.exitCode
-         << ",\"cycles\":" << run.cycles
-         << ",\"act_cycles\":" << a.cycles
-         << ",\"act_instret\":" << a.instret
-         << ",\"act_mem_ops\":" << a.memOps
-         << ",\"act_unit_words\":" << a.unitMemWords
-         << ",\"act_sort_phases\":" << a.sortPhases
-         << ",\"act_busy\":" << a.unitBusyCycles
-         << ",\"act_traps\":" << a.traps
-         << ",\"lat\":[";
-    for (size_t i = 0; i < run.switchSamples.size(); ++i) {
-        if (i > 0)
-            line << ',';
-        line << formatSample(run.switchSamples[i]);
+    std::string line;
+    JsonWriter w(line);
+    w.beginObject()
+        .num("v", kSchemaVersion)
+        .str("key", key)
+        .boolean("ok", run.ok)
+        .num("exit_code", run.exitCode)
+        .num("cycles", run.cycles)
+        .num("act_cycles", a.cycles)
+        .num("act_instret", a.instret)
+        .num("act_mem_ops", a.memOps)
+        .num("act_unit_words", a.unitMemWords)
+        .num("act_sort_phases", a.sortPhases)
+        .num("act_busy", a.unitBusyCycles)
+        .num("act_traps", a.traps)
+        .beginArray("lat");
+    for (double v : run.switchSamples) {
+        // Latencies are integral cycle counts; write them as such so
+        // the stream is byte-stable (writeResultsJsonl's convention).
+        // Non-finite samples (which should never occur, but must not
+        // corrupt the cache file if they do) serialize as null.
+        if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9e15)
+            w.num(nullptr, static_cast<long long>(v));
+        else
+            w.fixed(nullptr, v, "%.17g");
     }
-    line << "]}\n";
-    os << line.str();
+    w.endArray().endObject();
+    os << line << '\n';
 }
 
 CachedRun

@@ -1,5 +1,6 @@
 #include "explorer.hh"
 
+#include <cmath>
 #include <cstdio>
 
 #include "asic/asic.hh"
@@ -321,58 +322,49 @@ Explorer::evaluate()
 namespace {
 
 /** Byte-stable numeric formatting per objective (cycle quantities
- *  print integrally, model outputs with fixed precision). Non-finite
- *  values — a missing WCET's +inf, a NaN from an empty latency set —
- *  serialize as JSON null via jsonNumber, never as bare inf/nan. */
+ *  print integrally, model outputs with fixed precision). Missing
+ *  objectives (no WCET, no campaign, no RTA) and non-finite values —
+ *  a NaN from an empty latency set — serialize as JSON null, never as
+ *  bare inf/nan; canonicalValue is +inf exactly when missing. */
 std::string
 formatObjective(const DesignEval &e, Objective o)
 {
-    const double v = objectiveValue(e, o);
-    switch (o) {
-      case Objective::kLatMean:
-        return jsonNumber(v, "%.3f");
-      case Objective::kLatJitter:
-        return jsonNumber(v, "%.0f");
-      case Objective::kWcet:
-        return e.hasWcet ? jsonNumber(v, "%.0f") : std::string("null");
-      case Objective::kArea:
-        return jsonNumber(v, "%.4f");
-      case Objective::kFmax:
-        return jsonNumber(v, "%.3f");
-      case Objective::kPower:
-        return jsonNumber(v, "%.3f");
-      case Objective::kDetect:
-        return e.hasDetect ? jsonNumber(v, "%.4f") : std::string("null");
-      case Objective::kSchedUtil:
-        return e.hasSchedUtil ? jsonNumber(v, "%.4f")
-                              : std::string("null");
-    }
-    panic("unknown objective");
+    const char *fmt = "%.4f";  // area, detect, sched_util
+    if (o == Objective::kLatJitter || o == Objective::kWcet)
+        fmt = "%.0f";
+    else if (o == Objective::kLatMean || o == Objective::kFmax ||
+             o == Objective::kPower)
+        fmt = "%.3f";
+    return jsonNumber(std::isfinite(canonicalValue(e, o))
+                          ? objectiveValue(e, o)
+                          : std::nan(""),
+                      fmt);
 }
 
 void
-writeEvalJson(std::ostream &os, const DesignEval &e)
+writeEvalJson(JsonWriter &w, const char *key, const DesignEval &e)
 {
-    os << "{\"key\":\"" << jsonEscape(e.id.key())
-       << "\",\"core\":\"" << jsonEscape(coreKindName(e.id.core))
-       << "\",\"config\":\"" << jsonEscape(e.id.unit.name())
-       << "\",\"list_slots\":" << e.id.unit.listSlots
-       << ",\"ctxqueue\":" << e.id.ctxQueueEntries
-       << ",\"ok\":" << (e.ok ? "true" : "false")
-       << ",\"lat_mean\":" << formatObjective(e, Objective::kLatMean)
-       << ",\"jitter\":" << formatObjective(e, Objective::kLatJitter)
-       << ",\"lat_min\":" << jsonNumber(e.latMin, "%.0f")
-       << ",\"lat_max\":" << jsonNumber(e.latMax, "%.0f")
-       << ",\"lat_p99\":" << jsonNumber(e.latP99, "%.0f")
-       << ",\"switches\":" << e.switches
-       << ",\"wcet\":" << formatObjective(e, Objective::kWcet)
-       << ",\"area\":" << formatObjective(e, Objective::kArea)
-       << ",\"area_mm2\":" << jsonNumber(e.areaMm2, "%.5f")
-       << ",\"fmax\":" << formatObjective(e, Objective::kFmax)
-       << ",\"power\":" << formatObjective(e, Objective::kPower)
-       << ",\"detect\":" << formatObjective(e, Objective::kDetect)
-       << ",\"sched_util\":"
-       << formatObjective(e, Objective::kSchedUtil) << "}";
+    w.beginObject(key)
+        .str("key", e.id.key())
+        .str("core", coreKindName(e.id.core))
+        .str("config", e.id.unit.name())
+        .num("list_slots", e.id.unit.listSlots)
+        .num("ctxqueue", e.id.ctxQueueEntries)
+        .boolean("ok", e.ok)
+        .raw("lat_mean", formatObjective(e, Objective::kLatMean))
+        .raw("jitter", formatObjective(e, Objective::kLatJitter))
+        .fixed("lat_min", e.latMin, "%.0f")
+        .fixed("lat_max", e.latMax, "%.0f")
+        .fixed("lat_p99", e.latP99, "%.0f")
+        .num("switches", e.switches)
+        .raw("wcet", formatObjective(e, Objective::kWcet))
+        .raw("area", formatObjective(e, Objective::kArea))
+        .fixed("area_mm2", e.areaMm2, "%.5f")
+        .raw("fmax", formatObjective(e, Objective::kFmax))
+        .raw("power", formatObjective(e, Objective::kPower))
+        .raw("detect", formatObjective(e, Objective::kDetect))
+        .raw("sched_util", formatObjective(e, Objective::kSchedUtil))
+        .endObject();
 }
 
 } // namespace
@@ -383,40 +375,39 @@ writeExploreJson(std::ostream &os, const ExploreSpec &spec,
                  const std::vector<Objective> &objs,
                  const ExploreStats &stats, size_t best)
 {
-    os << "{\"schema\":" << kExploreReportSchema
-       << ",\"bench\":\"explore\""
-       << ",\"stats\":{\"design_points\":" << stats.designPoints
-       << ",\"prefiltered\":" << stats.prefiltered
-       << ",\"sweep_points\":" << stats.sweepPoints
-       << ",\"cache_hits\":" << stats.cacheHits
-       << ",\"simulated\":" << stats.simulated << "}";
-
-    os << ",\"objectives\":[";
-    for (size_t i = 0; i < objs.size(); ++i) {
-        os << (i ? "," : "") << "\"" << objectiveName(objs[i]) << "\"";
-    }
-    os << "],\"constraints\":[";
-    for (size_t i = 0; i < spec.constraints.size(); ++i) {
-        os << (i ? "," : "") << "\""
-           << jsonEscape(spec.constraints[i].str()) << "\"";
-    }
-    os << "],\"evals\":[";
-    for (size_t i = 0; i < evals.size(); ++i) {
-        os << (i ? "," : "");
-        writeEvalJson(os, evals[i]);
-    }
-    os << "],\"frontier\":[";
-    const std::vector<size_t> front = paretoFrontier(evals, objs);
-    for (size_t i = 0; i < front.size(); ++i)
-        os << (i ? "," : "") << front[i];
-    os << "],\"best\":";
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject()
+        .num("schema", kExploreReportSchema)
+        .str("bench", "explore")
+        .beginObject("stats")
+        .num("design_points", stats.designPoints)
+        .num("prefiltered", stats.prefiltered)
+        .num("sweep_points", stats.sweepPoints)
+        .num("cache_hits", stats.cacheHits)
+        .num("simulated", stats.simulated)
+        .endObject()
+        .beginArray("objectives");
+    for (Objective o : objs)
+        w.str(nullptr, objectiveName(o));
+    w.endArray().beginArray("constraints");
+    for (const Constraint &c : spec.constraints)
+        w.str(nullptr, c.str());
+    w.endArray().beginArray("evals");
+    for (const DesignEval &e : evals)
+        writeEvalJson(w, nullptr, e);
+    w.endArray().beginArray("frontier");
+    for (size_t i : paretoFrontier(evals, objs))
+        w.num(nullptr, i);
+    w.endArray();
     if (best == SIZE_MAX) {
-        os << "null";
+        w.null("best");
     } else {
         rtu_assert(best < evals.size(), "selection index out of range");
-        writeEvalJson(os, evals[best]);
+        writeEvalJson(w, "best", evals[best]);
     }
-    os << "}\n";
+    w.endObject();
+    os << out << '\n';
 }
 
 void

@@ -490,33 +490,37 @@ void
 writeCampaignJsonl(std::ostream &os, const CampaignSpec &spec,
                    const CampaignResult &result)
 {
+    std::string line;
     for (const FaultRunRecord &f : result.faults) {
         const SweepPoint &pt = spec.points[f.pointIndex];
-        os << "{\"core\":\"" << jsonEscape(coreKindName(pt.core))
-           << "\",\"config\":\"" << jsonEscape(pt.unit.name())
-           << "\",\"workload\":\"" << jsonEscape(pt.workload)
-           << "\",\"iterations\":" << pt.iterations
-           << ",\"timer_period\":" << pt.timerPeriodCycles
-           << ",\"ctxqueue\":" << pt.naxCtxQueueEntries
-           << ",\"campaign_seed\":" << spec.seed
-           << ",\"fault\":\"" << faultKindName(f.fault.kind)
-           << "\",\"episode\":" << f.fault.episode
-           << ",\"word\":" << f.fault.word
-           << ",\"bit_mask\":" << f.fault.bitMask
-           << ",\"tcb_field\":" << f.fault.tcbField
-           << ",\"task_sel\":" << f.fault.taskSel
-           << ",\"cycles_param\":" << f.fault.cycles
-           << ",\"irq_index\":" << f.fault.irqIndex
-           << ",\"fired\":" << (f.fired ? "true" : "false")
-           << ",\"outcome\":\"" << faultOutcomeName(f.outcome)
-           << "\",\"oracle_hits\":" << f.oracleHits
-           << ",\"oracle\":\"" << jsonEscape(f.oracleName)
-           << "\",\"oracle_cycle\":" << f.oracleCycle
-           << ",\"oracle_episode\":" << f.oracleEpisode
-           << ",\"oracle_detail\":\"" << jsonEscape(f.oracleDetail)
-           << "\",\"status\":\"" << runStatusName(f.status)
-           << "\",\"exit_code\":" << f.exitCode
-           << ",\"cycles\":" << f.cycles << "}\n";
+        line.clear();
+        JsonWriter(line).beginObject()
+            .str("core", coreKindName(pt.core))
+            .str("config", pt.unit.name())
+            .str("workload", pt.workload)
+            .num("iterations", pt.iterations)
+            .num("timer_period", pt.timerPeriodCycles)
+            .num("ctxqueue", pt.naxCtxQueueEntries)
+            .num("campaign_seed", spec.seed)
+            .str("fault", faultKindName(f.fault.kind))
+            .num("episode", f.fault.episode)
+            .num("word", f.fault.word)
+            .num("bit_mask", f.fault.bitMask)
+            .num("tcb_field", f.fault.tcbField)
+            .num("task_sel", f.fault.taskSel)
+            .num("cycles_param", f.fault.cycles)
+            .num("irq_index", f.fault.irqIndex)
+            .boolean("fired", f.fired)
+            .str("outcome", faultOutcomeName(f.outcome))
+            .num("oracle_hits", f.oracleHits)
+            .str("oracle", f.oracleName)
+            .num("oracle_cycle", f.oracleCycle)
+            .num("oracle_episode", f.oracleEpisode)
+            .str("oracle_detail", f.oracleDetail)
+            .str("status", runStatusName(f.status))
+            .num("exit_code", f.exitCode)
+            .num("cycles", f.cycles).endObject();
+        os << line << '\n';
     }
 }
 

@@ -139,6 +139,10 @@ FaultRunRecord runSingleFault(const SweepPoint &point,
                               GoldenRecord *golden_out = nullptr,
                               EngineMode engine = EngineMode::kFull);
 
+/** Version of the writeCampaignJsonl line format, stamped into the
+ *  header line bench_inject writes ahead of it. */
+constexpr unsigned kCampaignSchema = 1;
+
 /** One byte-stable JSONL line per injected run. */
 void writeCampaignJsonl(std::ostream &os, const CampaignSpec &spec,
                         const CampaignResult &result);

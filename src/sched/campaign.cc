@@ -274,64 +274,72 @@ void
 writeSchedJsonl(std::ostream &os, const SchedCampaignSpec &spec,
                 const SchedCampaignResult &result)
 {
-    os << "{\"schema\":" << kSchedSchemaVersion
-       << ",\"bench\":\"sched\",\"seed\":" << spec.seed << ",\"cores\":[";
-    for (size_t i = 0; i < spec.cores.size(); ++i)
-        os << (i ? "," : "") << '"'
-           << jsonEscape(coreKindName(spec.cores[i])) << '"';
-    os << "],\"configs\":[";
-    for (size_t i = 0; i < spec.configs.size(); ++i)
-        os << (i ? "," : "") << '"' << jsonEscape(spec.configs[i].name())
-           << '"';
-    os << "],\"util_grid\":[";
-    for (size_t i = 0; i < spec.utilGrid.size(); ++i)
-        os << (i ? "," : "") << jsonNumber(spec.utilGrid[i], "%.4f");
-    os << "],\"tasksets_per_util\":" << spec.tasksetsPerUtil
-       << ",\"tasks\":" << spec.taskset.tasks
-       << ",\"period_min_ticks\":" << spec.taskset.periodMinTicks
-       << ",\"period_max_ticks\":" << spec.taskset.periodMaxTicks
-       << ",\"phase_ticks\":" << spec.lower.phaseTicks
-       << ",\"horizon_ticks\":" << spec.lower.horizonTicks
-       << ",\"timer_period\":" << spec.lower.timerPeriodCycles
-       << ",\"margin\":" << jsonNumber(spec.margin, "%.4f")
-       << ",\"simulate\":" << (spec.simulate ? "true" : "false")
-       << ",\"overheads\":[";
-    for (size_t i = 0; i < result.summaries.size(); ++i) {
-        const SchedConfigSummary &s = result.summaries[i];
+    std::string line;
+    JsonWriter w(line);
+    w.beginObject()
+        .num("schema", kSchedSchemaVersion)
+        .str("bench", "sched")
+        .num("seed", spec.seed)
+        .beginArray("cores");
+    for (CoreKind c : spec.cores)
+        w.str(nullptr, coreKindName(c));
+    w.endArray().beginArray("configs");
+    for (const RtosUnitConfig &c : spec.configs)
+        w.str(nullptr, c.name());
+    w.endArray().beginArray("util_grid");
+    for (double u : spec.utilGrid)
+        w.fixed(nullptr, u, "%.4f");
+    w.endArray()
+        .num("tasksets_per_util", spec.tasksetsPerUtil)
+        .num("tasks", spec.taskset.tasks)
+        .num("period_min_ticks", spec.taskset.periodMinTicks)
+        .num("period_max_ticks", spec.taskset.periodMaxTicks)
+        .num("phase_ticks", spec.lower.phaseTicks)
+        .num("horizon_ticks", spec.lower.horizonTicks)
+        .num("timer_period", spec.lower.timerPeriodCycles)
+        .fixed("margin", spec.margin, "%.4f")
+        .boolean("simulate", spec.simulate)
+        .beginArray("overheads");
+    for (const SchedConfigSummary &s : result.summaries) {
         const OverheadMeasurement &m = s.overheads;
-        os << (i ? "," : "") << "{\"core\":\""
-           << jsonEscape(coreKindName(s.core)) << "\",\"config\":\""
-           << jsonEscape(s.config) << "\",\"switch_cost\":"
-           << jsonNumber(m.rta.switchCost, "%.3f") << ",\"tick_cost\":"
-           << jsonNumber(m.rta.tickCost, "%.3f")
-           << ",\"meas_switch_max\":"
-           << jsonNumber(m.measSwitchMax, "%.1f") << ",\"meas_tick_max\":"
-           << jsonNumber(m.measTickMax, "%.1f") << ",\"meas_entry_max\":"
-           << jsonNumber(m.measEntryMax, "%.1f") << ",\"has_wcet\":"
-           << (m.hasWcet ? "true" : "false") << ",\"wcet\":"
-           << jsonNumber(m.wcetCycles, "%.1f") << ",\"cycles_per_iter\":"
-           << jsonNumber(m.busy.cyclesPerIter, "%.4f")
-           << ",\"per_job_overhead\":"
-           << jsonNumber(m.busy.perJobOverheadCycles, "%.3f") << "}";
+        w.beginObject()
+            .str("core", coreKindName(s.core))
+            .str("config", s.config)
+            .fixed("switch_cost", m.rta.switchCost, "%.3f")
+            .fixed("tick_cost", m.rta.tickCost, "%.3f")
+            .fixed("meas_switch_max", m.measSwitchMax, "%.1f")
+            .fixed("meas_tick_max", m.measTickMax, "%.1f")
+            .fixed("meas_entry_max", m.measEntryMax, "%.1f")
+            .boolean("has_wcet", m.hasWcet)
+            .fixed("wcet", m.wcetCycles, "%.1f")
+            .fixed("cycles_per_iter", m.busy.cyclesPerIter, "%.4f")
+            .fixed("per_job_overhead", m.busy.perJobOverheadCycles,
+                   "%.3f")
+            .endObject();
     }
-    os << "]}\n";
+    w.endArray().endObject();
+    os << line << '\n';
 
     for (const SchedPointResult &r : result.points) {
-        os << "{\"core\":\"" << jsonEscape(coreKindName(r.core))
-           << "\",\"config\":\"" << jsonEscape(r.config)
-           << "\",\"util_index\":" << r.utilIndex
-           << ",\"taskset_index\":" << r.tasksetIndex << ",\"util\":"
-           << jsonNumber(r.util, "%.4f") << ",\"taskset_seed\":"
-           << r.tasksetSeed << ",\"rta_schedulable\":"
-           << (r.rtaSchedulable ? "true" : "false") << ",\"rta_max_norm\":"
-           << jsonNumber(r.rtaMaxNorm, "%.4f") << ",\"sim_ran\":"
-           << (r.simRan ? "true" : "false") << ",\"sim_ok\":"
-           << (r.simOk ? "true" : "false") << ",\"jobs_expected\":"
-           << r.jobsExpected << ",\"jobs_done\":" << r.jobsDone
-           << ",\"misses\":" << r.misses << ",\"sim_max_norm\":"
-           << jsonNumber(r.simMaxNorm, "%.4f") << ",\"sound\":"
-           << (r.sound ? "true" : "false") << ",\"status\":\""
-           << jsonEscape(r.status) << "\"}\n";
+        line.clear();
+        w.beginObject()
+            .str("core", coreKindName(r.core))
+            .str("config", r.config)
+            .num("util_index", r.utilIndex)
+            .num("taskset_index", r.tasksetIndex)
+            .fixed("util", r.util, "%.4f")
+            .num("taskset_seed", r.tasksetSeed)
+            .boolean("rta_schedulable", r.rtaSchedulable)
+            .fixed("rta_max_norm", r.rtaMaxNorm, "%.4f")
+            .boolean("sim_ran", r.simRan)
+            .boolean("sim_ok", r.simOk)
+            .num("jobs_expected", r.jobsExpected)
+            .num("jobs_done", r.jobsDone)
+            .num("misses", r.misses)
+            .fixed("sim_max_norm", r.simMaxNorm, "%.4f")
+            .boolean("sound", r.sound)
+            .str("status", r.status).endObject();
+        os << line << '\n';
     }
 }
 

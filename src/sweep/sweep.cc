@@ -4,6 +4,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/argparse.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -142,11 +143,43 @@ SweepRunner::run(const SweepSpec &spec, bool capture_trace) const
     return runPoints(spec.points(), capture_trace);
 }
 
+namespace {
+
+template <typename T, typename Parse>
+void
+replaceWithList(const std::string &arg, std::vector<T> *out, Parse parse)
+{
+    if (arg.empty())
+        return;
+    out->clear();
+    for (const std::string &item : splitList(arg))
+        out->push_back(parse(item));
+}
+
+} // namespace
+
+void
+parseGridFlag(const std::string &arg, std::vector<CoreKind> *out)
+{
+    replaceWithList(arg, out, coreKindFromName);
+}
+
+void
+parseGridFlag(const std::string &arg, std::vector<RtosUnitConfig> *out)
+{
+    replaceWithList(arg, out, RtosUnitConfig::fromName);
+}
+
+void
+parseGridFlag(const std::string &arg, std::vector<std::string> *out)
+{
+    replaceWithList(arg, out, [](const std::string &s) { return s; });
+}
+
 void
 writeResultsHeaderJsonl(std::ostream &os, const char *bench)
 {
-    os << "{\"schema\":" << kSweepResultsSchema << ",\"bench\":\""
-       << jsonEscape(bench) << "\"}\n";
+    writeSchemaHeader(os, bench, kSweepResultsSchema);
 }
 
 void
@@ -154,48 +187,44 @@ writeResultsJsonl(std::ostream &os,
                   const std::vector<SweepResult> &results,
                   bool include_timing)
 {
+    std::string line;
     for (const SweepResult &r : results) {
         const RunResult &run = r.run;
-        os << "{\"core\":\"" << jsonEscape(coreKindName(r.point.core))
-           << "\",\"config\":\"" << jsonEscape(r.point.unit.name())
-           << "\",\"list_slots\":" << r.point.unit.listSlots
-           << ",\"workload\":\"" << jsonEscape(r.point.workload)
-           << "\",\"iterations\":" << r.point.iterations
-           << ",\"timer_period\":" << r.point.timerPeriodCycles
-           << ",\"ctxqueue\":" << r.point.naxCtxQueueEntries
-           << ",\"seed\":" << r.point.seed
-           << ",\"ok\":" << (run.ok ? "true" : "false")
-           << ",\"exit_code\":" << run.exitCode
-           << ",\"status\":\"" << runStatusName(run.status)
-           << "\",\"cycles\":" << run.cycles
-           << ",\"cycles_ticked\":" << run.throughput.cyclesTicked
-           << ",\"cycles_skipped\":" << run.throughput.cyclesSkipped
-           << ",\"cycles_block_executed\":"
-           << run.throughput.cyclesBlockExecuted
-           << ",\"fetch_predecoded\":" << run.coreStats.fetchPredecoded
-           << ",\"fetch_slow_path\":" << run.coreStats.fetchSlowPath
-           << ",\"text_invalidations\":"
-           << run.coreStats.textInvalidations
-           << ",\"blocks_executed\":" << run.coreStats.blocksExecuted
-           << ",\"block_fallbacks\":" << run.coreStats.blockFallbacks
-           << ",\"block_invalidations\":"
-           << run.coreStats.blockInvalidations;
+        line.clear();
+        JsonWriter w(line);
+        w.beginObject()
+            .str("core", coreKindName(r.point.core))
+            .str("config", r.point.unit.name())
+            .num("list_slots", r.point.unit.listSlots)
+            .str("workload", r.point.workload)
+            .num("iterations", r.point.iterations)
+            .num("timer_period", r.point.timerPeriodCycles)
+            .num("ctxqueue", r.point.naxCtxQueueEntries)
+            .num("seed", r.point.seed)
+            .boolean("ok", run.ok)
+            .num("exit_code", run.exitCode)
+            .str("status", runStatusName(run.status))
+            .num("cycles", run.cycles)
+            .num("cycles_ticked", run.throughput.cyclesTicked)
+            .num("cycles_skipped", run.throughput.cyclesSkipped)
+            .num("cycles_block_executed",
+                 run.throughput.cyclesBlockExecuted)
+            .num("fetch_predecoded", run.coreStats.fetchPredecoded)
+            .num("fetch_slow_path", run.coreStats.fetchSlowPath)
+            .num("text_invalidations", run.coreStats.textInvalidations)
+            .num("blocks_executed", run.coreStats.blocksExecuted)
+            .num("block_fallbacks", run.coreStats.blockFallbacks)
+            .num("block_invalidations", run.coreStats.blockInvalidations);
         if (include_timing) {
             // Wall time is nondeterministic; callers wanting the
             // byte-stability contract keep it off (the default).
-            char wall[32], mips[32];
-            std::snprintf(wall, sizeof(wall), "%.3f",
-                          run.throughput.wallSeconds * 1e3);
             const double secs = run.throughput.wallSeconds;
-            std::snprintf(mips, sizeof(mips), "%.3f",
-                          secs > 0.0
-                              ? static_cast<double>(
-                                    run.coreStats.instret) / secs / 1e6
-                              : 0.0);
-            os << ",\"wall_ms\":" << wall << ",\"mips\":" << mips;
+            const double insns = static_cast<double>(run.coreStats.instret);
+            w.fixed("wall_ms", secs * 1e3, "%.3f")
+                .fixed("mips", secs > 0.0 ? insns / secs / 1e6 : 0.0, "%.3f");
         }
         const SampleStats &s = run.switchLatency;
-        os << ",\"switches\":" << s.count();
+        w.num("switches", s.count());
         if (!s.empty()) {
             // Latencies are integral cycle counts; print them as such
             // so the stream stays byte-stable across libc float
@@ -203,16 +232,15 @@ writeResultsJsonl(std::ostream &os,
             const auto cy = [](double v) {
                 return static_cast<std::uint64_t>(v);
             };
-            char mean[32];
-            std::snprintf(mean, sizeof(mean), "%.3f", s.mean());
-            os << ",\"lat_min\":" << cy(s.min())
-               << ",\"lat_mean\":" << mean
-               << ",\"lat_max\":" << cy(s.max())
-               << ",\"lat_jitter\":" << cy(s.jitter())
-               << ",\"lat_p50\":" << cy(s.percentile(0.5))
-               << ",\"lat_p99\":" << cy(s.percentile(0.99));
+            w.num("lat_min", cy(s.min()))
+                .fixed("lat_mean", s.mean(), "%.3f")
+                .num("lat_max", cy(s.max()))
+                .num("lat_jitter", cy(s.jitter()))
+                .num("lat_p50", cy(s.percentile(0.5)))
+                .num("lat_p99", cy(s.percentile(0.99)));
         }
-        os << "}\n";
+        w.endObject();
+        os << line << '\n';
     }
 }
 

@@ -71,6 +71,17 @@ struct SweepSpec
     std::vector<SweepPoint> points() const;
 };
 
+/**
+ * The grid benches' --cores/--configs/--workloads flags: replace
+ * @p out with the items of the comma list @p arg (an unknown core or
+ * configuration name is fatal). An empty @p arg keeps the caller's
+ * default list.
+ */
+void parseGridFlag(const std::string &arg, std::vector<CoreKind> *out);
+void parseGridFlag(const std::string &arg,
+                   std::vector<RtosUnitConfig> *out);
+void parseGridFlag(const std::string &arg, std::vector<std::string> *out);
+
 /** The outcome of one grid point, with its captured episode trace. */
 struct SweepResult
 {

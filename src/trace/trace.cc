@@ -21,10 +21,10 @@ switchPhaseName(SwitchPhase phase)
 namespace {
 
 /** JSONL phase timestamp: the cycle, or `null` when never reached. */
-std::string
-jsonPhase(Cycle c)
+void
+jsonPhase(JsonWriter &w, const char *key, Cycle c)
 {
-    return c == kNoPhase ? "null" : std::to_string(c);
+    c == kNoPhase ? w.null(key) : w.num(key, c);
 }
 
 /** CSV phase timestamp: the cycle, or an empty field. */
@@ -39,30 +39,36 @@ csvPhase(Cycle c)
 void
 JsonlTraceSink::beginRun(const TraceRunLabel &label)
 {
-    label_ = label;
+    // Every episode line of the run starts with the same label
+    // members: escape and format them once here.
+    head_.clear();
+    JsonWriter(head_).beginObject()
+        .str("core", label.core)
+        .str("config", label.config)
+        .str("workload", label.workload)
+        .num("seed", label.seed);
     index_ = 0;
 }
 
 void
 JsonlTraceSink::episode(const EpisodeTrace &e)
 {
-    os_ << "{\"core\":\"" << jsonEscape(label_.core)
-        << "\",\"config\":\"" << jsonEscape(label_.config)
-        << "\",\"workload\":\"" << jsonEscape(label_.workload)
-        << "\",\"seed\":" << label_.seed
-        << ",\"episode\":" << index_++
-        << ",\"cause\":" << e.cause
-        << ",\"from\":" << e.fromTask
-        << ",\"to\":" << e.toTask
-        << ",\"queued\":" << (e.queued ? "true" : "false")
-        << ",\"preempted\":" << (e.preempted ? "true" : "false")
-        << ",\"irq_assert\":" << e.irqAssert
-        << ",\"trap_taken\":" << e.trapTaken
-        << ",\"store_done\":" << jsonPhase(e.storeDone)
-        << ",\"sched_done\":" << jsonPhase(e.schedDone)
-        << ",\"load_done\":" << jsonPhase(e.loadDone)
-        << ",\"mret\":" << e.mret
-        << "}\n";
+    line_ = head_;
+    JsonWriter w(line_);
+    w.num("episode", index_++)
+        .num("cause", e.cause)
+        .num("from", e.fromTask)
+        .num("to", e.toTask)
+        .boolean("queued", e.queued)
+        .boolean("preempted", e.preempted)
+        .num("irq_assert", e.irqAssert)
+        .num("trap_taken", e.trapTaken);
+    jsonPhase(w, "store_done", e.storeDone);
+    jsonPhase(w, "sched_done", e.schedDone);
+    jsonPhase(w, "load_done", e.loadDone);
+    w.num("mret", e.mret).endObject();
+    line_ += '\n';
+    os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 void

@@ -97,6 +97,10 @@ class TraceSink
     virtual void endRun() {}
 };
 
+/** Version of the JsonlTraceSink line format, stamped into the header
+ *  line of bench_fig9_latency's --trace stream. */
+constexpr unsigned kTraceSchema = 1;
+
 /**
  * JSON-lines sink: one self-contained object per episode, carrying
  * both the run label and the six phase timestamps. Output is fully
@@ -113,7 +117,8 @@ class JsonlTraceSink : public TraceSink
 
   private:
     std::ostream &os_;
-    TraceRunLabel label_;
+    std::string head_;  ///< the run's label members, formatted once
+    std::string line_;  ///< reused per-episode line buffer
     std::uint64_t index_ = 0;  ///< episode index within the run
 };
 

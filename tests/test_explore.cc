@@ -283,6 +283,13 @@ TEST_F(ExploreEngine, CacheToleratesCorruptAndForeignSchemaLines)
 {
     const ExploreSpec spec = smallSpec();
     Explorer(spec).evaluate();
+    std::string clean;
+    {
+        std::ifstream is(dir_ + "/results.jsonl");
+        std::stringstream ss;
+        ss << is.rdbuf();
+        clean = ss.str();
+    }
 
     {
         std::ofstream os(dir_ + "/results.jsonl", std::ios::app);
@@ -294,6 +301,25 @@ TEST_F(ExploreEngine, CacheToleratesCorruptAndForeignSchemaLines)
     EXPECT_EQ(warm.evaluate().size(), 2u);
     EXPECT_EQ(warm.stats().simulated, 0u);
     EXPECT_EQ(warm.stats().cacheHits, 4u);
+
+    // Two caches concatenated (a header mid-file) and a malformed
+    // header line: the process survives and every entry still serves.
+    const std::string entries = clean.substr(clean.find('\n') + 1);
+    const std::pair<const char *, std::string> damaged[] = {
+        {"merged", clean + clean},
+        {"malformed", "{\"schema\":,\"bench\":\"explore_cache\"}\n" +
+                          entries},
+    };
+    for (const auto &[name, text] : damaged) {
+        ExploreSpec s = spec;
+        s.cacheDir = dir_ + "/" + name;
+        std::filesystem::create_directories(s.cacheDir);
+        std::ofstream(s.cacheDir + "/results.jsonl") << text;
+        Explorer e(s);
+        EXPECT_EQ(e.evaluate().size(), 2u) << name;
+        EXPECT_EQ(e.stats().simulated, 0u) << name;
+        EXPECT_EQ(e.stats().cacheHits, 4u) << name;
+    }
 }
 
 TEST_F(ExploreEngine, CacheFileStartsWithASchemaHeaderTheLoaderChecks)
@@ -302,8 +328,7 @@ TEST_F(ExploreEngine, CacheFileStartsWithASchemaHeaderTheLoaderChecks)
     Explorer(spec).evaluate();
 
     // Fresh cache files lead with the schema-stamped header object
-    // (the sweep benches' --out convention); the loader asserts its
-    // shape and position before trusting any entry.
+    // (the sweep benches' --out convention).
     std::ifstream is(dir_ + "/results.jsonl");
     std::string first;
     ASSERT_TRUE(std::getline(is, first));

@@ -1,10 +1,12 @@
-/** JSON escaping tests: the one helper every JSONL writer (sweep
- *  results, episode traces, the explorer's result cache) relies on
- *  for well-formed output from arbitrary workload names and keys. */
+/** JSON tests: the JsonWriter every output stream goes
+ *  through (separators, escaping, null for non-finite numbers,
+ *  nesting), and the escaping/number helpers it shares with the
+ *  result cache's reader. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -128,6 +130,99 @@ TEST(JsonParseNumber, RejectsMalformedText)
     EXPECT_FALSE(jsonParseNumber("1.5x", &v));
     EXPECT_FALSE(jsonParseNumber("nulll", &v));
     EXPECT_FALSE(jsonParseNumber("1.5 2.5", &v));
+}
+
+TEST(JsonWriter, CommasSeparateMembersAndElementsOnly)
+{
+    std::string out;
+    JsonWriter(out)
+        .beginObject()
+        .num("a", 1)
+        .str("b", "x")
+        .boolean("c", true)
+        .boolean("d", false)
+        .null("e")
+        .raw("f", "[1]")
+        .endObject();
+    EXPECT_EQ(out, "{\"a\":1,\"b\":\"x\",\"c\":true,\"d\":false,"
+                   "\"e\":null,\"f\":[1]}");
+}
+
+TEST(JsonWriter, ContinuesAnObjectAcrossWriters)
+{
+    // A second writer over the same string picks up the separators
+    // where the first left off (the trace sink's label prefix).
+    std::string out;
+    JsonWriter(out).beginObject().str("core", "CV32E40P");
+    JsonWriter(out).num("episode", 0).endObject();
+    out += '\n';
+    JsonWriter(out).beginObject().num("episode", 1).endObject();
+    EXPECT_EQ(out, "{\"core\":\"CV32E40P\",\"episode\":0}\n"
+                   "{\"episode\":1}");
+}
+
+TEST(JsonWriter, StrEscapesLikeJsonEscape)
+{
+    const std::string nasty = "a\"b\\c\n\x01\xc3\xa9";
+    std::string out;
+    JsonWriter(out).beginObject().str("w", nasty).endObject();
+    EXPECT_EQ(out, "{\"w\":\"" + jsonEscape(nasty) + "\"}");
+    EXPECT_EQ(out, "{\"w\":\"a\\\"b\\\\c\\n\\u0001\xc3\xa9\"}");
+}
+
+TEST(JsonWriter, FixedWritesNullForNonFiniteValues)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::string out;
+    JsonWriter(out)
+        .beginObject()
+        .fixed("a", 2.0, "%.3f")
+        .fixed("b", std::nan(""), "%.3f")
+        .fixed("c", inf, "%.1f")
+        .fixed("d", -inf, "%.0f")
+        .fixed("e", 0.1, "%.17g")
+        .endObject();
+    EXPECT_EQ(out, "{\"a\":2.000,\"b\":null,\"c\":null,\"d\":null,"
+                   "\"e\":0.10000000000000001}");
+}
+
+TEST(JsonWriter, IntegersPrintAsOstreamDoes)
+{
+    std::string out;
+    JsonWriter(out)
+        .beginObject()
+        .num("u64", ~std::uint64_t{0})
+        .num("i", -42)
+        .num("ll", static_cast<long long>(-9000000000000000))
+        .num("u32", 0xffffffffu)
+        .endObject();
+    EXPECT_EQ(out, "{\"u64\":18446744073709551615,\"i\":-42,"
+                   "\"ll\":-9000000000000000,\"u32\":4294967295}");
+}
+
+TEST(JsonWriter, NestedAndEmptyArrays)
+{
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject().beginArray("empty").endArray().beginArray("nums");
+    for (int i : {1, 2, 3})
+        w.num(nullptr, i);
+    w.endArray().beginArray("objs");
+    for (int i : {7, 8})
+        w.beginObject().num("i", i).endObject();
+    w.endArray().beginObject("inner").beginArray("s");
+    w.str(nullptr, "a").fixed(nullptr, 0.5, "%.2f").null(nullptr);
+    w.endArray().endObject().endObject();
+    EXPECT_EQ(out, "{\"empty\":[],\"nums\":[1,2,3],"
+                   "\"objs\":[{\"i\":7},{\"i\":8}],"
+                   "\"inner\":{\"s\":[\"a\",0.50,null]}}");
+}
+
+TEST(JsonWriter, SchemaHeaderLine)
+{
+    std::ostringstream os;
+    writeSchemaHeader(os, "fig9_trace", 4);
+    EXPECT_EQ(os.str(), "{\"schema\":4,\"bench\":\"fig9_trace\"}\n");
 }
 
 TEST(JsonEscape, SweepResultWriterEscapesWorkloadNames)
