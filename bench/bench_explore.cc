@@ -166,30 +166,17 @@ main(int argc, char **argv)
         // discussion picks one configuration per core.
         std::printf("\nper-core best under the same query:\n");
         for (CoreKind core : spec.cores) {
-            std::vector<Constraint> cs = spec.constraints;
-            size_t coreBest = SIZE_MAX;
-            double bestV = 0;
-            for (size_t i = 0; i < evals.size(); ++i) {
-                if (evals[i].id.core != core || !evals[i].ok)
-                    continue;
-                bool feas = true;
-                for (const Constraint &c : cs)
-                    feas = feas && c.satisfiedBy(evals[i]);
-                if (!feas)
-                    continue;
-                const double v = canonicalValue(evals[i], minimize);
-                if (coreBest == SIZE_MAX || v < bestV) {
-                    coreBest = i;
-                    bestV = v;
-                }
+            std::vector<DesignEval> coreEvals;
+            for (const DesignEval &e : evals) {
+                if (e.id.core == core)
+                    coreEvals.push_back(e);
             }
-            if (coreBest == SIZE_MAX) {
-                std::printf("  %-9s -> infeasible\n",
-                            coreKindName(core));
-            } else {
-                std::printf("  %-9s -> %s\n", coreKindName(core),
-                            evals[coreBest].id.unit.name().c_str());
-            }
+            const size_t coreBest =
+                selectBest(coreEvals, minimize, spec.constraints);
+            std::printf("  %-9s -> %s\n", coreKindName(core),
+                        coreBest == SIZE_MAX
+                            ? "infeasible"
+                            : coreEvals[coreBest].id.unit.name().c_str());
         }
     }
 

@@ -48,18 +48,6 @@ concretePred(Op op, std::int64_t x, std::int64_t y)
     }
 }
 
-/** Predicate outcome when both operands are the same register. */
-bool
-predOnEqualOperands(Op op)
-{
-    switch (op) {
-      case Op::kBeq: case Op::kBge: case Op::kBgeu: return true;
-      case Op::kBne: case Op::kBlt: case Op::kBltu: return false;
-      default:
-        panic("not a branch predicate: %s", opName(op));
-    }
-}
-
 bool
 startsWith(const std::string &s, const char *prefix)
 {
@@ -737,9 +725,7 @@ AbsintEngine::transfer(unsigned region, unsigned block,
         const Addr tpc = bb.termPc();
         const DecodedInsn &d = cfg_.insnAt(tpc);
         std::optional<bool> dec;
-        if (d.rs1 == d.rs2)
-            dec = predOnEqualOperands(d.op);
-        else
+        if (d.rs1 != d.rs2)
             dec = absDecide(d.op, value(st, d.rs1), value(st, d.rs2));
         if (dec.value_or(true)) {  // taken edge not refuted
             RegState &ts = *f.taken;

@@ -27,8 +27,6 @@ concreteEval(Op op, I64 x, I64 y)
 {
     const U32 a = static_cast<U32>(x);
     const U32 b = static_cast<U32>(y);
-    const std::int32_t sa = static_cast<std::int32_t>(a);
-    const std::int32_t sb = static_cast<std::int32_t>(b);
     switch (op) {
       case Op::kAdd: case Op::kAddi: return wrap32(a + b);
       case Op::kSub: return wrap32(a - b);
@@ -37,26 +35,8 @@ concreteEval(Op op, I64 x, I64 y)
       case Op::kXor: case Op::kXori: return wrap32(a ^ b);
       case Op::kSll: case Op::kSlli: return wrap32(a << (b & 31));
       case Op::kSrl: case Op::kSrli: return wrap32(a >> (b & 31));
-      case Op::kSra: case Op::kSrai: return wrap32(sa >> (b & 31));
-      case Op::kSlt: case Op::kSlti: return sa < sb ? 1 : 0;
-      case Op::kSltu: case Op::kSltiu: return a < b ? 1 : 0;
-      case Op::kMul: return wrap32(a * b);
-      case Op::kDiv:
-        if (sb == 0)
-            return -1;
-        if (sa == INT32_MIN && sb == -1)
-            return INT32_MIN;
-        return sa / sb;
       case Op::kDivu:
         return b == 0 ? wrap32(UINT32_MAX) : wrap32(a / b);
-      case Op::kRem:
-        if (sb == 0)
-            return sa;
-        if (sa == INT32_MIN && sb == -1)
-            return 0;
-        return sa % sb;
-      case Op::kRemu:
-        return b == 0 ? sa : wrap32(a % b);
       default:
         return std::nullopt;
     }
@@ -146,14 +126,6 @@ Interval::range(std::int64_t lo, std::int64_t hi)
     return {lo, hi};
 }
 
-std::optional<std::uint64_t>
-Interval::size() const
-{
-    if (isBottom())
-        return std::nullopt;
-    return static_cast<std::uint64_t>(hi - lo) + 1;
-}
-
 Interval
 Interval::join(const Interval &a, const Interval &b)
 {
@@ -209,39 +181,6 @@ Interval::sub(const Interval &a, const Interval &b)
 }
 
 Interval
-Interval::mul(const Interval &a, const Interval &b)
-{
-    if (a.isBottom() || b.isBottom())
-        return bottom();
-    const I64 c[] = {a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi};
-    return range(*std::min_element(c, c + 4), *std::max_element(c, c + 4));
-}
-
-Interval
-Interval::div(const Interval &a, const Interval &b)
-{
-    if (a.isBottom() || b.isBottom())
-        return bottom();
-    if (b.contains(0))
-        return top();  // RV32 div-by-zero yields -1; keep it simple
-    const I64 c[] = {a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi};
-    return range(*std::min_element(c, c + 4), *std::max_element(c, c + 4));
-}
-
-Interval
-Interval::rem(const Interval &a, const Interval &b)
-{
-    if (a.isBottom() || b.isBottom())
-        return bottom();
-    if (b.contains(0))
-        return top();
-    const I64 m = std::max(std::abs(b.lo), std::abs(b.hi));
-    const I64 lo = a.lo >= 0 ? 0 : std::max(a.lo, -(m - 1));
-    const I64 hi = a.hi <= 0 ? 0 : std::min(a.hi, m - 1);
-    return range(lo, hi);
-}
-
-Interval
 Interval::shiftLeft(const Interval &a, unsigned k)
 {
     if (a.isBottom())
@@ -263,16 +202,6 @@ Interval::shiftRightLogical(const Interval &a, unsigned k)
     // A negative word shifts to a large non-negative value; all that
     // survives is the output width.
     return range(0, (I64{1} << (32 - k)) - 1);
-}
-
-Interval
-Interval::shiftRightArith(const Interval &a, unsigned k)
-{
-    if (a.isBottom())
-        return bottom();
-    k &= 31;
-    // C++20 defines signed right shift as arithmetic.
-    return range(a.lo >> k, a.hi >> k);
 }
 
 Interval
@@ -689,47 +618,6 @@ absEval(Op op, const AbsVal &a, const AbsVal &b)
         if (y.isConst() && y.lo >= 0 && y.lo <= 31)
             return AbsVal::fromInterval(
                 Interval::shiftRightLogical(x, static_cast<unsigned>(y.lo)));
-        return AbsVal::top();
-      case Op::kSra: case Op::kSrai:
-        if (y.isConst() && y.lo >= 0 && y.lo <= 31)
-            return AbsVal::fromInterval(
-                Interval::shiftRightArith(x, static_cast<unsigned>(y.lo)));
-        return AbsVal::top();
-      case Op::kSlt: case Op::kSlti: {
-        const auto d = Interval::decide(Op::kBlt, x, y);
-        return d ? AbsVal::constant(*d ? 1 : 0)
-                 : AbsVal::fromInterval(Interval::range(0, 1));
-      }
-      case Op::kSltu: case Op::kSltiu: {
-        const auto d = Interval::decide(Op::kBltu, x, y);
-        return d ? AbsVal::constant(*d ? 1 : 0)
-                 : AbsVal::fromInterval(Interval::range(0, 1));
-      }
-      case Op::kMul: {
-        const Interval m = Interval::mul(x, y);
-        if (y.isConst() && y.lo != 0 && inWord(x.lo * y.lo) &&
-            inWord(x.hi * y.lo)) {
-            const I64 g = std::max<I64>(a.valueGap(), 1) * y.lo;
-            return AbsVal::strided(m, g < 0 ? -g : g, x.lo * y.lo);
-        }
-        if (x.isConst() && x.lo != 0 && inWord(x.lo * y.lo) &&
-            inWord(x.lo * y.hi)) {
-            const I64 g = std::max<I64>(b.valueGap(), 1) * x.lo;
-            return AbsVal::strided(m, g < 0 ? -g : g, x.lo * y.lo);
-        }
-        return AbsVal::fromInterval(m);
-      }
-      case Op::kDiv:
-        return AbsVal::fromInterval(Interval::div(x, y));
-      case Op::kRem:
-        return AbsVal::fromInterval(Interval::rem(x, y));
-      case Op::kDivu:
-        if (x.lo >= 0 && y.lo >= 0)
-            return AbsVal::fromInterval(Interval::div(x, y));
-        return AbsVal::top();
-      case Op::kRemu:
-        if (x.lo >= 0 && y.lo >= 0)
-            return AbsVal::fromInterval(Interval::rem(x, y));
         return AbsVal::top();
       default:
         return AbsVal::top();

@@ -19,10 +19,10 @@
  * `base + (i << 5)` stays "multiple-of-32 offsets into the array"
  * instead of smearing over every word of it, so an abstract store
  * through it touches one struct field per element instead of all of
- * them. Strides propagate through add/sub (gcd), constant shifts and
- * multiplies (scaling), join and widening (gcd with the anchor
- * distance), and refinement (bounds re-aligned inward); every other
- * transfer conservatively drops to stride 1.
+ * them. Strides propagate through add/sub (gcd), constant left shifts
+ * (scaling), join and widening (gcd with the anchor distance), and
+ * refinement (bounds re-aligned inward); every other transfer
+ * conservatively drops to stride 1.
  *
  * Widening jumps interval bounds to a small threshold ladder
  * (-1/0/1/min/max) so diverging loop iterates stabilize in a handful
@@ -62,8 +62,6 @@ struct Interval
     bool isTop() const { return lo <= kMin && hi >= kMax; }
     bool isConst() const { return lo == hi; }
     bool contains(std::int64_t v) const { return lo <= v && v <= hi; }
-    /** Number of values, or nullopt for bottom. */
-    std::optional<std::uint64_t> size() const;
 
     bool operator==(const Interval &o) const = default;
 
@@ -77,12 +75,8 @@ struct Interval
     // result degrades to top rather than a wrong tight range.
     static Interval add(const Interval &a, const Interval &b);
     static Interval sub(const Interval &a, const Interval &b);
-    static Interval mul(const Interval &a, const Interval &b);
-    static Interval div(const Interval &a, const Interval &b);
-    static Interval rem(const Interval &a, const Interval &b);
     static Interval shiftLeft(const Interval &a, unsigned k);
     static Interval shiftRightLogical(const Interval &a, unsigned k);
-    static Interval shiftRightArith(const Interval &a, unsigned k);
     static Interval bitAnd(const Interval &a, const Interval &b);
     static Interval bitOr(const Interval &a, const Interval &b);
     static Interval bitXor(const Interval &a, const Interval &b);
@@ -242,9 +236,9 @@ struct AbsVal
 
 /**
  * Abstract transfer for a two-operand ALU op (immediates are passed
- * as constant AbsVals). Understands every Op the register transfer
- * needs: add/sub/logic/shift/set-less-than/mul/div families. Ops it
- * does not model return top.
+ * as constant AbsVals). Models the ops the generated kernels use:
+ * add/sub, the logic ops, logical shifts, and divu on exact value
+ * sets. Every other op returns top, which is sound.
  */
 AbsVal absEval(Op op, const AbsVal &a, const AbsVal &b);
 

@@ -4,9 +4,9 @@
  * recognizers evaluated over the engine's final abstract states.
  *
  *  R1 (guarded counting loop): a register with exactly one in-loop
- *     definition `addi r, r, c` and an exit guard comparing r against
- *     an abstract operand. The trip count follows from the entry
- *     interval of r, the step c and the guard's continue region. Both
+ *     definition `addi r, r, c` and an exit guard `r == f` (exit on
+ *     equality) against a constant f. The trip count follows from the
+ *     entry interval of r, the step c and f. Both
  *     the stepping block and the guard block must dominate the latch
  *     (every iteration steps and is tested), or the arithmetic says
  *     nothing about the back edge.
@@ -45,7 +45,6 @@
 #include <set>
 
 #include "analyze/absint/loopbound.hh"
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 
 namespace rtu {
@@ -53,6 +52,10 @@ namespace rtu {
 namespace {
 
 using I64 = std::int64_t;
+
+/** Bounds above this are discarded as useless for WCET budgeting (and
+ *  would make the longest-path search explode). */
+constexpr I64 kMaxUsefulBound = I64{1} << 20;
 
 constexpr unsigned kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13,
                                      14, 15, 16, 17, 28, 29, 30, 31};
@@ -103,10 +106,11 @@ class BoundInferrer
     {
         if (!engine_.converged()) {
             for (const auto &[pc, bound] : program_.loopBounds)
-                diag(Severity::kWarning, "loop-bound-unverified", pc,
-                     csprintf("abstract interpretation did not "
-                              "converge; annotated bound %u is "
-                              "unchecked", bound));
+                out_.diags.push_back(diagAt(
+                    cfg_, Severity::kWarning, "loop-bound-unverified", pc,
+                    csprintf("abstract interpretation did not "
+                             "converge; annotated bound %u is "
+                             "unchecked", bound)));
             return;
         }
 
@@ -125,28 +129,14 @@ class BoundInferrer
         for (const auto &[pc, bound] : program_.loopBounds) {
             if (backEdges.count(pc))
                 continue;
-            diag(Severity::kWarning, "loop-bound-unverified", pc,
-                 csprintf("annotated bound %u is not attached to a "
-                          "backward edge; nothing to verify", bound));
+            out_.diags.push_back(diagAt(
+                cfg_, Severity::kWarning, "loop-bound-unverified", pc,
+                csprintf("annotated bound %u is not attached to a "
+                         "backward edge; nothing to verify", bound)));
         }
     }
 
   private:
-    void
-    diag(Severity severity, const std::string &code, Addr pc,
-         const std::string &message)
-    {
-        Diagnostic d;
-        d.severity = severity;
-        d.code = code;
-        d.pc = pc;
-        d.hasPc = true;
-        d.function = program_.functionAt(pc);
-        d.insn = cfg_.contains(pc) ? disassemble(cfg_.insnAt(pc).raw) : "";
-        d.message = message;
-        out_.diags.push_back(std::move(d));
-    }
-
     void
     processBackEdge(Addr leader, const BasicBlock &bb)
     {
@@ -170,7 +160,7 @@ class BoundInferrer
             inferred = inferOne(loop);
         }
         if (inferred && *inferred >= 0 &&
-            *inferred <= static_cast<I64>(options_.maxUsefulBound)) {
+            *inferred <= kMaxUsefulBound) {
             out_.inferred[backPc] = static_cast<unsigned>(*inferred);
         } else {
             inferred.reset();
@@ -179,21 +169,24 @@ class BoundInferrer
         if (!annotated)
             return;
         if (!inferred) {
-            diag(Severity::kWarning, "loop-bound-unverified", backPc,
-                 csprintf("annotated bound %u could not be verified: "
-                          "no bound recognizer matched this loop", ann));
+            out_.diags.push_back(diagAt(
+                cfg_, Severity::kWarning, "loop-bound-unverified", backPc,
+                csprintf("annotated bound %u could not be verified: "
+                         "no bound recognizer matched this loop", ann)));
         } else if (*inferred > static_cast<I64>(ann)) {
-            diag(Severity::kError, "loop-bound-too-tight", backPc,
-                 csprintf("annotated bound %u is below the inferred "
-                          "worst case %lld: WCET budgets derived from "
-                          "this annotation are unsound", ann,
-                          static_cast<long long>(*inferred)));
+            out_.diags.push_back(diagAt(
+                cfg_, Severity::kError, "loop-bound-too-tight", backPc,
+                csprintf("annotated bound %u is below the inferred "
+                         "worst case %lld: WCET budgets derived from "
+                         "this annotation are unsound", ann,
+                         static_cast<long long>(*inferred))));
         } else if (*inferred < static_cast<I64>(ann) && options_.pedantic) {
-            diag(Severity::kWarning, "loop-bound-loose", backPc,
-                 csprintf("annotated bound %u exceeds the inferred "
-                          "worst case %lld; the WCET is sound but "
-                          "pessimistic", ann,
-                          static_cast<long long>(*inferred)));
+            out_.diags.push_back(diagAt(
+                cfg_, Severity::kWarning, "loop-bound-loose", backPc,
+                csprintf("annotated bound %u exceeds the inferred "
+                         "worst case %lld; the WCET is sound but "
+                         "pessimistic", ann,
+                         static_cast<long long>(*inferred))));
         }
     }
 
@@ -359,64 +352,39 @@ class BoundInferrer
         const unsigned other = (d.rs1 == r) ? d.rs2 : d.rs1;
         const AbsVal &F = ts->reg(other);
 
+        // Only an equality exit is bounded: the loop leaves by
+        // hitting F exactly. A guard that continues only while equal,
+        // or an ordered predicate (none guards a generated kernel's
+        // loop exit), gives no bound.
         const bool eqExit =
             (d.op == Op::kBeq && g.exitOnTaken) ||
             (d.op == Op::kBne && !g.exitOnTaken);
-        const bool neqExit =
-            (d.op == Op::kBne && g.exitOnTaken) ||
-            (d.op == Op::kBeq && !g.exitOnTaken);
-        if (neqExit)
-            return std::nullopt;  // continues only while equal
-
-        if (eqExit) {
-            // Exit by hitting F exactly; the trajectory must approach
-            // it from the correct side (and land on it when |c| > 1).
-            if (!F.isConst())
-                return std::nullopt;
-            const I64 f = F.constValue();
-            I64 steps = 0;
-            if (c < 0) {
-                if (E.lo < f)
-                    return std::nullopt;
-                const I64 diff = E.hi - f;
-                if (c != -1 && (!E.isConst() || diff % (-c) != 0))
-                    return std::nullopt;
-                steps = diff / (-c);
-            } else {
-                if (E.hi > f)
-                    return std::nullopt;
-                const I64 diff = f - E.lo;
-                if (c != 1 && (!E.isConst() || diff % c != 0))
-                    return std::nullopt;
-                steps = diff / c;
-            }
-            // A bottom-tested loop (the guard is the back edge itself)
-            // evaluates the guard only after the first step, so the
-            // equality exit eats one fewer back edge.
-            const bool guardIsLatch = g.termPc == loop.backPc;
-            return std::max<I64>(steps - (guardIsLatch ? 1 : 0), 0);
-        }
-
-        // Ordered predicate: derive the continue region of r by
-        // refining top under "the guard did not exit".
-        AbsVal av = (d.rs1 == r) ? AbsVal::top() : F;
-        AbsVal bv = (d.rs1 == r) ? F : AbsVal::top();
-        refineByBranch(d.op, !g.exitOnTaken, av, bv);
-        const Interval C = (d.rs1 == r) ? av.iv : bv.iv;
-        if (C.isBottom())
-            return 0;  // the loop can never continue past this guard
-        if (c < 0) {
-            if (C.lo <= Interval::kMin)
-                return std::nullopt;
-            if (E.hi < C.lo)
-                return 0;
-            return (E.hi - C.lo) / (-c) + 1;
-        }
-        if (C.hi >= Interval::kMax)
+        if (!eqExit || !F.isConst())
             return std::nullopt;
-        if (E.lo > C.hi)
-            return 0;
-        return (C.hi - E.lo) / c + 1;
+        // The trajectory must approach F from the correct side (and
+        // land on it when |c| > 1).
+        const I64 f = F.constValue();
+        I64 steps = 0;
+        if (c < 0) {
+            if (E.lo < f)
+                return std::nullopt;
+            const I64 diff = E.hi - f;
+            if (c != -1 && (!E.isConst() || diff % (-c) != 0))
+                return std::nullopt;
+            steps = diff / (-c);
+        } else {
+            if (E.hi > f)
+                return std::nullopt;
+            const I64 diff = f - E.lo;
+            if (c != 1 && (!E.isConst() || diff % c != 0))
+                return std::nullopt;
+            steps = diff / c;
+        }
+        // A bottom-tested loop (the guard is the back edge itself)
+        // evaluates the guard only after the first step, so the
+        // equality exit eats one fewer back edge.
+        const bool guardIsLatch = g.termPc == loop.backPc;
+        return std::max<I64>(steps - (guardIsLatch ? 1 : 0), 0);
     }
 
     /** Distinct non-null TCB pointers registered in k_task_table. */

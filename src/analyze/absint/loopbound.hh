@@ -39,9 +39,6 @@ struct LoopBoundOptions
      *  "at most kMaxTasks list nodes" are intentionally loose for any
      *  particular workload). */
     bool pedantic = false;
-    /** Bounds above this are discarded as useless for WCET budgeting
-     *  (and would make the longest-path search explode). */
-    unsigned maxUsefulBound = 1u << 20;
 };
 
 struct LoopBoundResult

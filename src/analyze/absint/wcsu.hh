@@ -18,8 +18,6 @@
  * Consumers:
  *  - the linter compares usage against the generated region
  *    capacities ("stack-overflow-risk");
- *  - the kernel generator sizes task stacks from these bounds when
- *    KernelParams::useDerivedStackSize is set;
  *  - recursion makes depths unbounded and is reported as
  *    "wcsu-recursion".
  */

@@ -1,5 +1,7 @@
 #include "diag.hh"
 
+#include "analyze/cfg.hh"
+#include "asm/disasm.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -9,6 +11,22 @@ const char *
 severityName(Severity severity)
 {
     return severity == Severity::kError ? "error" : "warning";
+}
+
+Diagnostic
+diagAt(const Cfg &cfg, Severity severity, std::string code, Addr pc,
+       std::string message)
+{
+    Diagnostic d;
+    d.severity = severity;
+    d.code = std::move(code);
+    d.pc = pc;
+    d.hasPc = true;
+    d.function = cfg.program().functionAt(pc);
+    if (cfg.contains(pc))
+        d.insn = disassemble(cfg.insnAt(pc).raw);
+    d.message = std::move(message);
+    return d;
 }
 
 std::string

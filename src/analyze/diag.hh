@@ -19,6 +19,8 @@
 
 namespace rtu {
 
+class Cfg;
+
 enum class Severity : std::uint8_t {
     kWarning,  ///< suspicious but not soundness-breaking
     kError,    ///< violates a correctness contract; fails the lint gate
@@ -42,6 +44,14 @@ struct Diagnostic
     std::string insn;      ///< disassembly at pc, "" if no pc
     std::string message;
 };
+
+/**
+ * A finding anchored at @p pc of @p cfg's program, with the enclosing
+ * function and the disassembly at pc (when pc is in text) filled in.
+ * Callers that report a code once per pc deduplicate themselves.
+ */
+Diagnostic diagAt(const Cfg &cfg, Severity severity, std::string code,
+                  Addr pc, std::string message);
 
 /** Human-readable one-liner: "error[code] fn+0x12: message (insn)". */
 std::string diagToString(const Diagnostic &d);

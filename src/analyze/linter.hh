@@ -49,8 +49,6 @@ namespace rtu {
 
 struct LintOptions
 {
-    /** Run the WCET-soundness lints (annotation coverage). */
-    bool wcetChecks = true;
     /**
      * Run the abstract-interpretation pass family (pass 5): inferred
      * loop bounds cross-checked against annotations, whole-program

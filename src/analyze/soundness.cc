@@ -15,29 +15,12 @@
 #include <set>
 #include <string>
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "linter.hh"
 
 namespace rtu {
 
 namespace {
-
-void
-report(std::vector<Diagnostic> &out, const Cfg &cfg, Severity sev,
-       const std::string &code, Addr pc, const std::string &message)
-{
-    Diagnostic d;
-    d.severity = sev;
-    d.code = code;
-    d.pc = pc;
-    d.hasPc = true;
-    d.function = cfg.program().functionAt(pc);
-    if (cfg.contains(pc))
-        d.insn = disassemble(cfg.insnAt(pc).raw);
-    d.message = message;
-    out.push_back(std::move(d));
-}
 
 /** Fall-through-style successor (not a taken branch/jump target). */
 bool
@@ -50,7 +33,7 @@ hasFallEdge(const BasicBlock &bb)
 } // namespace
 
 void
-checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
+checkCfgSoundness(const Cfg &cfg, const LintOptions &,
                   std::vector<Diagnostic> &out)
 {
     const Program &program = cfg.program();
@@ -58,9 +41,10 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
     // Invalid encodings in text.
     for (Addr pc = program.textBase; pc < program.textEnd(); pc += 4) {
         if (cfg.insnAt(pc).op == Op::kInvalid) {
-            report(out, cfg, Severity::kError, "invalid-insn", pc,
-                   csprintf("text word 0x%08x does not decode",
-                            cfg.insnAt(pc).raw));
+            out.push_back(diagAt(
+                cfg, Severity::kError, "invalid-insn", pc,
+                csprintf("text word 0x%08x does not decode",
+                         cfg.insnAt(pc).raw)));
         }
     }
 
@@ -87,20 +71,20 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
             // code worth flagging.
             if (cfg.isClosedLoop(leader))
                 continue;
-            report(out, cfg, Severity::kWarning, "cfg-unreachable",
-                   leader,
-                   "block is unreachable from every function entry "
-                   "and the trap vector");
+            out.push_back(diagAt(
+                cfg, Severity::kWarning, "cfg-unreachable", leader,
+                "block is unreachable from every function entry "
+                "and the trap vector"));
         }
     }
 
     for (const auto &[leader, bb] : cfg.blocks()) {
         // Running off the end of the text section.
         if (bb.term == TermKind::kFallOffText) {
-            report(out, cfg, Severity::kError, "cfg-fall-off-text",
-                   bb.termPc(),
-                   "control can run past textEnd(): the block's last "
-                   "instruction is not a terminator");
+            out.push_back(diagAt(
+                cfg, Severity::kError, "cfg-fall-off-text", bb.termPc(),
+                "control can run past textEnd(): the block's last "
+                "instruction is not a terminator"));
             continue;
         }
         // Fall-through silently entering the next function.
@@ -108,19 +92,19 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
             const std::string from = program.functionAt(bb.termPc());
             const std::string to = program.functionAt(bb.end);
             if (from != to) {
-                report(out, cfg, Severity::kError,
-                       "cfg-fall-through-function", bb.termPc(),
-                       csprintf("fall-through crosses a function "
-                                "boundary (%s -> %s)",
-                                from.empty() ? "<none>" : from.c_str(),
-                                to.empty() ? "<none>" : to.c_str()));
+                out.push_back(diagAt(
+                    cfg, Severity::kError, "cfg-fall-through-function",
+                    bb.termPc(),
+                    csprintf("fall-through crosses a function "
+                             "boundary (%s -> %s)",
+                             from.empty() ? "<none>" : from.c_str(),
+                             to.empty() ? "<none>" : to.c_str())));
             }
         }
     }
 
     // WCET-soundness lints over the subgraph the analyzer walks.
-    if (!options.wcetChecks || isr == program.symbols.end() ||
-        !cfg.contains(isr->second))
+    if (isr == program.symbols.end() || !cfg.contains(isr->second))
         return;
     const std::set<Addr> scope = cfg.reachableFrom(isr->second, true);
     bool sawMret = false;
@@ -133,36 +117,39 @@ checkCfgSoundness(const Cfg &cfg, const LintOptions &options,
             break;
           case TermKind::kBranch:
             if (bb.takenTarget <= tpc && !cfg.hasLoopBound(tpc)) {
-                report(out, cfg, Severity::kError,
-                       "wcet-unannotated-back-edge", tpc,
-                       "ISR-reachable backward branch without a "
-                       "loopBounds annotation: WCET is unbounded");
+                out.push_back(diagAt(
+                    cfg, Severity::kError, "wcet-unannotated-back-edge",
+                    tpc,
+                    "ISR-reachable backward branch without a "
+                    "loopBounds annotation: WCET is unbounded"));
             }
             break;
           case TermKind::kJump:
             if (bb.takenTarget <= tpc && !cfg.hasLoopBound(tpc) &&
                 !cfg.isClosedLoop(bb.takenTarget)) {
-                report(out, cfg, Severity::kError,
-                       "wcet-unannotated-back-edge", tpc,
-                       "ISR-reachable backward jump without a "
-                       "loopBounds annotation: WCET is unbounded");
+                out.push_back(diagAt(
+                    cfg, Severity::kError, "wcet-unannotated-back-edge",
+                    tpc,
+                    "ISR-reachable backward jump without a "
+                    "loopBounds annotation: WCET is unbounded"));
             }
             break;
           case TermKind::kIndirect:
-            report(out, cfg, Severity::kError, "cfg-indirect-jump",
-                   tpc,
-                   "indirect jump on the ISR path has no static "
-                   "successor; neither the linter nor the WCET "
-                   "analyzer can follow it");
+            out.push_back(diagAt(
+                cfg, Severity::kError, "cfg-indirect-jump", tpc,
+                "indirect jump on the ISR path has no static "
+                "successor; neither the linter nor the WCET "
+                "analyzer can follow it"));
             break;
           default:
             break;
         }
     }
     if (!sawMret) {
-        report(out, cfg, Severity::kError, "isr-no-mret", isr->second,
-               "no mret is reachable from the trap vector: the "
-               "handler cannot return to a task");
+        out.push_back(diagAt(
+            cfg, Severity::kError, "isr-no-mret", isr->second,
+            "no mret is reachable from the trap vector: the "
+            "handler cannot return to a task"));
     }
 }
 

@@ -1,6 +1,5 @@
 #include "walker.hh"
 
-#include "asm/disasm.hh"
 
 namespace rtu {
 
@@ -10,16 +9,7 @@ PathWalker::report(Severity severity, const std::string &code, Addr pc,
 {
     if (!reported_.insert(code + "@" + std::to_string(pc)).second)
         return;
-    Diagnostic d;
-    d.severity = severity;
-    d.code = code;
-    d.pc = pc;
-    d.hasPc = true;
-    d.function = cfg_.program().functionAt(pc);
-    d.insn = cfg_.contains(pc) ? disassemble(cfg_.insnAt(pc).raw)
-                               : std::string();
-    d.message = message;
-    out_.push_back(std::move(d));
+    out_.push_back(diagAt(cfg_, severity, code, pc, message));
 }
 
 bool

@@ -63,12 +63,6 @@ AsicModel::baseGE(CoreKind core)
     return factorsFor(core).baseGE;
 }
 
-double
-AsicModel::routingFactor(CoreKind core)
-{
-    return factorsFor(core).routing;
-}
-
 AreaResult
 AsicModel::area(CoreKind core, const RtosUnitConfig &unit)
 {

@@ -61,7 +61,6 @@ class AsicModel
 
   private:
     static double baseGE(CoreKind core);
-    static double routingFactor(CoreKind core);
 };
 
 } // namespace rtu

@@ -125,12 +125,6 @@ classOf(Op op)
 }
 
 bool
-isCustomOp(Op op)
-{
-    return classOf(op) == InsnClass::kCustom;
-}
-
-bool
 readsRs1(Op op)
 {
     switch (op) {

@@ -109,9 +109,6 @@ const char *opName(Op op);
 /** Timing class of an opcode. */
 InsnClass classOf(Op op);
 
-/** True for the six RTOSUnit custom instructions. */
-bool isCustomOp(Op op);
-
 /** True if the opcode reads rs1 / rs2 / writes rd. */
 bool readsRs1(Op op);
 bool readsRs2(Op op);

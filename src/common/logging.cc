@@ -39,12 +39,6 @@ setQuiet(bool q)
     gQuiet = q;
 }
 
-bool
-quiet()
-{
-    return gQuiet;
-}
-
 void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {

@@ -60,7 +60,6 @@ void informImpl(const char *fmt, ...)
 
 /** Globally silence warn()/inform() (used by benchmarks). */
 void setQuiet(bool quiet);
-bool quiet();
 
 } // namespace rtu
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analyze/absint/wcsu.hh"
-#include "analyze/cfg.hh"
 #include "common/logging.hh"
 #include "sim/hostio.hh"
 #include "sim/memmap.hh"
@@ -199,7 +197,7 @@ KernelBuilder::emitDataSection()
     for (unsigned i = 0; i < tasks_.size(); ++i) {
         a.dataArray(tcbSym(i), kTcbSize / 4, 0);
         a.dataAlign(16);
-        a.dataArray(csprintf("k_stack_%u", i), taskStackBytes(i) / 4, 0);
+        a.dataArray(csprintf("k_stack_%u", i), kTaskStackBytes / 4, 0);
         a.dataWord(stackTopSym(i), 0);  // its own address == stack top
     }
     a.dataAlign(16);
@@ -1110,64 +1108,12 @@ KernelBuilder::emitBusyDivLoop(Word iterations)
     a.bnez(T0, loop);
 }
 
-// ---- derived stack sizing ---------------------------------------------------
-
-void
-KernelBuilder::deriveStackSizes()
-{
-    // Generate a throwaway copy of this exact kernel with the fixed
-    // stack layout and measure it. The probe shares every parameter
-    // except the derived-sizing flag, so the measured depths apply to
-    // the final image verbatim (stack capacity does not change code).
-    KernelBuilder probe(*this);
-    probe.params_.useDerivedStackSize = false;
-    const Program program = probe.build();
-
-    const Cfg cfg(program);
-    WcsuAnalyzer wcsu(cfg);
-    wcsu.run();
-
-    const unsigned add_on = wcsu.isrAddOn();
-    auto sizeFor = [&](const std::string &task_name) -> unsigned {
-        unsigned bytes = wcsu.entryDepth("k_task_" + task_name) +
-                         add_on + params_.stackMarginBytes;
-        // The boot-time initial frame must always fit.
-        bytes = std::max(bytes, static_cast<unsigned>(kFrameBytes));
-        return (bytes + 15u) & ~15u;
-    };
-
-    derivedStackBytes_.clear();
-    derivedStackBytes_.push_back(sizeFor("idle"));
-    for (const TaskSpec &t : tasks_)
-        derivedStackBytes_.push_back(sizeFor(t.name));
-
-    // If the walk hit its state budget the depths are lower bounds,
-    // not worst cases: fall back to the fixed layout.
-    if (!wcsu.converged())
-        derivedStackBytes_.assign(derivedStackBytes_.size(),
-                                  kTaskStackBytes);
-}
-
-unsigned
-KernelBuilder::taskStackBytes(unsigned task_index) const
-{
-    if (task_index < derivedStackBytes_.size())
-        return derivedStackBytes_[task_index];
-    return kTaskStackBytes;
-}
-
 // ---- build ------------------------------------------------------------------
 
 Program
 KernelBuilder::build()
 {
     rtu_assert(!built_, "build() called twice");
-
-    // Probe pass for derived stack sizing: measure the worst-case
-    // stack depths on a fixed-size build of this exact kernel before
-    // the idle task is inserted (the probe re-inserts its own copy).
-    if (params_.useDerivedStackSize && derivedStackBytes_.empty())
-        deriveStackSizes();
 
     TaskSpec idle;
     idle.name = "idle";

@@ -63,21 +63,6 @@ struct KernelParams
      * existing benches/tests generate stays byte-identical.
      */
     bool usesDelayUntil = false;
-    /**
-     * Size each task stack from the worst-case stack-usage analysis
-     * (src/analyze/absint/wcsu.hh) instead of the fixed
-     * kTaskStackBytes: build() first generates a probe image with
-     * fixed stacks, measures every task's depth plus the ISR add-on,
-     * and re-emits with per-task capacities of
-     * depth + add-on + stackMarginBytes (16-byte aligned, floored at
-     * kFrameBytes so the boot-time initial frame always fits). The
-     * overflow-canary oracle keys off the k_stack_%u symbols and
-     * follows the resized regions automatically. Default off: images
-     * stay byte-identical to the fixed-size layout.
-     */
-    bool useDerivedStackSize = false;
-    /** Safety margin added to every derived stack size. */
-    unsigned stackMarginBytes = 64;
 };
 
 class KernelBuilder
@@ -174,11 +159,6 @@ class KernelBuilder
     std::string tcbSym(unsigned task_index) const;
     std::string stackTopSym(unsigned task_index) const;
 
-    /** Probe-build + WCSU pass filling derivedStackBytes_. */
-    void deriveStackSizes();
-    /** Stack capacity of task @p task_index in bytes. */
-    unsigned taskStackBytes(unsigned task_index) const;
-
     KernelParams params_;
     Assembler asm_;
     std::vector<TaskSpec> tasks_;
@@ -186,7 +166,6 @@ class KernelBuilder
     std::vector<std::string> semaphores_;
     std::vector<Word> semInitials_;
     std::vector<Word> hwSemInitials_;
-    std::vector<unsigned> derivedStackBytes_;  ///< by final task index
     bool built_ = false;
     unsigned uniqueCounter_ = 0;
 };

@@ -4,20 +4,6 @@
 
 namespace rtu {
 
-const char *
-switchPhaseName(SwitchPhase phase)
-{
-    switch (phase) {
-      case SwitchPhase::kIrqAssert: return "irq_assert";
-      case SwitchPhase::kTrapTaken: return "trap_taken";
-      case SwitchPhase::kStoreDone: return "store_done";
-      case SwitchPhase::kSchedDone: return "sched_done";
-      case SwitchPhase::kLoadDone: return "load_done";
-      case SwitchPhase::kMret: return "mret";
-    }
-    return "?";
-}
-
 namespace {
 
 /** JSONL phase timestamp: the cycle, or `null` when never reached. */

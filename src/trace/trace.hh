@@ -39,8 +39,6 @@ enum class SwitchPhase
     kMret,        ///< mret completed (latency end point)
 };
 
-const char *switchPhaseName(SwitchPhase phase);
-
 /**
  * "Phase not reached" timestamp sentinel. An invalid cycle (the
  * simulator would have to run 2^64 - 1 cycles to stamp it) rather

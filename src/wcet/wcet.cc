@@ -1,6 +1,5 @@
 #include "wcet.hh"
 
-#include "asm/disasm.hh"
 #include "common/logging.hh"
 #include "rtosunit/rtosunit.hh"
 
@@ -40,15 +39,7 @@ WcetAnalyzer::reportOnce(const std::string &code, Addr pc,
 {
     if (!reported_.insert({code, pc}).second)
         return;
-    Diagnostic d;
-    d.severity = Severity::kError;
-    d.code = code;
-    d.pc = pc;
-    d.hasPc = true;
-    d.function = program_.functionAt(pc);
-    d.insn = disassemble(cfg_.insnAt(pc).raw);
-    d.message = message;
-    diags_.push_back(std::move(d));
+    diags_.push_back(diagAt(cfg_, Severity::kError, code, pc, message));
 }
 
 void
@@ -262,12 +253,6 @@ WcetAnalyzer::worstFrom(Addr pc, std::map<Addr, unsigned> budgets,
             continue;
         }
     }
-}
-
-std::uint64_t
-WcetAnalyzer::analyzeFunction(const std::string &symbol)
-{
-    return worstFrom(program_.symbol(symbol), {}, 0).cycles;
 }
 
 WcetResult

@@ -57,9 +57,6 @@ class WcetAnalyzer
     /** Analyze from interrupt entry ("k_isr") to mret completion. */
     WcetResult analyzeIsr();
 
-    /** Worst-case cycles of one function (until its return). */
-    std::uint64_t analyzeFunction(const std::string &symbol);
-
     /**
      * Apply abstract-interpretation facts (deriveAbsintFacts): every
      * back edge is budgeted with the tighter of its annotation and

@@ -16,7 +16,6 @@
 #include "analyze/absint/wcsu.hh"
 #include "analyze/linter.hh"
 #include "asm/assembler.hh"
-#include "harness/simulation.hh"
 #include "kernel/kernel.hh"
 #include "kernel/layout.hh"
 #include "workloads/workloads.hh"
@@ -101,8 +100,6 @@ TEST(Interval, TransferOverflowDegrades)
     // In-range arithmetic stays exact.
     EXPECT_EQ(Interval::add(Interval::range(1, 2), Interval::range(10, 20)),
               Interval::range(11, 22));
-    EXPECT_EQ(Interval::mul(Interval::range(2, 3), Interval::constant(4)),
-              Interval::range(8, 12));
 }
 
 TEST(Interval, DecideBranches)
@@ -499,13 +496,12 @@ TEST(Wcsu, SeededOverflowRiskIsReported)
     EXPECT_GE(countErrors(out), 1u);
 }
 
-// ---- derived task-stack sizing (KernelParams::useDerivedStackSize) ---
+// ---- task-stack layout --------------------------------------------------
 
 namespace {
 
 Program
-buildKernelImage(const std::string &config, const Workload &workload,
-                 bool derived_stacks)
+buildKernelImage(const std::string &config, const Workload &workload)
 {
     const WorkloadInfo info = workload.info();
     KernelParams kparams;
@@ -513,7 +509,6 @@ buildKernelImage(const std::string &config, const Workload &workload,
     kparams.timerPeriodCycles = 1000;
     kparams.usesExternalIrq = info.usesExternalIrq;
     kparams.usesDelayUntil = info.usesDelayUntil;
-    kparams.useDerivedStackSize = derived_stacks;
     KernelBuilder kb(kparams);
     workload.addTasks(kb);
     return kb.build();
@@ -524,8 +519,8 @@ buildKernelImage(const std::string &config, const Workload &workload,
 TEST(DerivedStacks, OffPathIsDeterministicallyFixedSize)
 {
     const auto w = makeWorkload("yield_pingpong", 3);
-    const Program fixed = buildKernelImage("SLT", *w, false);
-    const Program again = buildKernelImage("SLT", *w, false);
+    const Program fixed = buildKernelImage("SLT", *w);
+    const Program again = buildKernelImage("SLT", *w);
     EXPECT_EQ(fixed.text, again.text);
     EXPECT_EQ(fixed.data, again.data);
     EXPECT_EQ(fixed.symbols, again.symbols);
@@ -534,49 +529,6 @@ TEST(DerivedStacks, OffPathIsDeterministicallyFixedSize)
     const Addr base = fixed.symbol("k_stack_0");
     const Addr top = fixed.symbol("k_stack_0_top");
     EXPECT_EQ(top - base, kernel::kTaskStackBytes);
-}
-
-TEST(DerivedStacks, DerivedRegionsAreAlignedAndFrameSafe)
-{
-    const auto w = makeWorkload("mutex_workload", 2);
-    const Program p = buildKernelImage("SLT", *w, true);
-    for (unsigned i = 0;; ++i) {
-        const auto it = p.symbols.find("k_stack_" + std::to_string(i));
-        if (it == p.symbols.end()) {
-            EXPECT_GT(i, 0u);
-            break;
-        }
-        const Addr cap =
-            p.symbol("k_stack_" + std::to_string(i) + "_top") - it->second;
-        EXPECT_GE(cap, kernel::kFrameBytes) << "k_stack_" << i;
-        EXPECT_EQ(cap % 16, 0u) << "k_stack_" << i;
-    }
-}
-
-TEST(DerivedStacks, DerivedImagePassesTheAbsintGate)
-{
-    const auto w = makeWorkload("sem_pingpong", 2);
-    const auto diags = absintLint(buildKernelImage("SLT", *w, true));
-    EXPECT_TRUE(diags.empty()) << diagsText(diags);
-}
-
-TEST(DerivedStacks, DerivedImageRunsToCompletion)
-{
-    for (const char *config : {"vanilla", "SLT"}) {
-        for (const char *name : {"yield_pingpong", "mutex_workload"}) {
-            const auto w = makeWorkload(name, 3);
-            const Program p = buildKernelImage(config, *w, true);
-
-            SimConfig sconfig;
-            sconfig.core = CoreKind::kCv32e40p;
-            sconfig.unit = RtosUnitConfig::fromName(config);
-            sconfig.timerPeriodCycles = 1000;
-            sconfig.maxCycles = w->info().maxCycles;
-            Simulation sim(sconfig, p);
-            EXPECT_TRUE(sim.run()) << config << "/" << name;
-            EXPECT_EQ(sim.exitCode(), 0u) << config << "/" << name;
-        }
-    }
 }
 
 // ---- acceptance: the generated matrix passes the absint family -------

@@ -18,6 +18,7 @@
 #include "common/logging.hh"
 #include "explore/cache.hh"
 #include "explore/explorer.hh"
+#include "inject/campaign.hh"
 #include "workloads/workloads.hh"
 
 namespace rtu {
@@ -480,6 +481,61 @@ TEST_F(ExploreEngine, AcceptanceQuerySelectsSltClassOnCv32e40p)
         const RtosUnitConfig &ru = evals[rtBest].id.unit;
         EXPECT_TRUE(ru.sched) << "hard-RT pick must use hardware "
                                  "scheduling, got " << ru.name();
+    }
+}
+
+TEST_F(ExploreEngine, RobustnessObjectiveMatchesTheCampaignAtAnyThreadCount)
+{
+    // The detect axis: every design carries the detection coverage of
+    // a seeded fault campaign over its own sweep points, independent
+    // of the worker count. No cache, so both runs simulate.
+    ExploreSpec spec = smallSpec();
+    spec.cacheDir.clear();
+    spec.robustnessFaults = 2;
+    spec.robustnessSeed = 15;
+    const std::vector<Objective> objectives = {Objective::kLatMean,
+                                               Objective::kDetect};
+    auto evaluate = [&](unsigned threads) {
+        spec.threads = threads;
+        Explorer ex(spec);
+        return ex.evaluate();
+    };
+    const std::vector<DesignEval> evals = evaluate(1);
+    ASSERT_EQ(evals.size(), 2u);
+
+    std::ostringstream one, four;
+    writeExploreJson(one, spec, evals, objectives, ExploreStats(),
+                     SIZE_MAX);
+    writeExploreJson(four, spec, evaluate(4), objectives, ExploreStats(),
+                     SIZE_MAX);
+    EXPECT_EQ(one.str(), four.str());
+
+    for (const DesignEval &e : evals) {
+        ASSERT_TRUE(e.hasDetect) << e.id.key();
+        EXPECT_GE(e.detectCoverage, 0.0) << e.id.key();
+        EXPECT_LE(e.detectCoverage, 1.0) << e.id.key();
+
+        // Fault plans depend only on (seed, point), so a campaign over
+        // this design's points alone reproduces its slice.
+        CampaignSpec cs;
+        cs.faultsPerPoint = spec.robustnessFaults;
+        cs.seed = spec.robustnessSeed;
+        for (const std::string &w : spec.workloads) {
+            SweepPoint p;
+            p.core = e.id.core;
+            p.unit = e.id.unit;
+            p.workload = w;
+            p.iterations = e.id.iterations;
+            p.timerPeriodCycles = e.id.timerPeriodCycles;
+            p.naxCtxQueueEntries = e.id.ctxQueueEntries;
+            p.reseed();
+            cs.points.push_back(p);
+        }
+        const CampaignResult cres = runCampaign(cs, SweepRunner(2));
+        EXPECT_EQ(cres.faults.size(),
+                  spec.workloads.size() * spec.robustnessFaults);
+        EXPECT_DOUBLE_EQ(e.detectCoverage, cres.detectionCoverage())
+            << e.id.key();
     }
 }
 
