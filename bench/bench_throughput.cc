@@ -257,7 +257,8 @@ main(int argc, char **argv)
     std::string json;
     JsonWriter w(json);
     w.beginObject()
-        .num("schema", 2)
+        .num("schema", 3)
+        .str("bench", "throughput")
         .num("iterations", iterations)
         .num("timer_period", timer_period)
         .num("repeats", repeats)

@@ -54,33 +54,13 @@ startsWith(const std::string &s, const char *prefix)
     return s.rfind(prefix, 0) == 0;
 }
 
-} // namespace
-
-// ---- RegState --------------------------------------------------------------
-
-bool
-RegState::joinFrom(const RegState &o, bool widen)
+const RegState *
+liveOrNull(const RegState &st)
 {
-    if (!o.live)
-        return false;
-    if (!live) {
-        *this = o;
-        return true;
-    }
-    bool changed = false;
-    for (unsigned i = 0; i < kNumSlots; ++i) {
-        if (v[i] == o.v[i])
-            continue;  // join and widen are idempotent
-        AbsVal next = AbsVal::join(v[i], o.v[i]);
-        if (widen)
-            next = AbsVal::widen(v[i], next);
-        if (!(next == v[i])) {
-            v[i] = std::move(next);
-            changed = true;
-        }
-    }
-    return changed;
+    return st.live ? &st : nullptr;
 }
+
+} // namespace
 
 // ---- decisions -------------------------------------------------------------
 
@@ -118,11 +98,20 @@ AbsintEngine::AbsintEngine(const Program &program)
     buildLayouts();
     const size_t n = regions_.size();
     entryStates_.resize(n);
-    returnValues_.assign(n, AbsVal::bottom());
+    returnValues_.assign(n, ValuePool::kBottom);
     entryStamps_.resize(n);
     returnStamps_.resize(n);
     deps_.resize(n);
+    cells_.assign(program.data.size(), kInitial);
     cellStamps_.resize(program.data.size());
+
+    // Root code (boot, trap entry, task bodies) runs with sp inside
+    // some generated stack region; see the header's assumption list.
+    root_.pool = &pool_;
+    root_.live = true;
+    root_.v[0] = zero_;
+    if (!stackWindow_.isBottom())
+        root_.v[kSpReg] = intern(AbsVal::fromInterval(stackWindow_));
 }
 
 void
@@ -262,6 +251,7 @@ void
 AbsintEngine::buildLayouts()
 {
     layouts_.resize(regions_.size());
+    states_.resize(regions_.size());
     for (size_t r = 0; r < regions_.size(); ++r) {
         const Region &region = regions_[r];
         RegionLayout &layout = layouts_[r];
@@ -304,21 +294,15 @@ AbsintEngine::buildLayouts()
             }
             layout.edgeBegin.push_back(
                 static_cast<unsigned>(layout.edgeAddr.size()));
+            blockRefs_[bb.begin] = {static_cast<unsigned>(r),
+                                    static_cast<unsigned>(b)};
         }
+        RegionStates &states = states_[r];
+        states.in.resize(n);
+        states.term.resize(n);
+        states.edges.resize(layout.edgeAddr.size());
+        states.verdicts.resize(n);
     }
-}
-
-RegState
-AbsintEngine::rootEntry() const
-{
-    RegState st;
-    st.live = true;
-    st.v[0] = AbsVal::constant(0);
-    // Root code (boot, trap entry, task bodies) runs with sp inside
-    // some generated stack region; see the header's assumption list.
-    if (!stackWindow_.isBottom())
-        st.v[kSpReg] = AbsVal::fromInterval(stackWindow_);
-    return st;
 }
 
 const AbsintEngine::Region *
@@ -348,55 +332,55 @@ AbsintEngine::inStack(Addr a) const
     return false;
 }
 
-AbsVal
-AbsintEngine::cellValue(Addr addr) const
+ValId
+AbsintEngine::cellId(Addr addr) const
 {
     const Addr a = addr & ~Addr{3};
     if (!inData(a) || inStack(a))
-        return AbsVal::top();
+        return ValuePool::kTop;
     for (const auto &[lo, hi] : havocRanges_)
         if (a >= lo && a <= hi)
-            return AbsVal::top();
+            return ValuePool::kTop;
+    const Addr word = (a - dataBase_) / 4;
     if (reading_)
-        reading_->cells.push_back((a - dataBase_) / 4);
-    const auto it = cells_.find(a);
-    if (it != cells_.end())
-        return it->second;
-    const Word init = program_.data[(a - dataBase_) / 4];
-    return AbsVal::constant(static_cast<std::int32_t>(init));
+        reading_->cells.push_back(word);
+    if (cells_[word] != kInitial)
+        return cells_[word];
+    return pool_.constant(static_cast<std::int32_t>(program_.data[word]));
 }
 
 void
-AbsintEngine::joinCell(Addr cell, const AbsVal &val)
+AbsintEngine::joinCell(Addr cell, ValId value)
 {
-    AbsVal v = val;
+    ValId v = value;
     // Kernel-invariant clamp (assumption list): values outside the
     // documented invariant cannot be committed to the cell at runtime.
     const auto inv = invariantCells_.find(cell);
     if (inv != invariantCells_.end()) {
-        v = v.refined(inv->second);
-        if (v.isBottom())
+        v = pool_.refined(v, inv->second);
+        if (val(v).isBottom())
             return;
     }
-    const AbsVal cur = cellValue(cell);
-    AbsVal next = AbsVal::join(cur, v);
+    const ValId cur = cellId(cell);
+    ValId next = pool_.join(cur, v);
     if (round_ >= kWidenRound)
-        next = AbsVal::widen(cur, next);
-    if (!(next == cur)) {
-        cells_[cell] = std::move(next);
-        cellStamps_[(cell - dataBase_) / 4] = stamp();
+        next = pool_.widen(cur, next);
+    if (next != cur) {
+        const Addr word = (cell - dataBase_) / 4;
+        cells_[word] = next;
+        cellStamps_[word] = stamp();
         changed_ = true;
     }
 }
 
-AbsVal
+ValId
 AbsintEngine::loadWord(const AbsVal &addr) const
 {
     if (addr.isBottom())
-        return AbsVal::bottom();
+        return ValuePool::kBottom;
     if (addr.hasSet) {
         const bool computed = addr.consts.size() > 1;
-        AbsVal acc = AbsVal::bottom();
+        ValId acc = ValuePool::kBottom;
         for (std::int64_t c : addr.consts) {
             if (c == 0)
                 continue;  // null is never dereferenced (assumption)
@@ -411,25 +395,25 @@ AbsintEngine::loadWord(const AbsVal &addr) const
                 continue;
             }
             if (!inData(a) || inStack(a) || (a & 3)) {
-                acc = AbsVal::join(acc, AbsVal::top());
+                acc = pool_.join(acc, ValuePool::kTop);
                 continue;
             }
-            acc = AbsVal::join(acc, cellValue(a));
+            acc = pool_.join(acc, cellId(a));
         }
-        return acc.isBottom() ? AbsVal::top() : acc;
+        return val(acc).isBottom() ? ValuePool::kTop : acc;
     }
     const Interval &iv = addr.iv;
     const Interval data = Interval::range(dataBase_,
                                           static_cast<std::int64_t>(dataEnd_) - 1);
     const Interval m = Interval::meet(iv, data);
     if (m.isBottom())
-        return AbsVal::top();  // device / csr-mapped read
+        return ValuePool::kTop;  // device / csr-mapped read
     if (!(iv.lo >= data.lo && iv.hi <= data.hi))
-        return AbsVal::top();  // partially outside the data image
+        return ValuePool::kTop;  // partially outside the data image
     for (const auto &[lo, hi] : stackRanges_)
         if (!(iv.hi < static_cast<std::int64_t>(lo) ||
               iv.lo >= static_cast<std::int64_t>(hi)))
-            return AbsVal::top();  // may read the stack
+            return ValuePool::kTop;  // may read the stack
     const Addr first = static_cast<Addr>(m.lo) & ~Addr{3};
     const Addr last = static_cast<Addr>(m.hi) & ~Addr{3};
     // A word-multiple congruence on the address skips the cells the
@@ -439,36 +423,36 @@ AbsintEngine::loadWord(const AbsVal &addr) const
                           ? static_cast<Addr>(addr.stride)
                           : 4;
     if ((last - first) / step + 1 > 64)
-        return AbsVal::top();
-    AbsVal acc = AbsVal::bottom();
+        return ValuePool::kTop;
+    ValId acc = ValuePool::kBottom;
     for (Addr a = first; a <= last; a += step)
-        acc = AbsVal::join(acc, cellValue(a));
-    return acc.isBottom() ? AbsVal::top() : acc;
+        acc = pool_.join(acc, cellId(a));
+    return val(acc).isBottom() ? ValuePool::kTop : acc;
 }
 
-AbsVal
+ValId
 AbsintEngine::loadSized(const AbsVal &addr, Op op) const
 {
     switch (op) {
       case Op::kLw:
         return loadWord(addr);
       case Op::kLb:
-        return AbsVal::fromInterval(Interval::range(-128, 127));
+        return intern(AbsVal::fromInterval(Interval::range(-128, 127)));
       case Op::kLbu:
-        return AbsVal::fromInterval(Interval::range(0, 255));
+        return intern(AbsVal::fromInterval(Interval::range(0, 255)));
       case Op::kLh:
-        return AbsVal::fromInterval(Interval::range(-32768, 32767));
+        return intern(AbsVal::fromInterval(Interval::range(-32768, 32767)));
       case Op::kLhu:
-        return AbsVal::fromInterval(Interval::range(0, 65535));
+        return intern(AbsVal::fromInterval(Interval::range(0, 65535)));
       default:
-        return AbsVal::top();
+        return ValuePool::kTop;
     }
 }
 
 void
-AbsintEngine::storeWord(const AbsVal &addr, const AbsVal &val)
+AbsintEngine::storeWord(const AbsVal &addr, ValId value)
 {
-    if (addr.isBottom() || val.isBottom())
+    if (addr.isBottom() || val(value).isBottom())
         return;  // unreachable store
     if (addr.hasSet) {
         const bool computed = addr.consts.size() > 1;
@@ -480,7 +464,7 @@ AbsintEngine::storeWord(const AbsVal &addr, const AbsVal &val)
                 continue;  // device write or stack summary
             if (computed && scalarCells_.count(a))
                 continue;  // underflow artifact (assumption list)
-            joinCell(a, val);
+            joinCell(a, value);
         }
         return;
     }
@@ -512,7 +496,7 @@ AbsintEngine::storeWord(const AbsVal &addr, const AbsVal &val)
     const Addr last = static_cast<Addr>(m.hi) & ~Addr{3};
     if ((last - first) / step + 1 <= 64) {
         for (Addr a = first; a <= last; a += step)
-            joinCell(a, val);
+            joinCell(a, value);
         return;
     }
     // Wide unresolved store: havoc the whole range once.
@@ -524,64 +508,84 @@ AbsintEngine::storeWord(const AbsVal &addr, const AbsVal &val)
     changed_ = true;
 }
 
-const AbsVal &
-AbsintEngine::value(const RegState &st, unsigned reg) const
+bool
+AbsintEngine::joinState(RegState &st, const RegState &o, bool widen)
 {
-    static const AbsVal zero = AbsVal::constant(0);
-    return reg == 0 ? zero : st.v[reg];
+    if (!o.live)
+        return false;
+    if (!st.live) {
+        st = o;
+        return true;
+    }
+    bool changed = false;
+    for (unsigned i = 0; i < RegState::kNumSlots; ++i) {
+        if (st.v[i] == o.v[i])
+            continue;  // join and widen are idempotent
+        ValId next = pool_.join(st.v[i], o.v[i]);
+        if (widen)
+            next = pool_.widen(st.v[i], next);
+        if (next != st.v[i]) {
+            st.v[i] = next;
+            changed = true;
+        }
+    }
+    return changed;
+}
+
+ValId
+AbsintEngine::address(const RegState &st, const DecodedInsn &d)
+{
+    return pool_.eval(Op::kAdd, operand(st, d.rs1), pool_.constant(d.imm));
 }
 
 void
 AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
 {
-    const auto setRd = [&](const AbsVal &v) {
+    const auto setRd = [&](ValId v) {
         if (d.rd != 0)
             st.v[d.rd] = v;
     };
+    constexpr unsigned kMscratch = RegState::kMscratchSlot;
     switch (d.op) {
       case Op::kLui:
-        setRd(AbsVal::constant(static_cast<std::int32_t>(
+        setRd(pool_.constant(static_cast<std::int32_t>(
             static_cast<Word>(d.imm) << 12)));
         return;
       case Op::kAuipc:
-        setRd(AbsVal::constant(static_cast<std::int32_t>(
+        setRd(pool_.constant(static_cast<std::int32_t>(
             pc + (static_cast<Word>(d.imm) << 12))));
         return;
       case Op::kLb: case Op::kLh: case Op::kLw:
       case Op::kLbu: case Op::kLhu: {
-        const AbsVal addr = absEval(Op::kAdd, value(st, d.rs1),
-                                    AbsVal::constant(d.imm));
-        setRd(loadSized(addr, d.op));
+        setRd(loadSized(val(address(st, d)), d.op));
         return;
       }
       case Op::kSb: case Op::kSh: case Op::kSw: {
-        const AbsVal addr = absEval(Op::kAdd, value(st, d.rs1),
-                                    AbsVal::constant(d.imm));
         // Sub-word stores degrade the containing cell.
-        storeWord(addr, d.op == Op::kSw ? value(st, d.rs2)
-                                        : AbsVal::top());
+        storeWord(val(address(st, d)),
+                  d.op == Op::kSw ? operand(st, d.rs2) : ValuePool::kTop);
         return;
       }
       case Op::kAddi: case Op::kSlti: case Op::kSltiu:
       case Op::kXori: case Op::kOri: case Op::kAndi:
       case Op::kSlli: case Op::kSrli: case Op::kSrai:
-        setRd(absEval(d.op, value(st, d.rs1), AbsVal::constant(d.imm)));
+        setRd(pool_.eval(d.op, operand(st, d.rs1), pool_.constant(d.imm)));
         return;
       case Op::kAdd: case Op::kSub: case Op::kSll: case Op::kSlt:
       case Op::kSltu: case Op::kXor: case Op::kSrl: case Op::kSra:
       case Op::kOr: case Op::kAnd:
       case Op::kMul: case Op::kMulh: case Op::kMulhsu: case Op::kMulhu:
       case Op::kDiv: case Op::kDivu: case Op::kRem: case Op::kRemu: {
-        const AbsVal &a = value(st, d.rs1);
-        const AbsVal &b = value(st, d.rs2);
-        AbsVal r = absEval(d.op, a, b);
+        const AbsVal &a = val(operand(st, d.rs1));
+        const AbsVal &b = val(operand(st, d.rs2));
+        ValId r = pool_.eval(d.op, operand(st, d.rs1), operand(st, d.rs2));
         // Indexed addressing stays inside the addressed object
         // (assumption list): when exactly one operand of an `add` is
         // a data-symbol base, clamp the result to that symbol's
         // extent -- interval results are met with the extent, set
         // results have their underflowed members filtered -- so a
         // diverged index cannot alias the neighbouring objects.
-        if (d.op == Op::kAdd && !r.isBottom()) {
+        if (d.op == Op::kAdd && !val(r).isBottom()) {
             const AbsVal *base = nullptr;
             if (a.isConst() && !b.isConst() &&
                 inData(static_cast<Addr>(a.constValue())))
@@ -592,9 +596,10 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
             if (base) {
                 const Interval ext =
                     objectExtent(static_cast<Addr>(base->constValue()));
-                const AbsVal clamped =
-                    ext.isBottom() ? AbsVal::bottom() : r.refined(ext);
-                if (!clamped.isBottom())
+                const ValId clamped = ext.isBottom()
+                                          ? ValuePool::kBottom
+                                          : pool_.refined(r, ext);
+                if (!val(clamped).isBottom())
                     r = clamped;
             }
         }
@@ -602,27 +607,25 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
         return;
       }
       case Op::kCsrrw: {
-        const AbsVal old = d.csr == csr::kMscratch
-                               ? st.v[RegState::kMscratchSlot]
-                               : AbsVal::top();
+        const ValId old =
+            d.csr == csr::kMscratch ? st.v[kMscratch] : ValuePool::kTop;
         if (d.csr == csr::kMscratch)
-            st.v[RegState::kMscratchSlot] = value(st, d.rs1);
+            st.v[kMscratch] = operand(st, d.rs1);
         setRd(old);
         return;
       }
       case Op::kCsrrs: case Op::kCsrrc: {
-        const AbsVal old = d.csr == csr::kMscratch
-                               ? st.v[RegState::kMscratchSlot]
-                               : AbsVal::top();
+        const ValId old =
+            d.csr == csr::kMscratch ? st.v[kMscratch] : ValuePool::kTop;
         if (d.csr == csr::kMscratch && d.rs1 != 0)
-            st.v[RegState::kMscratchSlot] = AbsVal::top();
+            st.v[kMscratch] = ValuePool::kTop;
         setRd(old);
         return;
       }
       case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
         if (d.csr == csr::kMscratch)
-            st.v[RegState::kMscratchSlot] = AbsVal::top();
-        setRd(AbsVal::top());
+            st.v[kMscratch] = ValuePool::kTop;
+        setRd(ValuePool::kTop);
         return;
       case Op::kGetHwSched:
         // Only ids previously inserted into the hardware lists can
@@ -635,10 +638,10 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
       case Op::kAddReady: {
         if (reading_)
             reading_->hwListIds = true;
-        const AbsVal next = AbsVal::join(hwListIds_, value(st, d.rs1));
-        if (!(next == hwListIds_)) {
+        const ValId next = pool_.join(hwListIds_, operand(st, d.rs1));
+        if (next != hwListIds_) {
             hwListIds_ = round_ >= kWidenRound
-                             ? AbsVal::widen(hwListIds_, next)
+                             ? pool_.widen(hwListIds_, next)
                              : next;
             hwListIdsStamp_ = stamp();
             changed_ = true;
@@ -646,13 +649,13 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
         return;
       }
       case Op::kSemTake: case Op::kSemGive:
-        setRd(AbsVal::fromInterval(Interval::range(0, 1)));
+        setRd(intern(AbsVal::fromInterval(Interval::range(0, 1))));
         return;
       case Op::kSwitchRf: {
         // The hardware swaps in another task's register file.
-        RegState fresh = rootEntry();
-        fresh.v[RegState::kMscratchSlot] = st.v[RegState::kMscratchSlot];
-        st = fresh;
+        const ValId mscratch = st.v[kMscratch];
+        st = root_;
+        st.v[kMscratch] = mscratch;
         return;
       }
       case Op::kAddDelay: case Op::kRmTask:
@@ -672,34 +675,32 @@ AbsintEngine::recordCallEntry(Addr target, const RegState &st)
     if (!r || r->begin != target)
         return;  // call into a region interior: no model
     const size_t idx = r - regions_.data();
-    if (entryStates_[idx].joinFrom(st, round_ >= kWidenRound)) {
+    if (joinState(entryStates_[idx], st, round_ >= kWidenRound)) {
         entryStamps_[idx] = stamp();
         changed_ = true;
     }
 }
 
 void
-AbsintEngine::transfer(unsigned region, unsigned block,
-                       const RegState &in, bool record)
+AbsintEngine::transfer(unsigned region, unsigned block, const RegState &in)
 {
     const RegionLayout &layout = layouts_[region];
     const BasicBlock &bb = *layout.blocks[block];
+    RegionStates &states = states_[region];
     FnState &f = fn_;
-    RegState &st = *f.st;
+    RegState &st = f.st;
     st = in;
     const bool bodyIncludesLast = bb.term == TermKind::kFallThrough ||
                                   bb.term == TermKind::kFallOffText;
     const Addr bodyEnd = bodyIncludesLast ? bb.end : bb.termPc();
     for (Addr pc = bb.begin; pc < bodyEnd; pc += 4)
         applyInsn(pc, cfg_.insnAt(pc), st);
-    if (record)
-        f.term[block] = st;
+    states.term[block] = st;
 
-    // Queue an out-edge state (taking it from @p out) when the
-    // successor is inside the region; otherwise it enters another
-    // region.
+    // Queue an out-edge state when the successor is inside the
+    // region; otherwise it enters another region.
     f.numOuts = 0;
-    const auto emit = [&](Addr target, StatePtr &out) {
+    const auto emit = [&](Addr target, const RegState &out) {
         unsigned e = layout.edgeBegin[block];
         const unsigned last = layout.edgeBegin[block + 1];
         while (e < last && layout.edgeAddr[e] != target)
@@ -707,88 +708,80 @@ AbsintEngine::transfer(unsigned region, unsigned block,
         rtu_assert(e < last, "edge to 0x%08x is not a CFG successor",
                    target);
         if (layout.edgeTo[e] == RegionLayout::kOutside) {
-            recordCallEntry(target, *out);
+            recordCallEntry(target, out);
             return;
         }
-        if (f.numOuts == f.outs.size())
-            f.outs.emplace_back(0, std::make_unique<RegState>());
-        auto &[slot, state] = f.outs[f.numOuts++];
-        slot = e;
-        std::swap(state, out);
+        f.outs[f.numOuts++] = {e, out};
     };
 
     switch (bb.term) {
       case TermKind::kFallThrough:
-        emit(bb.end, f.st);
+        emit(bb.end, st);
         break;
       case TermKind::kBranch: {
         const Addr tpc = bb.termPc();
         const DecodedInsn &d = cfg_.insnAt(tpc);
         std::optional<bool> dec;
         if (d.rs1 != d.rs2)
-            dec = absDecide(d.op, value(st, d.rs1), value(st, d.rs2));
+            dec = absDecide(d.op, val(operand(st, d.rs1)),
+                            val(operand(st, d.rs2)));
         if (dec.value_or(true)) {  // taken edge not refuted
-            RegState &ts = *f.taken;
+            RegState &ts = f.taken;
             ts = st;
             if (d.rs1 != d.rs2) {
-                AbsVal a = value(ts, d.rs1), b = value(ts, d.rs2);
-                refineByBranch(d.op, true, a, b);
-                if (a.isBottom() || b.isBottom()) {
+                ValId a = operand(ts, d.rs1), b = operand(ts, d.rs2);
+                pool_.refineBranch(d.op, true, a, b);
+                if (val(a).isBottom() || val(b).isBottom()) {
                     dec = false;
                 } else {
                     if (d.rs1 != 0)
-                        ts.v[d.rs1] = std::move(a);
+                        ts.v[d.rs1] = a;
                     if (d.rs2 != 0)
-                        ts.v[d.rs2] = std::move(b);
+                        ts.v[d.rs2] = b;
                 }
             }
             if (dec.value_or(true))
-                emit(bb.takenTarget, f.taken);
+                emit(bb.takenTarget, ts);
         }
         if (!dec.value_or(false)) {  // fall-through not refuted
             if (d.rs1 != d.rs2) {
-                AbsVal a = value(st, d.rs1), b = value(st, d.rs2);
-                refineByBranch(d.op, false, a, b);
-                if (a.isBottom() || b.isBottom()) {
+                ValId a = operand(st, d.rs1), b = operand(st, d.rs2);
+                pool_.refineBranch(d.op, false, a, b);
+                if (val(a).isBottom() || val(b).isBottom()) {
                     dec = true;
                 } else {
                     if (d.rs1 != 0)
-                        st.v[d.rs1] = std::move(a);
+                        st.v[d.rs1] = a;
                     if (d.rs2 != 0)
-                        st.v[d.rs2] = std::move(b);
+                        st.v[d.rs2] = b;
                 }
             }
             if (!dec.value_or(false))
-                emit(bb.end, f.st);
+                emit(bb.end, st);
         }
-        if (record) {
-            // Overwrite, never accumulate: early worklist visits
-            // see pre-fixpoint states (a loop's first iterate can
-            // "refute" its own exit); only the verdict of the
-            // final visit — the converged input — is a fact.
-            infeasibleFall_.erase(tpc);
-            infeasibleTaken_.erase(tpc);
-            if (dec && *dec)
-                infeasibleFall_.insert(tpc);
-            else if (dec && !*dec)
-                infeasibleTaken_.insert(tpc);
-        }
+        // Overwrite, never accumulate: early worklist visits see
+        // pre-fixpoint states (a loop's first iterate can "refute"
+        // its own exit); only the verdict of the final visit — the
+        // converged input — is a fact.
+        states.verdicts[block] = !dec   ? Verdict::kOpen
+                                 : *dec ? Verdict::kFallRefuted
+                                        : Verdict::kTakenRefuted;
         break;
       }
       case TermKind::kJump:
-        emit(bb.takenTarget, f.st);
+        emit(bb.takenTarget, st);
         break;
       case TermKind::kCall: {
         // The callee entry and the continuation both see ra = the
         // return address; the continuation then loses the
         // caller-saved registers.
         const Addr tpc = bb.termPc();
-        st.v[kRaReg] = AbsVal::constant(tpc + 4);
+        st.v[kRaReg] = pool_.constant(tpc + 4);
         recordCallEntry(bb.takenTarget, st);
 
         for (unsigned r : kCallerSaved)
-            st.v[r] = AbsVal::top();
-        st.v[RegState::kMscratchSlot] = AbsVal::top();
+            st.v[r] = ValuePool::kTop;
+        st.v[RegState::kMscratchSlot] = ValuePool::kTop;
         const Region *cr = regionContaining(bb.takenTarget);
         // No recorded `ret` yet means the callee (so far) never
         // returns; the continuation stays unreachable until a
@@ -800,19 +793,19 @@ AbsintEngine::transfer(unsigned region, unsigned block,
                 reading_->callees.push_back(callee);
             st.v[kA0Reg] = returnValues_[callee];
         } else {
-            st.v[kA0Reg] = AbsVal::bottom();
+            st.v[kA0Reg] = ValuePool::kBottom;
         }
-        if (!st.v[kA0Reg].isBottom())
-            emit(bb.end, f.st);
+        if (!val(st.v[kA0Reg]).isBottom())
+            emit(bb.end, st);
         break;
       }
       case TermKind::kReturn: {
         // The summary starts from bottom (a default AbsVal is top,
         // which would pin the monotone summary there forever).
-        AbsVal &rv = returnValues_[region];
-        const AbsVal next = AbsVal::join(rv, value(st, kA0Reg));
-        if (!(next == rv)) {
-            rv = round_ >= kWidenRound ? AbsVal::widen(rv, next) : next;
+        ValId &rv = returnValues_[region];
+        const ValId next = pool_.join(rv, operand(st, kA0Reg));
+        if (next != rv) {
+            rv = round_ >= kWidenRound ? pool_.widen(rv, next) : next;
             returnStamps_[region] = stamp();
             changed_ = true;
         }
@@ -826,39 +819,36 @@ AbsintEngine::transfer(unsigned region, unsigned block,
 }
 
 void
-AbsintEngine::analyzeRegion(unsigned region, bool record)
+AbsintEngine::analyzeRegion(unsigned region)
 {
     if (!entryStates_[region].live)
         return;
     // A copy: a recursive call may widen the live entry mid-analysis.
     const RegState entry = entryStates_[region];
     const RegionLayout &layout = layouts_[region];
+    RegionStates &states = states_[region];
     const unsigned n = static_cast<unsigned>(layout.blocks.size());
     rtu_assert(n > 0 && layout.blocks[0]->begin == regions_[region].begin,
                "no basic block starts at 0x%08x", regions_[region].begin);
 
     FnState &f = fn_;
-    if (f.in.size() < n) {
-        f.term.resize(n);
+    if (f.visits.size() < n) {
         f.visits.resize(n);
         f.queued.resize(n);
         f.work.resize(n);
-        while (f.in.size() < n)
-            f.in.push_back(std::make_unique<RegState>());
     }
-    while (f.edges.size() < layout.edgeAddr.size())
-        f.edges.push_back(std::make_unique<RegState>());
     for (unsigned b = 0; b < n; ++b) {
-        f.in[b]->live = false;
-        f.term[b].live = false;
+        states.in[b].live = false;
+        states.term[b].live = false;
+        states.verdicts[b] = Verdict::kOpen;
         f.visits[b] = 0;
         f.queued[b] = false;
     }
-    for (size_t e = 0; e < layout.edgeAddr.size(); ++e)
-        f.edges[e]->live = false;
+    for (RegState &e : states.edges)
+        e.live = false;
 
     // Phase 1: ascending worklist iteration with widening at heads.
-    *f.in[0] = entry;
+    states.in[0] = entry;
     f.work[0] = 0;
     f.queued[0] = true;
     unsigned front = 0, queued = 1;
@@ -872,17 +862,17 @@ AbsintEngine::analyzeRegion(unsigned region, bool record)
         front = (front + 1) % n;
         --queued;
         f.queued[b] = false;
-        transfer(region, b, *f.in[b], record);
+        transfer(region, b, states.in[b]);
         for (unsigned k = 0; k < f.numOuts; ++k) {
-            auto &[e, os] = f.outs[k];
+            const auto &[e, os] = f.outs[k];
             const unsigned succ = layout.edgeTo[e];
             const bool widen = layout.head[succ] &&
                                ++f.visits[succ] > kWideningDelay;
-            if (f.in[succ]->joinFrom(*os, widen) && !f.queued[succ]) {
+            if (joinState(states.in[succ], os, widen) && !f.queued[succ]) {
                 f.queued[succ] = true;
                 f.work[(front + queued++) % n] = succ;
             }
-            std::swap(f.edges[e], os);
+            states.edges[e] = os;
         }
     }
 
@@ -890,36 +880,22 @@ AbsintEngine::analyzeRegion(unsigned region, bool record)
     // reachable block's entry from its predecessor edges.
     for (unsigned sweep = 0; sweep < kNarrowSweeps; ++sweep) {
         for (unsigned b = 0; b < n; ++b) {
-            RegState &newIn = *f.narrowed;
+            RegState &newIn = f.narrowed;
             newIn.live = false;
             if (b == 0)
                 newIn = entry;
             for (unsigned e : layout.inEdges[b])
-                newIn.joinFrom(*f.edges[e], false);
+                joinState(newIn, states.edges[e], false);
             if (!newIn.live)
                 continue;
-            std::swap(f.in[b], f.narrowed);
+            states.in[b] = newIn;
             // Drop stale edges from this block before re-emitting.
             for (unsigned e = layout.edgeBegin[b];
                  e < layout.edgeBegin[b + 1]; ++e)
-                f.edges[e]->live = false;
-            transfer(region, b, *f.in[b], record);
+                states.edges[e].live = false;
+            transfer(region, b, states.in[b]);
             for (unsigned k = 0; k < f.numOuts; ++k)
-                std::swap(f.edges[f.outs[k].first], f.outs[k].second);
-        }
-    }
-
-    if (record) {
-        for (unsigned b = 0; b < n; ++b) {
-            const Addr leader = layout.blocks[b]->begin;
-            if (f.in[b]->live)
-                blockEntries_[leader] = *f.in[b];
-            if (f.term[b].live)
-                termStates_[leader] = f.term[b];
-            for (unsigned e = layout.edgeBegin[b];
-                 e < layout.edgeBegin[b + 1]; ++e)
-                if (f.edges[e]->live)
-                    edgeStates_[{leader, layout.edgeAddr[e]}] = *f.edges[e];
+                states.edges[f.outs[k].first] = f.outs[k].second;
         }
     }
 }
@@ -951,7 +927,7 @@ AbsintEngine::run()
     converged_ = true;
     for (size_t i = 0; i < regions_.size(); ++i) {
         if (regions_[i].root && regions_[i].analyzed) {
-            entryStates_[i] = rootEntry();
+            entryStates_[i] = root_;
             entryStamps_[i] = stamp();
         }
     }
@@ -974,7 +950,7 @@ AbsintEngine::run()
             deps.callees.clear();
             deps.hwListIds = false;
             reading_ = &deps;
-            analyzeRegion(i, false);
+            analyzeRegion(i);
             reading_ = nullptr;
             for (auto *ids : {&deps.cells, &deps.callees}) {
                 std::sort(ids->begin(), ids->end());
@@ -985,40 +961,68 @@ AbsintEngine::run()
         if (!changed_)
             break;
     }
-    if (round == kMaxOuterRounds)
-        converged_ = false;
 
-    // Final recording pass over the converged global state. Branch
-    // infeasibility is only trusted from this pass (and only when the
-    // outer fixpoint converged).
-    for (unsigned i = 0; i < regions_.size(); ++i)
-        if (regions_[i].analyzed)
-            analyzeRegion(i, true);
-    if (!converged_) {
-        infeasibleTaken_.clear();
-        infeasibleFall_.clear();
+    // The states and verdicts queried after run() are each region's
+    // last analysis. At a fixpoint that analysis already saw the
+    // converged inputs: the last round wrote nothing, so a region
+    // analyzed in it read final values throughout, and a region it
+    // skipped had no input written since its last analysis started.
+    // Re-running either would reproduce the same states, so only the
+    // round-capped run needs a recording pass over the final inputs.
+    if (round == kMaxOuterRounds) {
+        converged_ = false;
+        for (unsigned i = 0; i < regions_.size(); ++i)
+            if (regions_[i].analyzed)
+                analyzeRegion(i);
     }
+    // Branch infeasibility is only trusted from a converged run.
+    if (!converged_)
+        return;
+    for (unsigned r = 0; r < regions_.size(); ++r) {
+        const RegionLayout &layout = layouts_[r];
+        for (size_t b = 0; b < layout.blocks.size(); ++b) {
+            const Verdict v = states_[r].verdicts[b];
+            if (v == Verdict::kFallRefuted)
+                infeasibleFall_.insert(layout.blocks[b]->termPc());
+            else if (v == Verdict::kTakenRefuted)
+                infeasibleTaken_.insert(layout.blocks[b]->termPc());
+        }
+    }
+}
+
+const AbsintEngine::BlockRef *
+AbsintEngine::blockRef(Addr leader) const
+{
+    const auto it = blockRefs_.find(leader);
+    return it != blockRefs_.end() ? &it->second : nullptr;
 }
 
 const RegState *
 AbsintEngine::blockEntry(Addr leader) const
 {
-    const auto it = blockEntries_.find(leader);
-    return it != blockEntries_.end() ? &it->second : nullptr;
+    const BlockRef *ref = blockRef(leader);
+    return ref ? liveOrNull(states_[ref->region].in[ref->block]) : nullptr;
 }
 
 const RegState *
 AbsintEngine::termState(Addr leader) const
 {
-    const auto it = termStates_.find(leader);
-    return it != termStates_.end() ? &it->second : nullptr;
+    const BlockRef *ref = blockRef(leader);
+    return ref ? liveOrNull(states_[ref->region].term[ref->block]) : nullptr;
 }
 
 const RegState *
 AbsintEngine::edgeState(Addr from, Addr to) const
 {
-    const auto it = edgeStates_.find({from, to});
-    return it != edgeStates_.end() ? &it->second : nullptr;
+    const BlockRef *ref = blockRef(from);
+    if (!ref)
+        return nullptr;
+    const RegionLayout &layout = layouts_[ref->region];
+    for (unsigned e = layout.edgeBegin[ref->block];
+         e < layout.edgeBegin[ref->block + 1]; ++e)
+        if (layout.edgeAddr[e] == to)
+            return liveOrNull(states_[ref->region].edges[e]);
+    return nullptr;
 }
 
 } // namespace rtu

@@ -59,7 +59,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -75,21 +74,19 @@
 namespace rtu {
 
 /** Register-file state: x0..x31 plus mscratch (the only CSR the
- *  generated kernels use to carry a value). */
+ *  generated kernels use to carry a value). Slots are ids into the
+ *  pool of the engine that produced the state, so copying a state is
+ *  a memcpy and comparing two slots is comparing two words. */
 struct RegState
 {
     static constexpr unsigned kNumSlots = 33;
     static constexpr unsigned kMscratchSlot = 32;
 
+    const ValuePool *pool = nullptr;  ///< resolves v; set when live
     bool live = false;  ///< false = unreachable (bottom state)
-    std::array<AbsVal, kNumSlots> v;
+    std::array<ValId, kNumSlots> v{};  ///< zero-filled = all top
 
-    AbsVal &reg(unsigned i) { return v[i]; }
-    const AbsVal &reg(unsigned i) const { return v[i]; }
-
-    /** Join @p o into this state, widening against the old value when
-     *  @p widen; true when this state changed. */
-    bool joinFrom(const RegState &o, bool widen);
+    const AbsVal &reg(unsigned i) const { return (*pool)[v[i]]; }
 };
 
 /**
@@ -126,7 +123,7 @@ class AbsintEngine
     };
     const std::vector<Region> &regions() const { return regions_; }
 
-    // ---- final-pass state queries (loop-bound inference etc.) ------
+    // ---- converged-state queries (loop-bound inference etc.) -------
 
     /** Register state on entry to the block at @p leader, or nullptr
      *  if the block was never reached. */
@@ -139,10 +136,7 @@ class AbsintEngine
     const RegState *edgeState(Addr from, Addr to) const;
 
     /** Abstract value of the data cell at word address @p addr. */
-    AbsVal cellValue(Addr addr) const;
-
-    /** Abstract load through an abstract word address. */
-    AbsVal loadWord(const AbsVal &addr) const;
+    const AbsVal &cellValue(Addr addr) const { return pool_[cellId(addr)]; }
 
     /** Branch pcs with a statically refuted edge. */
     const std::set<Addr> &infeasibleTaken() const
@@ -176,7 +170,7 @@ class AbsintEngine
     };
 
     /**
-     * What a region's last non-final analysis read. The region is
+     * What a region's last analysis in the rounds read. The region is
      * re-analyzed only when one of these inputs was written after
      * that analysis started (see run()).
      */
@@ -189,55 +183,89 @@ class AbsintEngine
         bool hwListIds = false;
     };
 
+    /** Branch verdict of a block's last visit in its region's last
+     *  analysis. */
+    enum class Verdict : std::uint8_t { kOpen, kTakenRefuted, kFallRefuted };
+
     /**
-     * Intra-region scratch, reused across analyses: states by block
-     * index, edge states by edge slot (dead = not computed). Moving
-     * states between the transfer, the out-edges and the edge slots
-     * swaps owners instead of copying ~1.9 KB register files.
+     * Everything a region's last analysis computed: entry and
+     * terminator states by block index, edge states by edge slot, and
+     * the branch verdicts. The queries read these directly; a converged
+     * run needs no recording pass (see run()).
      */
-    using StatePtr = std::unique_ptr<RegState>;
+    struct RegionStates
+    {
+        std::vector<RegState> in;
+        std::vector<RegState> term;
+        std::vector<RegState> edges;
+        std::vector<Verdict> verdicts;
+    };
+
+    /** Intra-region worklist scratch, reused across analyses. */
     struct FnState
     {
-        std::vector<StatePtr> in;
-        std::vector<RegState> term;
-        std::vector<StatePtr> edges;
         std::vector<unsigned> visits;
         std::vector<bool> queued;
         std::vector<unsigned> work;  ///< FIFO ring, one slot per block
-        std::vector<std::pair<unsigned, StatePtr>> outs;
+        /** The block's in-region out-edges: slot and state. A branch
+         *  whose two edges reach one block emits that slot twice. */
+        std::array<std::pair<unsigned, RegState>, 2> outs;
         unsigned numOuts = 0;
-        StatePtr st = std::make_unique<RegState>();     ///< block transfer
-        StatePtr taken = std::make_unique<RegState>();  ///< branch taken edge
-        StatePtr narrowed = std::make_unique<RegState>();  ///< phase 2 entry
+        RegState st;        ///< block transfer
+        RegState taken;     ///< branch taken edge
+        RegState narrowed;  ///< phase 2 entry
+    };
+
+    /** Where a block leader's states live. */
+    struct BlockRef
+    {
+        unsigned region = 0;
+        unsigned block = 0;
     };
 
     void buildRegions();
     void buildLayouts();
     void buildStackRanges();
     void buildDataObjects();
-    RegState rootEntry() const;
 
     /** Extent of the data symbol containing @p a, or bottom. */
     Interval objectExtent(Addr a) const;
 
     bool needsAnalysis(unsigned region) const;
-    void analyzeRegion(unsigned region, bool record);
-    void transfer(unsigned region, unsigned block, const RegState &in,
-                  bool record);
+    void analyzeRegion(unsigned region);
+    void transfer(unsigned region, unsigned block, const RegState &in);
     void applyInsn(Addr pc, const DecodedInsn &d, RegState &st);
-    const AbsVal &value(const RegState &st, unsigned reg) const;
+    /** Join @p o into @p st, widening against the old value when
+     *  @p widen; true when @p st changed. */
+    bool joinState(RegState &st, const RegState &o, bool widen);
+    /** Register operand: x0 reads as zero in every state. */
+    ValId operand(const RegState &st, unsigned reg) const
+    {
+        return reg == 0 ? zero_ : st.v[reg];
+    }
+    const AbsVal &val(ValId id) const { return pool_[id]; }
+    /** Effective address rs1 + imm of the load/store @p d. */
+    ValId address(const RegState &st, const DecodedInsn &d);
+    ValId intern(const AbsVal &v) const { return pool_.intern(v); }
 
-    AbsVal loadSized(const AbsVal &addr, Op op) const;
-    void storeWord(const AbsVal &addr, const AbsVal &val);
-    void joinCell(Addr cell, const AbsVal &val);
+    ValId cellId(Addr addr) const;
+    ValId loadWord(const AbsVal &addr) const;
+    ValId loadSized(const AbsVal &addr, Op op) const;
+    void storeWord(const AbsVal &addr, ValId value);
+    void joinCell(Addr cell, ValId value);
     void recordCallEntry(Addr target, const RegState &st);
     /** Bump the write sequence number and return it. */
     std::uint64_t stamp() { return ++seq_; }
 
+    const BlockRef *blockRef(Addr leader) const;
     const Region *regionContaining(Addr pc) const;
 
     const Program &program_;
     Cfg cfg_;
+    /** Every abstract value this engine saw; interning is invisible
+     *  to the queries, hence mutable. */
+    mutable ValuePool pool_;
+    const ValId zero_ = pool_.constant(0);
 
     Addr dataBase_ = 0;
     Addr dataEnd_ = 0;
@@ -253,18 +281,22 @@ class AbsintEngine
     std::vector<Region> regions_;
     std::vector<RegionLayout> layouts_;
     std::set<Addr> callTargets_;
+    std::unordered_map<Addr, BlockRef> blockRefs_;
     FnState fn_;
+    std::vector<RegionStates> states_;  ///< by region
 
     // Outer-fixpoint state. Every global write stamps its target with
     // the next sequence number.
     unsigned round_ = 0;
     bool changed_ = false;
     bool converged_ = false;
-    std::unordered_map<Addr, AbsVal> cells_;
+    /** By data word index; kInitial = the image initializer. */
+    static constexpr ValId kInitial = ~ValId{0};
+    std::vector<ValId> cells_;
     std::vector<std::pair<Addr, Addr>> havocRanges_;
     std::vector<RegState> entryStates_;  ///< by region; dead = no entry
-    std::vector<AbsVal> returnValues_;   ///< by region: a0 summary
-    AbsVal hwListIds_ = AbsVal::bottom();
+    std::vector<ValId> returnValues_;    ///< by region: a0 summary
+    ValId hwListIds_ = ValuePool::kBottom;
 
     std::uint64_t seq_ = 0;
     std::vector<std::uint64_t> cellStamps_;  ///< by data word index
@@ -274,13 +306,10 @@ class AbsintEngine
     std::uint64_t havocStamp_ = 0;
     std::vector<RegionDeps> deps_;
     /** Read log of the analysis in progress; null outside the
-     *  non-final rounds (cellValue is also a public query). */
+     *  rounds (cellValue is also a public query). */
     mutable RegionDeps *reading_ = nullptr;
 
-    // Final recorded pass.
-    std::map<Addr, RegState> blockEntries_;
-    std::map<Addr, RegState> termStates_;
-    std::map<std::pair<Addr, Addr>, RegState> edgeStates_;
+    RegState root_;  ///< state at an unconstrained root entry
     std::set<Addr> infeasibleTaken_;
     std::set<Addr> infeasibleFall_;
 };

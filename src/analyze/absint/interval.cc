@@ -112,6 +112,56 @@ setOf(I64 *values, size_t n)
     return AbsVal::fromSorted(values, unique);
 }
 
+/**
+ * AbsVal::join with the operands' value gaps supplied by @p gapA and
+ * @p gapB, which are called only when the set union overflows.
+ */
+template <typename GapA, typename GapB>
+AbsVal
+joinWithGaps(const AbsVal &a, const AbsVal &b, GapA gapA, GapB gapB)
+{
+    if (a.isBottom())
+        return b;
+    if (b.isBottom())
+        return a;
+    if (a.hasSet && b.hasSet) {
+        I64 u[2 * AbsVal::kMaxConsts];
+        const size_t n =
+            std::set_union(a.consts.begin(), a.consts.end(),
+                           b.consts.begin(), b.consts.end(), u) - u;
+        if (n <= AbsVal::kMaxConsts)
+            return AbsVal::fromSorted(u, n);
+    }
+    // The joined congruence must hold for both operands' values and
+    // make their anchors congruent to each other.
+    const I64 g = gcd64(gcd64(gapA(), gapB()), a.iv.lo - b.iv.lo);
+    return AbsVal::strided(Interval::join(a.iv, b.iv), g, a.iv.lo);
+}
+
+/** AbsVal::widen with supplied value gaps, as joinWithGaps. */
+template <typename GapA, typename GapB>
+AbsVal
+widenWithGaps(const AbsVal &prev, const AbsVal &next, GapA gapPrev,
+              GapB gapNext)
+{
+    if (prev.isBottom())
+        return next;
+    if (next.isBottom())
+        return prev;
+    // Sets grow monotonically up to kMaxConsts, so unioning here still
+    // terminates; past the cap the interval ladder takes over.
+    if (prev.hasSet && next.hasSet) {
+        AbsVal u = joinWithGaps(prev, next, gapPrev, gapNext);
+        if (u.hasSet)
+            return u;
+    }
+    // Strides only shrink under gcd, so this terminates alongside the
+    // interval ladder; the inward re-alignment in strided() keeps the
+    // result exact for the surviving congruence.
+    const I64 g = gcd64(gcd64(gapPrev(), gapNext()), prev.iv.lo - next.iv.lo);
+    return AbsVal::strided(Interval::widen(prev.iv, next.iv), g, prev.iv.lo);
+}
+
 } // namespace
 
 // ---- Interval --------------------------------------------------------------
@@ -308,20 +358,10 @@ Interval::str() const
 // ---- ConstSet --------------------------------------------------------------
 
 void
-ConstSet::assignSlow(const std::int64_t *values, size_t n)
+ConstSet::assign(const std::int64_t *values, size_t n)
 {
     rtu_assert(n <= kCapacity, "value set of %zu exceeds %zu", n, kCapacity);
-    if (n > kInline) {
-        if (!onHeap())
-            heap_ = new std::int64_t[kCapacity];
-        if (values != heap_)
-            std::copy(values, values + n, heap_);
-    } else {
-        std::int64_t kept[kInline];
-        std::copy(values, values + n, kept);
-        release();
-        std::copy(kept, kept + n, inline_);
-    }
+    std::copy(values, values + n, members_.begin());
     size_ = static_cast<std::uint32_t>(n);
 }
 
@@ -435,45 +475,15 @@ AbsVal::operator==(const AbsVal &o) const
 AbsVal
 AbsVal::join(const AbsVal &a, const AbsVal &b)
 {
-    if (a.isBottom())
-        return b;
-    if (b.isBottom())
-        return a;
-    if (a.hasSet && b.hasSet) {
-        I64 u[2 * kMaxConsts];
-        const size_t n =
-            std::set_union(a.consts.begin(), a.consts.end(),
-                           b.consts.begin(), b.consts.end(), u) - u;
-        if (n <= kMaxConsts)
-            return fromSorted(u, n);
-    }
-    // The joined congruence must hold for both operands' values and
-    // make their anchors congruent to each other.
-    const I64 g = gcd64(gcd64(a.valueGap(), b.valueGap()),
-                        a.iv.lo - b.iv.lo);
-    return strided(Interval::join(a.iv, b.iv), g, a.iv.lo);
+    return joinWithGaps(a, b, [&] { return a.valueGap(); },
+                        [&] { return b.valueGap(); });
 }
 
 AbsVal
 AbsVal::widen(const AbsVal &prev, const AbsVal &next)
 {
-    if (prev.isBottom())
-        return next;
-    if (next.isBottom())
-        return prev;
-    // Sets grow monotonically up to kMaxConsts, so unioning here still
-    // terminates; past the cap the interval ladder takes over.
-    if (prev.hasSet && next.hasSet) {
-        const AbsVal u = join(prev, next);
-        if (u.hasSet)
-            return u;
-    }
-    // Strides only shrink under gcd, so this terminates alongside the
-    // interval ladder; the inward re-alignment in strided() keeps the
-    // result exact for the surviving congruence.
-    const I64 g = gcd64(gcd64(prev.valueGap(), next.valueGap()),
-                        prev.iv.lo - next.iv.lo);
-    return strided(Interval::widen(prev.iv, next.iv), g, prev.iv.lo);
+    return widenWithGaps(prev, next, [&] { return prev.valueGap(); },
+                         [&] { return next.valueGap(); });
 }
 
 AbsVal
@@ -693,6 +703,193 @@ refineByBranch(Op op, bool taken, AbsVal &a, AbsVal &b)
       default:
         panic("not a branch predicate: %s", opName(p));
     }
+}
+
+// ---- ValuePool -------------------------------------------------------------
+
+namespace {
+
+/** Word-at-a-time hash of a value's canonical fields. */
+std::uint64_t
+hashOf(const AbsVal &v)
+{
+    std::uint64_t h = 0;
+    const auto add = [&](std::uint64_t w) {
+        h = (((h << 5) | (h >> 59)) ^ w) * 0x9e3779b97f4a7c15ull;
+    };
+    add(static_cast<std::uint64_t>(v.iv.lo));
+    add(static_cast<std::uint64_t>(v.iv.hi));
+    add(static_cast<std::uint64_t>(v.stride) << 1 | v.hasSet);
+    for (I64 c : v.consts)
+        add(static_cast<std::uint64_t>(c));
+    h ^= h >> 31;
+    return h;
+}
+
+/** Slot of @p hash in a power-of-two table of @p size slots. */
+size_t
+slotOf(std::uint64_t hash, size_t size)
+{
+    return static_cast<size_t>(hash) & (size - 1);
+}
+
+std::uint64_t
+pairKey(ValId a, ValId b)
+{
+    return std::uint64_t{a} << 32 | b;
+}
+
+std::uint64_t
+memoHash(std::uint64_t key, std::uint32_t tag)
+{
+    key = (key ^ tag) * 0x9e3779b97f4a7c15ull;
+    return key ^ key >> 29;
+}
+
+} // namespace
+
+ValuePool::ValuePool()
+{
+    intern(AbsVal::top());
+    intern(AbsVal::bottom());
+}
+
+ValId
+ValuePool::intern(const AbsVal &v)
+{
+    const std::uint64_t hash = hashOf(v);
+    size_t slot = slotOf(hash, index_.size());
+    for (; index_[slot] != kNone; slot = slotOf(slot + 1, index_.size())) {
+        const Entry &e = entry(index_[slot]);
+        if (e.hash == hash && e.val == v)
+            return index_[slot];
+    }
+    const auto id = static_cast<ValId>(size_);
+    if ((size_ & ((1u << kChunkBits) - 1)) == 0)
+        chunks_.push_back(std::make_unique<Entry[]>(1u << kChunkBits));
+    Entry &e = chunks_.back()[id & ((1u << kChunkBits) - 1)];
+    e.val = v;
+    e.hash = hash;
+    e.gap = v.valueGap();
+    index_[slot] = id;
+    if (++size_ * 2 > index_.size())
+        grow();
+    return id;
+}
+
+void
+ValuePool::grow()
+{
+    std::vector<ValId> bigger(index_.size() * 2, kNone);
+    for (ValId id = 0; id < size_; ++id) {
+        size_t slot = slotOf(entry(id).hash, bigger.size());
+        while (bigger[slot] != kNone)
+            slot = slotOf(slot + 1, bigger.size());
+        bigger[slot] = id;
+    }
+    index_ = std::move(bigger);
+}
+
+ValId
+ValuePool::constant(std::int64_t c)
+{
+    const auto key = static_cast<std::uint64_t>(c);
+    ValId r = constants_.find(key);
+    if (r == kNone) {
+        r = intern(AbsVal::constant(c));
+        constants_.insert(key, 0, r);
+    }
+    return r;
+}
+
+ValId
+ValuePool::join(ValId a, ValId b)
+{
+    ValId r = joins_.find(pairKey(a, b));
+    if (r == kNone) {
+        r = intern(joinWithGaps((*this)[a], (*this)[b],
+                                [&] { return gap(a); },
+                                [&] { return gap(b); }));
+        joins_.insert(pairKey(a, b), 0, r);
+    }
+    return r;
+}
+
+ValId
+ValuePool::widen(ValId prev, ValId next)
+{
+    ValId r = widens_.find(pairKey(prev, next));
+    if (r == kNone) {
+        r = intern(widenWithGaps((*this)[prev], (*this)[next],
+                                 [&] { return gap(prev); },
+                                 [&] { return gap(next); }));
+        widens_.insert(pairKey(prev, next), 0, r);
+    }
+    return r;
+}
+
+ValId
+ValuePool::eval(Op op, ValId a, ValId b)
+{
+    const auto tag = static_cast<std::uint32_t>(op);
+    ValId r = evals_.find(pairKey(a, b), tag);
+    if (r == kNone) {
+        r = intern(absEval(op, (*this)[a], (*this)[b]));
+        evals_.insert(pairKey(a, b), tag, r);
+    }
+    return r;
+}
+
+void
+ValuePool::refineBranch(Op op, bool taken, ValId &a, ValId &b)
+{
+    const std::uint64_t key = pairKey(a, b);
+    const auto tag = static_cast<std::uint32_t>(op) << 2 | taken << 1;
+    ValId ra = branches_.find(key, tag);
+    ValId rb;
+    if (ra == kNone) {
+        AbsVal va = (*this)[a], vb = (*this)[b];
+        refineByBranch(op, taken, va, vb);
+        ra = intern(va);
+        rb = intern(vb);
+        branches_.insert(key, tag, ra);
+        branches_.insert(key, tag | 1, rb);
+    } else {
+        rb = branches_.find(key, tag | 1);
+    }
+    a = ra;
+    b = rb;
+}
+
+ValId
+ValuePool::Memo::find(std::uint64_t key, std::uint32_t tag) const
+{
+    for (size_t slot = slotOf(memoHash(key, tag), slots_.size());;
+         slot = slotOf(slot + 1, slots_.size())) {
+        const Slot &s = slots_[slot];
+        if (s.result == kNone)
+            return kNone;
+        if (s.key == key && s.tag == tag)
+            return s.result;
+    }
+}
+
+void
+ValuePool::Memo::insert(std::uint64_t key, std::uint32_t tag, ValId result)
+{
+    if ((used_ + 1) * 2 > slots_.size()) {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        used_ = 0;
+        for (const Slot &s : old)
+            if (s.result != kNone)
+                insert(s.key, s.tag, s.result);
+    }
+    size_t slot = slotOf(memoHash(key, tag), slots_.size());
+    while (slots_[slot].result != kNone)
+        slot = slotOf(slot + 1, slots_.size());
+    slots_[slot] = {key, tag, result};
+    ++used_;
 }
 
 } // namespace rtu

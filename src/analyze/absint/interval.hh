@@ -33,8 +33,9 @@
 #ifndef RTU_ANALYZE_ABSINT_INTERVAL_HH
 #define RTU_ANALYZE_ABSINT_INTERVAL_HH
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -94,86 +95,33 @@ struct Interval
 };
 
 /**
- * Sorted, duplicate-free set of at most kCapacity words with a small
- * buffer: up to kInline members live inline (constants and the common
- * two-way pointer joins never allocate), larger sets own one heap
- * block of kCapacity slots. A fully inline kCapacity array would grow
- * every register slot from 56 to ~300 bytes and multiply the engine's
- * working set; the heap block is paid only by the large pointer sets.
+ * Sorted, duplicate-free set of at most kCapacity words, stored inline.
+ * Only the first size() slots are meaningful. The engine keeps every
+ * distinct value once in a ValuePool and register slots hold ids, so
+ * the width of a set no longer multiplies into the working set.
  */
 class ConstSet
 {
   public:
-    static constexpr size_t kInline = 2;
     static constexpr size_t kCapacity = 32;
-
-    ConstSet() = default;
-    ConstSet(const ConstSet &o) { *this = o; }
-    ConstSet(ConstSet &&o) noexcept { steal(o); }
-    ConstSet &operator=(const ConstSet &o)
-    {
-        if (this != &o)
-            assign(o.data(), o.size());
-        return *this;
-    }
-    ConstSet &operator=(ConstSet &&o) noexcept
-    {
-        if (this != &o) {
-            release();
-            steal(o);
-        }
-        return *this;
-    }
-    ~ConstSet() { release(); }
 
     /** Replace the contents with the @p n (<= kCapacity) sorted,
      *  unique values at @p values. */
-    void assign(const std::int64_t *values, size_t n)
-    {
-        if (n > kInline || onHeap()) {
-            assignSlow(values, n);
-            return;
-        }
-        // The common case, inline to inline, stays in the header.
-        std::copy(values, values + n, inline_);
-        size_ = static_cast<std::uint32_t>(n);
-    }
+    void assign(const std::int64_t *values, size_t n);
 
     size_t size() const { return size_; }
-    const std::int64_t *data() const { return onHeap() ? heap_ : inline_; }
+    const std::int64_t *data() const { return members_.data(); }
     const std::int64_t *begin() const { return data(); }
     const std::int64_t *end() const { return data() + size_; }
-    std::int64_t operator[](size_t i) const { return data()[i]; }
-    std::int64_t front() const { return data()[0]; }
-    std::int64_t back() const { return data()[size_ - 1]; }
+    std::int64_t operator[](size_t i) const { return members_[i]; }
+    std::int64_t front() const { return members_[0]; }
+    std::int64_t back() const { return members_[size_ - 1]; }
 
     bool operator==(const ConstSet &o) const;
 
   private:
-    bool onHeap() const { return size_ > kInline; }
-    void assignSlow(const std::int64_t *values, size_t n);
-    void release()
-    {
-        if (onHeap())
-            delete[] heap_;
-        size_ = 0;
-    }
-    void steal(ConstSet &o)
-    {
-        size_ = o.size_;
-        if (o.onHeap())
-            heap_ = o.heap_;
-        else
-            std::copy(o.inline_, o.inline_ + o.size_, inline_);
-        o.size_ = 0;
-    }
-
     std::uint32_t size_ = 0;
-    union
-    {
-        std::int64_t inline_[kInline] = {};
-        std::int64_t *heap_;
-    };
+    std::array<std::int64_t, kCapacity> members_{};
 };
 
 /**
@@ -248,6 +196,96 @@ AbsVal absEval(Op op, const AbsVal &a, const AbsVal &b);
  * to bottom proves the edge infeasible under the current states.
  */
 void refineByBranch(Op op, bool taken, AbsVal &a, AbsVal &b);
+
+/** Name of a value in the ValuePool that issued it. */
+using ValId = std::uint32_t;
+
+/**
+ * Hash-consed store of abstract values: every distinct AbsVal is kept
+ * exactly once and named by a 32-bit id, so two ids of one pool are
+ * equal iff their values are. Join, widen, constants, absEval and
+ * branch refinement are memoized per operand ids, and each entry
+ * caches its value gap, so the fixpoint's repeated operations on the
+ * same operands cost one table probe. Ids mean nothing outside their
+ * pool; each AbsintEngine owns one for its lifetime. Entries never
+ * move, so references into the pool stay valid while it grows.
+ */
+class ValuePool
+{
+  public:
+    /** Pre-interned in every pool; a zero-filled slot array is top. */
+    static constexpr ValId kTop = 0;
+    static constexpr ValId kBottom = 1;
+
+    ValuePool();
+    ValuePool(const ValuePool &) = delete;
+    ValuePool &operator=(const ValuePool &) = delete;
+
+    /** The id of @p v, adding it when new. */
+    ValId intern(const AbsVal &v);
+
+    const AbsVal &operator[](ValId id) const { return entry(id).val; }
+    /** The cached AbsVal::valueGap() of @p id. */
+    std::int64_t gap(ValId id) const { return entry(id).gap; }
+
+    /** AbsVal::constant(@p c). */
+    ValId constant(std::int64_t c);
+    ValId join(ValId a, ValId b);
+    ValId widen(ValId prev, ValId next);
+    /** absEval(@p op, a, b). */
+    ValId eval(Op op, ValId a, ValId b);
+    ValId refined(ValId v, const Interval &bounds)
+    {
+        return intern((*this)[v].refined(bounds));
+    }
+    /** refineByBranch(@p op, @p taken) on the ids @p a and @p b. */
+    void refineBranch(Op op, bool taken, ValId &a, ValId &b);
+
+  private:
+    struct Entry
+    {
+        AbsVal val;
+        std::uint64_t hash = 0;
+        std::int64_t gap = 0;
+    };
+    /** Entries live in fixed-size chunks that never move. */
+    static constexpr unsigned kChunkBits = 8;
+    static constexpr ValId kNone = ~ValId{0};
+
+    /** Open-addressing map from a (64-bit key, tag) pair to an id. */
+    class Memo
+    {
+      public:
+        ValId find(std::uint64_t key, std::uint32_t tag = 0) const;
+        void insert(std::uint64_t key, std::uint32_t tag, ValId result);
+
+      private:
+        struct Slot
+        {
+            std::uint64_t key = 0;
+            std::uint32_t tag = 0;
+            ValId result = kNone;  ///< kNone = empty slot
+        };
+        std::vector<Slot> slots_ = std::vector<Slot>(256);
+        size_t used_ = 0;
+    };
+
+    const Entry &entry(ValId id) const
+    {
+        return chunks_[id >> kChunkBits][id & ((1u << kChunkBits) - 1)];
+    }
+    void grow();
+
+    std::vector<std::unique_ptr<Entry[]>> chunks_;
+    size_t size_ = 0;
+    /** Hash index over the entries: ids, kNone = empty. */
+    std::vector<ValId> index_ = std::vector<ValId>(1024, kNone);
+    Memo constants_;
+    Memo joins_;
+    Memo widens_;
+    Memo evals_;     ///< tagged by op
+    Memo branches_;  ///< tagged by op, taken and operand side
+};
 
 } // namespace rtu
 

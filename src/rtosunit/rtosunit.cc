@@ -66,7 +66,8 @@ RtosUnit::implements(Op op) const
 void
 RtosUnit::setContextId(Word id)
 {
-    rtu_assert(id < memmap::kCtxMaxTasks, "task id %u out of range", id);
+    if (id >= memmap::kCtxMaxTasks)
+        guest_fault("rtu.setctx: task id %u out of range", id);
     currentCtxId_ = static_cast<TaskId>(id);
     if (config_.load)
         scheduleRestore(currentCtxId_);
@@ -88,7 +89,8 @@ RtosUnit::getHwSched()
 void
 RtosUnit::addReady(Word id, Word prio)
 {
-    rtu_assert(id < memmap::kCtxMaxTasks, "task id %u out of range", id);
+    if (id >= memmap::kCtxMaxTasks)
+        guest_fault("rtu.addready: task id %u out of range", id);
     ready_.insert(static_cast<TaskId>(id), static_cast<Priority>(prio));
 }
 
@@ -120,8 +122,8 @@ RtosUnit::switchRf()
 Word
 RtosUnit::semTake(Word sem_id)
 {
-    rtu_assert(sem_id < sems_.size(), "semaphore id %u out of range",
-               sem_id);
+    if (sem_id >= sems_.size())
+        guest_fault("rtu.semtake: semaphore id %u out of range", sem_id);
     HwSemaphore &s = sems_[sem_id];
     ++stats_.semTakes;
     if (s.count > 0) {
@@ -141,8 +143,8 @@ RtosUnit::semTake(Word sem_id)
 Word
 RtosUnit::semGive(Word sem_id)
 {
-    rtu_assert(sem_id < sems_.size(), "semaphore id %u out of range",
-               sem_id);
+    if (sem_id >= sems_.size())
+        guest_fault("rtu.semgive: semaphore id %u out of range", sem_id);
     HwSemaphore &s = sems_[sem_id];
     ++stats_.semGives;
     TaskId id = 0;

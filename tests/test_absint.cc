@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "analyze/absint/engine.hh"
 #include "analyze/absint/interval.hh"
 #include "analyze/absint/loopbound.hh"
@@ -209,6 +211,147 @@ TEST(AbsVal, SetwiseDecideBeatsIntervalHull)
     EXPECT_EQ(absDecide(Op::kBeq, a, a), std::nullopt);
 }
 
+// ---- hash-consed value pool -----------------------------------------
+
+namespace {
+
+/**
+ * Seeded corpus over the domain's shapes: bottom, top, constants
+ * (including the word extremes), plain and strided intervals, and
+ * exact sets of 1..kMaxConsts members.
+ */
+std::vector<AbsVal>
+valueCorpus(unsigned seed)
+{
+    std::mt19937 rng(seed);
+    const auto word = [&](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    std::vector<AbsVal> corpus = {
+        AbsVal::bottom(), AbsVal::top(), AbsVal::constant(0),
+        AbsVal::constant(Interval::kMin), AbsVal::constant(Interval::kMax),
+        AbsVal::fromInterval(Interval::range(0, 1)),
+        AbsVal::fromInterval(Interval::range(Interval::kMin, -1))};
+    for (unsigned i = 0; i < 24; ++i) {
+        corpus.push_back(AbsVal::constant(word(-64, 64)));
+        corpus.push_back(AbsVal::constant(word(0x8000, 0x8100)));
+        const std::int64_t lo = word(-4096, 4096);
+        corpus.push_back(
+            AbsVal::fromInterval(Interval::range(lo, lo + word(1, 9000))));
+        const std::int64_t stride = std::int64_t{1} << word(1, 6);
+        corpus.push_back(AbsVal::strided(
+            Interval::range(lo, lo + stride * word(1, 200)), stride,
+            word(-64, 64)));
+        std::vector<std::int64_t> members(word(1, AbsVal::kMaxConsts));
+        const std::int64_t base = word(0x8000, 0x8100);
+        for (std::int64_t &m : members)
+            m = base + 4 * word(0, 48);
+        corpus.push_back(AbsVal::fromSet(members));
+    }
+    return corpus;
+}
+
+} // namespace
+
+TEST(ValuePool, AgreesWithThePlainDomain)
+{
+    const std::vector<AbsVal> corpus = valueCorpus(24);
+    ValuePool pool;
+    std::vector<ValId> ids;
+    for (const AbsVal &v : corpus) {
+        ids.push_back(pool.intern(v));
+        ASSERT_EQ(pool[ids.back()], v) << v.str();
+        EXPECT_EQ(pool.gap(ids.back()), v.valueGap()) << v.str();
+    }
+    EXPECT_EQ(ids[0], ValuePool::kBottom);
+    EXPECT_EQ(ids[1], ValuePool::kTop);
+    EXPECT_EQ(pool.constant(7), pool.intern(AbsVal::constant(7)));
+
+    const Interval bounds = Interval::range(-100, 0x8040);
+    const Op ops[] = {Op::kAdd, Op::kSub, Op::kAnd, Op::kSll, Op::kSrl};
+    const Op preds[] = {Op::kBeq, Op::kBne, Op::kBlt, Op::kBgeu};
+    for (size_t i = 0; i < corpus.size(); ++i) {
+        const AbsVal &a = corpus[i];
+        EXPECT_EQ(pool[pool.refined(ids[i], bounds)], a.refined(bounds));
+        for (size_t j = 0; j < corpus.size(); ++j) {
+            const AbsVal &b = corpus[j];
+            const std::string at = a.str() + " | " + b.str();
+            // Hash-consing: equal ids exactly when the values are equal.
+            ASSERT_EQ(ids[i] == ids[j], a == b) << at;
+            const ValId joined = pool.join(ids[i], ids[j]);
+            ASSERT_EQ(pool[joined], AbsVal::join(a, b)) << at;
+            ASSERT_EQ(pool.join(ids[i], ids[j]), joined) << at;
+            ASSERT_EQ(pool[pool.widen(ids[i], ids[j])], AbsVal::widen(a, b))
+                << at;
+            for (Op op : ops)
+                ASSERT_EQ(pool[pool.eval(op, ids[i], ids[j])],
+                          absEval(op, a, b))
+                    << opName(op) << " " << at;
+            for (Op op : preds) {
+                for (bool taken : {false, true}) {
+                    AbsVal ra = a, rb = b;
+                    refineByBranch(op, taken, ra, rb);
+                    ValId ia = ids[i], ib = ids[j];
+                    pool.refineBranch(op, taken, ia, ib);
+                    ASSERT_EQ(pool[ia], ra) << opName(op) << " " << at;
+                    ASSERT_EQ(pool[ib], rb) << opName(op) << " " << at;
+                }
+            }
+        }
+    }
+}
+
+TEST(ValuePool, EnginesShareNoState)
+{
+    // Two programs that differ in kernel code and data; the second one
+    // is analyzed in between two analyses of the first.
+    std::vector<Program> programs;
+    unsigned seen = 0;
+    forEachGeneratedProgram(
+        [&](const LintPoint &point) {
+            if (seen++ % 40 == 0)
+                programs.push_back(point.program);
+        },
+        /*include_hwsync=*/false);
+    ASSERT_GE(programs.size(), 2u);
+
+    AbsintEngine first(programs[0]);
+    first.run();
+    {
+        AbsintEngine other(programs[1]);
+        other.run();
+    }
+    AbsintEngine second(programs[0]);
+    second.run();
+    ASSERT_EQ(first.converged(), second.converged());
+
+    // A cache shared across engines would hand the second engine other
+    // ids (or other values) than the first one interned cold.
+    unsigned live = 0;
+    const auto same = [&](const RegState *x, const RegState *y) {
+        ASSERT_EQ(x == nullptr, y == nullptr);
+        if (!x)
+            return;
+        ++live;
+        EXPECT_EQ(x->v, y->v);
+        for (unsigned r = 0; r < RegState::kNumSlots; ++r)
+            EXPECT_EQ(x->reg(r), y->reg(r));
+    };
+    for (const auto &[leader, bb] : first.cfg().blocks()) {
+        same(first.blockEntry(leader), second.blockEntry(leader));
+        same(first.termState(leader), second.termState(leader));
+        for (Addr succ : bb.succs)
+            same(first.edgeState(leader, succ),
+                 second.edgeState(leader, succ));
+    }
+    EXPECT_GT(live, 100u);
+    EXPECT_EQ(first.infeasibleTaken(), second.infeasibleTaken());
+    EXPECT_EQ(first.infeasibleFall(), second.infeasibleFall());
+    const Program &p = programs[0];
+    for (Addr a = p.dataBase; a < p.dataEnd(); a += 4)
+        EXPECT_EQ(first.cellValue(a), second.cellValue(a));
+}
+
 // ---- engine ----------------------------------------------------------
 
 TEST(AbsintEngine, ConvergesAndTracksTheCounter)
@@ -265,8 +408,8 @@ TEST(AbsintEngine, ProvesInfeasibleBranchEdges)
 // dependency under test, which only a later region provides, in
 // round 0. Tracked, the second region runs again in round 1 and the
 // first in round 2. Untracked, the second region is skipped, the
-// rounds stop, and the final recording pass reaches the first region
-// before the second one has updated k_relay.
+// rounds stop, and the first region's last analysis ran before the
+// second one updated k_relay.
 
 namespace {
 

@@ -129,8 +129,8 @@ stateText(const RegState *st)
     if (!st->live)
         return "dead";
     std::string s;
-    for (const AbsVal &v : st->v)
-        s.append(v.str()).append(" ");
+    for (unsigned i = 0; i < RegState::kNumSlots; ++i)
+        s.append(st->reg(i).str()).append(" ");
     return s;
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "harness/simulation.hh"
 #include "kernel/kernel.hh"
 #include "rtosunit/rtosunit.hh"
@@ -61,6 +62,22 @@ TEST_F(HwSemUnit, CountingSemantics)
     EXPECT_EQ(unit->semTake(0), 1u);  // count -> 0
     EXPECT_EQ(unit->stats().semTakes, 2u);
     EXPECT_EQ(unit->stats().semBlocks, 0u);
+}
+
+// Semaphore ids come from guest registers: an id past the configured
+// slots ends the run as a guest fault instead of aborting the host.
+TEST_F(HwSemUnit, OutOfRangeTakeIsAGuestFault)
+{
+    schedule(1, 3);
+    EXPECT_THROW(unit->semTake(config.semSlots), GuestFault);
+    EXPECT_EQ(unit->stats().semTakes, 0u);
+}
+
+TEST_F(HwSemUnit, OutOfRangeGiveIsAGuestFault)
+{
+    schedule(1, 3);
+    EXPECT_THROW(unit->semGive(config.semSlots), GuestFault);
+    EXPECT_EQ(unit->stats().semGives, 0u);
 }
 
 TEST_F(HwSemUnit, TakeOnEmptyBlocksAndRemovesFromReady)

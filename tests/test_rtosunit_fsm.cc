@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "cores/arch_state.hh"
 #include "kernel/layout.hh"
 #include "rtosunit/rtosunit.hh"
@@ -319,6 +320,21 @@ TEST_F(PreloadTest, NeverPrefetchesTheRunningTask)
     const auto fetches = unit->stats().preloadFetches;
     idleCycles(80);
     EXPECT_EQ(unit->stats().preloadFetches, fetches);
+}
+
+// A task id comes from a guest register, so an out-of-range one (a
+// corrupted TCB field) ends the run as a guest fault, not the host.
+TEST_F(FsmTest, OutOfRangeContextIdIsAGuestFault)
+{
+    makeUnit("SLT");
+    EXPECT_THROW(unit->setContextId(memmap::kCtxMaxTasks), GuestFault);
+}
+
+TEST_F(FsmTest, OutOfRangeReadyIdIsAGuestFault)
+{
+    makeUnit("T");
+    EXPECT_THROW(unit->addReady(memmap::kCtxMaxTasks, 1), GuestFault);
+    EXPECT_EQ(unit->readyList().occupancy(), 0u);
 }
 
 TEST_F(FsmTest, SchedulerStallsGetDuringSortAndTransfer)
