@@ -12,7 +12,9 @@
  * and the block-execution speedup over per-instruction dispatch.
  *
  * Emits BENCH_sim_throughput.json with one record per point plus
- * per-core and overall aggregates. --min-skip-ratio gates the overall
+ * per-core and overall aggregates; replayed_insns beside
+ * blocks_executed counts the instructions the block path retired by
+ * steady-loop replay (schema 4 added it). --min-skip-ratio gates the overall
  * skip ratio, --min-predecode-speedup the overall predecode speedup
  * and --min-block-speedup the overall block-execution speedup (exit 1
  * below the floor) so CI can assert the kernel actually
@@ -257,7 +259,7 @@ main(int argc, char **argv)
     std::string json;
     JsonWriter w(json);
     w.beginObject()
-        .num("schema", 3)
+        .num("schema", 4)
         .str("bench", "throughput")
         .num("iterations", iterations)
         .num("timer_period", timer_period)
@@ -285,6 +287,7 @@ main(int argc, char **argv)
             .num("fetch_slow_path", r.stats.fetchSlowPath)
             .num("text_invalidations", r.stats.textInvalidations)
             .num("blocks_executed", r.stats.blocksExecuted)
+            .num("replayed_insns", r.stats.replayedInsns)
             .num("block_fallbacks", r.stats.blockFallbacks)
             .num("block_invalidations", r.stats.blockInvalidations)
             .fixed("ref_wall_ms", r.ref.wallSeconds * 1e3, "%.3f")

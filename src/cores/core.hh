@@ -63,6 +63,35 @@ struct CoreStats
     /** Block-summary words re-formed by text writes. Accounted at the
      *  simulation level (the index is shared, not per-core). */
     std::uint64_t blockInvalidations = 0;
+    /** Instructions retired by steady-loop replay inside blockRun()
+     *  (a subset of instret; see LoopReplay). */
+    std::uint64_t replayedInsns = 0;
+
+    /** Add @p k times the per-field growth from @p from to @p to. */
+    void
+    addScaled(const CoreStats &from, const CoreStats &to, std::uint64_t k)
+    {
+        static_assert(sizeof(CoreStats) == 15 * sizeof(std::uint64_t),
+                      "addScaled() must list every counter");
+        auto add = [&](std::uint64_t CoreStats::*f) {
+            this->*f += k * (to.*f - from.*f);
+        };
+        add(&CoreStats::instret);
+        add(&CoreStats::traps);
+        add(&CoreStats::mrets);
+        add(&CoreStats::wfiCycles);
+        add(&CoreStats::memOps);
+        add(&CoreStats::stallCycles);
+        add(&CoreStats::branchMispredicts);
+        add(&CoreStats::cacheMisses);
+        add(&CoreStats::fetchPredecoded);
+        add(&CoreStats::fetchSlowPath);
+        add(&CoreStats::textInvalidations);
+        add(&CoreStats::blocksExecuted);
+        add(&CoreStats::blockFallbacks);
+        add(&CoreStats::blockInvalidations);
+        add(&CoreStats::replayedInsns);
+    }
 };
 
 /** Bimodal branch predictor: 2-bit saturating counters indexed by the
@@ -75,6 +104,15 @@ class BimodalPredictor
     {}
 
     bool predictsTaken(Addr pc) const { return counters_[index(pc)] >= 2; }
+
+    /** True if the counter at @p pc is saturated toward @p taken, the
+     *  fixed point where resolve(pc, taken) changes nothing and
+     *  predicts right. */
+    bool
+    settled(Addr pc, bool taken) const
+    {
+        return counters_[index(pc)] == (taken ? 3 : 0);
+    }
 
     /** Train the counter at @p pc on the resolved direction.
      *  @return true if the prediction was wrong. */
@@ -142,6 +180,242 @@ class BlockTally
   private:
     CoreStats &stats_;
     std::uint32_t sinceBoundary_ = 0;
+};
+
+/**
+ * One timing field across a steady-loop interval from anchor cycle
+ * @p a0 to @p a1: true if it is *periodic* (the same offset from the
+ * anchor cycle at both ends) or *dead* (unchanged and no later than
+ * @p a0, so every max() or comparison against a cycle of the interval
+ * resolves the same way in each repetition).
+ */
+inline bool
+steadyCycle(Cycle before, Cycle after, Cycle a0, Cycle a1)
+{
+    return after - before == a1 - a0 || (after == before && before <= a0);
+}
+
+/** Advance @p field by @p d if it moved over the reference interval
+ *  (it is periodic) and leave it if it did not (it is dead). */
+inline void
+shiftMoved(Cycle &field, Cycle before, Cycle d)
+{
+    if (field != before)
+        field += d;
+}
+
+/**
+ * Steady-loop replay inside a core's blockRun(): FastSim's timing
+ * memoization (Schnarr & Larus, ASPLOS '98) narrowed to self-loops.
+ * The guest state of a busy loop never repeats, but its timing state,
+ * taken relative to the cycle, does.
+ *
+ * The *anchor* is the first dispatch/issue boundary after a taken
+ * backward branch; there the core snapshots its timing state (a
+ * @p Timing). The interval from one anchor to the next is *steady*
+ * when it retired only ALU ops and conditional branches (at most
+ * kMaxSteps; no memory access, jump or stop word) and came back to
+ * the anchor pc, every branch it retired sits at its predictor's fixed
+ * point (BimodalPredictor::settled(): the counter no longer moves and
+ * predicted right), and the core's timingSteady() finds every timing
+ * field the interval reads or writes periodic or dead (steadyCycle()),
+ * with fields the model compares with each other periodic. The
+ * interval's timing is then a function of its instructions, its
+ * branch directions and the state relative to the anchor, so the next
+ * interval — same instructions, same directions — is this one shifted
+ * by its length Δ.
+ *
+ * Further intervals therefore run functionally on a local copy of the
+ * register file. A partial interval whose branch resolves differently
+ * is discarded and the normal path resumes at the anchor. Each
+ * interval must end strictly before the bound: the anchor snapshot is
+ * taken after the cycle's prelude, so an interval ending on the bound
+ * would skip work the bound cycle owes the per-cycle path. After k
+ * whole intervals the core commits one setReg() per written register
+ * (the (D) dirty bits see what the normal path writes), the clock and
+ * the periodic fields advance by kΔ, dead fields stay, and every
+ * CoreStats counter grows by k times its growth over the interval.
+ */
+template <class Timing>
+class LoopReplay
+{
+  public:
+    /** Longest interval replayed, in retired instructions. */
+    static constexpr unsigned kMaxSteps = 64;
+
+    /** Replay state of one blockRun() call: nothing recorded, no
+     *  anchor yet. It lives on that call's stack, so nothing of it
+     *  survives a per-cycle step, a device event or a text write. */
+    LoopReplay(ArchState &state, CoreStats &stats,
+               const BimodalPredictor *predictor)
+        : state_(state), stats_(stats), predictor_(predictor)
+    {}
+
+    /** The block path retired @p insn (a word of the predecoded
+     *  image) from @p pc; a conditional branch went @p taken. */
+    [[gnu::always_inline]] void
+    retired(Addr pc, const DecodedInsn *insn, bool taken)
+    {
+        if (n_ < kMaxSteps)
+            steps_[n_] = {insn, pc, taken};
+        else
+            aluOnly_ = false;  // too long to replay
+        ++n_;
+        const InsnClass cls = insn->cls;
+        if (cls == InsnClass::kBranch)
+            armed_ |= taken && insn->imm < 0;
+        else if (cls != InsnClass::kAlu)
+            aluOnly_ = false;
+    }
+
+    /** A taken backward branch retired since the last anchor: the
+     *  next dispatch/issue boundary is one. */
+    bool armed() const { return armed_; }
+
+    /**
+     * The run is at an anchor at cycle @p t, the core's timing state
+     * already past the cycle's prelude. Replay whole steady intervals
+     * that end before @p bound, then snapshot the anchor for the next
+     * interval. @return the cycle the normal path continues from (the
+     * same anchor pc).
+     */
+    template <class Model>
+    Cycle
+    anchor(Model &model, Cycle t, Cycle bound)
+    {
+        armed_ = false;
+        const Addr pc = state_.pc();
+        if (aluOnly_ && haveSnap_ && pc == anchorPc_ && t > anchorT_ &&
+            steady(model, t)) {
+            t = replay(model, t, bound);
+        }
+        // A loop that never qualifies pays only the recording: the
+        // snapshot is taken after an ALU-only interval or at the run's
+        // first anchor.
+        haveSnap_ = aluOnly_ || !anchored_;
+        if (haveSnap_) {
+            model.captureTiming(snap_);
+            statsAt_ = stats_;
+            anchorT_ = t;
+        }
+        anchored_ = true;
+        anchorPc_ = pc;
+        aluOnly_ = true;
+        n_ = 0;
+        return t;
+    }
+
+  private:
+    struct Step
+    {
+        const DecodedInsn *insn;
+        Addr pc;
+        bool taken;
+    };
+
+    template <class Model>
+    bool
+    steady(const Model &model, Cycle t) const
+    {
+        std::uint32_t regs = 0;
+        for (unsigned i = 0; i < n_; ++i) {
+            const Step &s = steps_[i];
+            const DecodedInsn &insn = *s.insn;
+            if (insn.useRs1)
+                regs |= 1u << insn.rs1;
+            if (insn.useRs2)
+                regs |= 1u << insn.rs2;
+            if (insn.hasRd)
+                regs |= 1u << insn.rd;
+            if (insn.cls == InsnClass::kBranch && predictor_ &&
+                !predictor_->settled(s.pc, s.taken)) {
+                return false;
+            }
+        }
+        return model.timingSteady(snap_, anchorT_, t, regs);
+    }
+
+    /** Run the recorded interval once on @p regs; false at the first
+     *  branch that leaves the recorded path. */
+    [[gnu::always_inline]] bool
+    runInterval(Word *regs) const
+    {
+        for (unsigned i = 0; i < n_; ++i) {
+            const Step &s = steps_[i];
+            const DecodedInsn &insn = *s.insn;
+            const Word a = regs[insn.rs1];
+            const Word b = regs[insn.rs2];
+            if (insn.cls == InsnClass::kBranch) {
+                if (Executor::evalBranch(insn.op, a, b) != s.taken)
+                    return false;
+            } else {
+                regs[insn.rd] = Executor::aluResult(insn, a, b, s.pc);
+                regs[0] = 0;
+            }
+        }
+        return true;
+    }
+
+    template <class Model>
+    [[gnu::noinline, gnu::aligned(64)]] Cycle
+    replay(Model &model, Cycle t, Cycle bound)
+    {
+        // Whole intervals that end strictly before the bound.
+        const Cycle delta = t - anchorT_;
+        const Cycle most = (bound - 1 - t) / delta;
+        if (most == 0)
+            return t;
+
+        Word regs[32];
+        for (RegIndex r = 0; r < 32; ++r)
+            regs[r] = state_.reg(r);
+        std::uint32_t mask = 0;
+        for (unsigned i = 0; i < n_; ++i) {
+            const DecodedInsn &insn = *steps_[i].insn;
+            if (insn.cls == InsnClass::kAlu && insn.rd != 0)
+                mask |= 1u << insn.rd;
+        }
+        RegIndex written[32];
+        Word kept[32];
+        unsigned nw = 0;
+        for (; mask != 0; mask &= mask - 1) {
+            written[nw] = static_cast<RegIndex>(std::countr_zero(mask));
+            kept[nw] = regs[written[nw]];
+            ++nw;
+        }
+
+        Cycle k = 0;
+        while (k < most && runInterval(regs)) {
+            for (unsigned i = 0; i < nw; ++i)
+                kept[i] = regs[written[i]];
+            ++k;
+        }
+        if (k == 0)
+            return t;
+
+        for (unsigned i = 0; i < nw; ++i)
+            state_.setReg(written[i], kept[i]);
+        stats_.addScaled(statsAt_, stats_, k);
+        stats_.replayedInsns += k * n_;
+        model.shiftTiming(snap_, k * delta);
+        return t + k * delta;
+    }
+
+    ArchState &state_;
+    CoreStats &stats_;
+    const BimodalPredictor *predictor_;
+
+    bool armed_ = false;
+    bool anchored_ = false;
+    bool haveSnap_ = false;
+    bool aluOnly_ = true;
+    /** Instructions retired since the last anchor. */
+    unsigned n_ = 0;
+    Addr anchorPc_ = 0;
+    Cycle anchorT_ = 0;
+    Timing snap_{};
+    CoreStats statsAt_;
+    Step steps_[kMaxSteps];
 };
 
 class Core : public Clocked

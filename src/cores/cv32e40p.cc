@@ -156,8 +156,11 @@ Cv32e40pCore::loadUseStall(const DecodedInsn &insn) const
 
 // Inlined into blockRun(), its one caller: the per-instruction hot path.
 [[gnu::always_inline]] inline bool
-Cv32e40pCore::blockStep(DecodedInsn insn, Cycle &t, Cycle bound)
+Cv32e40pCore::blockStep(const DecodedInsn *word, Cycle &t, Cycle bound,
+                        LoopReplay<Cv32e40pTiming> &replay)
 {
+    // By value: a store may re-decode its own word.
+    const DecodedInsn insn = *word;
     const Addr pc = state_.pc();
     const InsnClass cls = insn.cls;
     ++stats_.fetchPredecoded;
@@ -173,6 +176,7 @@ Cv32e40pCore::blockStep(DecodedInsn insn, Cycle &t, Cycle bound)
     const ExecResult res = exec_.execute(insn, pc);
     state_.setPc(res.nextPc);
     ++stats_.instret;
+    replay.retired(pc, word, res.branchTaken);
 
     if (res.memAccess) {
         dmemPort_.beginCycle();
@@ -209,7 +213,12 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
 
     Cycle t = now;
     BlockTally tally(stats_);
+    LoopReplay<Cv32e40pTiming> replay(state_, stats_, nullptr);
     while (t < bound) {
+        // Runs start at block boundaries, so the first one after a
+        // taken backward branch is an anchor.
+        if (replay.armed())
+            t = replay.anchor(*this, t, bound);
         const Addr pc = state_.pc();
         const DecodedInsn *insn = blockWord(pc);
         if (!insn)
@@ -230,7 +239,7 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
         }
         while (true) {
             const InsnClass cls = insn->cls;
-            const bool horizon = blockStep(*insn, t, bound);
+            const bool horizon = blockStep(insn, t, bound, replay);
             tally.retired(cls);
             if (horizon)
                 return tally.finish(t - now);

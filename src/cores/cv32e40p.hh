@@ -25,6 +25,17 @@
 
 namespace rtu {
 
+/** The CV32E40P timing state steady-loop replay compares at anchors:
+ *  the pipeline is empty there, so only the hazard bookkeeping of the
+ *  last instruction is left. No field is a cycle. */
+struct Cv32e40pTiming
+{
+    bool lastWasLoad = false;
+    RegIndex lastLoadRd = 0;
+    bool abortable = false;
+    unsigned divOperandBits = 0;
+};
+
 class Cv32e40pCore : public Core
 {
   public:
@@ -41,24 +52,46 @@ class Cv32e40pCore : public Core
     void skipTo(Cycle now, Cycle target) override;
 
     /** Superblock fast path: execute straight-line runs up to the
-     *  event horizon with one bound check per block. */
-    Cycle blockRun(Cycle now, Cycle bound) override;
+     *  event horizon with one bound check per block, replaying steady
+     *  loop iterations (LoopReplay). */
+    [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
     const char *name() const override { return "cv32e40p"; }
 
   private:
+    template <class> friend class LoopReplay;
+
     /** Cycles the instruction at hand occupies the pipeline. */
     unsigned costOf(const DecodedInsn &insn, const ExecResult &res) const;
 
     /** Load-use bubble cycles @p insn owes the previous instruction. */
     unsigned loadUseStall(const DecodedInsn &insn) const;
 
-    /** Execute @p insn, verified for the block path at pc, advancing
-     *  @p t by its full pipeline occupancy (by value: a store may
-     *  re-decode its own word). @return true if that occupancy
-     *  crosses @p bound: t is then the bound and the remainder
-     *  resumes per-cycle. */
-    bool blockStep(DecodedInsn insn, Cycle &t, Cycle bound);
+    /** Execute the image word @p word, verified for the block path at
+     *  pc, advancing @p t by its full pipeline occupancy and recording
+     *  it in @p replay. @return true if that occupancy crosses
+     *  @p bound: t is then the bound and the remainder resumes
+     *  per-cycle. */
+    bool blockStep(const DecodedInsn *word, Cycle &t, Cycle bound,
+                   LoopReplay<Cv32e40pTiming> &replay);
+
+    // LoopReplay hooks: nothing of this state is a cycle, so a steady
+    // interval leaves it equal and the shift has nothing to move.
+    void
+    captureTiming(Cv32e40pTiming &out) const
+    {
+        out = {lastWasLoad_, lastLoadRd_, abortable_, divOperandBits_};
+    }
+    bool
+    timingSteady(const Cv32e40pTiming &before, Cycle, Cycle,
+                 std::uint32_t) const
+    {
+        return before.lastWasLoad == lastWasLoad_ &&
+               before.lastLoadRd == lastLoadRd_ &&
+               before.abortable == abortable_ &&
+               before.divOperandBits == divOperandBits_;
+    }
+    void shiftTiming(const Cv32e40pTiming &, Cycle) {}
 
     Cv32e40pParams params_;
 

@@ -211,6 +211,40 @@ Cva6Core::issueDecoded(Cycle now, Addr pc, DecodedInsn insn)
     return true;
 }
 
+void
+Cva6Core::captureTiming(Cva6Timing &out) const
+{
+    out = {issueReadyAt_, drainAt_, busBusyUntil_, storeBuf_, regReadyAt_};
+}
+
+bool
+Cva6Core::timingSteady(const Cva6Timing &before, Cycle a0, Cycle a1,
+                       std::uint32_t regs) const
+{
+    if (!steadyCycle(before.issueReadyAt, issueReadyAt_, a0, a1) ||
+        !steadyCycle(before.drainAt, drainAt_, a0, a1) ||
+        !steadyCycle(before.busBusyUntil, busBusyUntil_, a0, a1) ||
+        before.storeBuf != storeBuf_) {
+        return false;
+    }
+    for (; regs != 0; regs &= regs - 1) {
+        const int r = std::countr_zero(regs);
+        if (!steadyCycle(before.regReadyAt[r], regReadyAt_[r], a0, a1))
+            return false;
+    }
+    return true;
+}
+
+void
+Cva6Core::shiftTiming(const Cva6Timing &before, Cycle d)
+{
+    shiftMoved(issueReadyAt_, before.issueReadyAt, d);
+    shiftMoved(drainAt_, before.drainAt, d);
+    shiftMoved(busBusyUntil_, before.busBusyUntil, d);
+    for (unsigned r = 0; r < 32; ++r)
+        shiftMoved(regReadyAt_[r], before.regReadyAt[r], d);
+}
+
 Cycle
 Cva6Core::blockRun(Cycle now, Cycle bound)
 {
@@ -219,6 +253,7 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
 
     Cycle t = now;
     BlockTally tally(stats_);
+    LoopReplay<Cva6Timing> replay(state_, stats_, &predictor_);
     while (t < bound) {
         if (t < issueReadyAt_) {
             // Committed stall cycles up to the issue boundary: the
@@ -233,6 +268,11 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
             t = adv;
             continue;
         }
+
+        // The first issue boundary after a taken backward branch is a
+        // steady-loop anchor.
+        if (replay.armed())
+            t = replay.anchor(*this, t, bound);
 
         // Verify before applying any cycle-t effect, so a bail leaves
         // cycle t wholly unconsumed for the per-cycle path.
@@ -260,8 +300,14 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
         // as tick() would.
         ++stats_.fetchPredecoded;
         const InsnClass cls = insn->cls;
-        if (issueDecoded(t, pc, *insn))
+        const bool taken =
+            cls == InsnClass::kBranch &&
+            Executor::evalBranch(insn->op, state_.reg(insn->rs1),
+                                 state_.reg(insn->rs2));
+        if (issueDecoded(t, pc, *insn)) {
             tally.retired(cls);
+            replay.retired(pc, insn, taken);
+        }
         t += 1;
     }
     return tally.finish(t - now);

@@ -44,6 +44,16 @@ struct Cva6Params
     CacheParams cache{4 * 1024, 4, 16, /*writeBack=*/false};
 };
 
+/** The CVA6 timing state steady-loop replay compares at anchors. */
+struct Cva6Timing
+{
+    Cycle issueReadyAt = 0;
+    Cycle drainAt = 0;
+    Cycle busBusyUntil = 0;
+    unsigned storeBuf = 0;
+    std::array<Cycle, 32> regReadyAt{};
+};
+
 class Cva6Core : public Core
 {
   public:
@@ -62,20 +72,32 @@ class Cva6Core : public Core
     /** Superblock fast path: issue straight-line runs up to the event
      *  horizon, re-validating each word against the block index (the
      *  scoreboard/cache state makes a static block cost impossible, so
-     *  unlike CV32E40P every step is checked). */
-    Cycle blockRun(Cycle now, Cycle bound) override;
+     *  unlike CV32E40P every step is checked), and replaying steady
+     *  loop iterations (LoopReplay). */
+    [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
     const char *name() const override { return "cva6"; }
 
     CacheModel &dcache() { return dcache_; }
 
   private:
+    template <class> friend class LoopReplay;
+
     /** Fetch and issue one instruction; updates timing state. */
     void issue(Cycle now);
     /** Issue @p insn, fetched from @p pc and past the RTOSUnit stall
      *  check (by value: a store may re-decode its own word). True if
      *  it retired, false on a RAW/structural stall or a trap. */
     bool issueDecoded(Cycle now, Addr pc, DecodedInsn insn);
+
+    // LoopReplay hooks. An ALU/branch interval reads and writes the
+    // issue boundary, the drain point and the scoreboard entries of
+    // the registers it touches (@p regs); it reads the bus state only
+    // through store-buffer drains and refills, which must be idle.
+    void captureTiming(Cva6Timing &out) const;
+    bool timingSteady(const Cva6Timing &before, Cycle a0, Cycle a1,
+                      std::uint32_t regs) const;
+    void shiftTiming(const Cva6Timing &before, Cycle d);
 
     Cva6Params params_;
     SharedPort &busPort_;

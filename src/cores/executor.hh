@@ -63,8 +63,30 @@ class Executor
         ArchState &s = state_;
         const Word imm = static_cast<Word>(insn.imm);
         switch (insn.op) {
-          case Op::kLui: s.setReg(insn.rd, imm << 12); break;
-          case Op::kAuipc: s.setReg(insn.rd, pc + (imm << 12)); break;
+          case Op::kLui:
+          case Op::kAuipc:
+          case Op::kAddi:
+          case Op::kSlti:
+          case Op::kSltiu:
+          case Op::kXori:
+          case Op::kOri:
+          case Op::kAndi:
+          case Op::kSlli:
+          case Op::kSrli:
+          case Op::kSrai:
+          case Op::kAdd:
+          case Op::kSub:
+          case Op::kSll:
+          case Op::kSlt:
+          case Op::kSltu:
+          case Op::kXor:
+          case Op::kSrl:
+          case Op::kSra:
+          case Op::kOr:
+          case Op::kAnd:
+            s.setReg(insn.rd,
+                     aluResult(insn, s.reg(insn.rs1), s.reg(insn.rs2), pc));
+            break;
           case Op::kJal:
             s.setReg(insn.rd, pc + 4);
             res.nextPc = pc + imm;
@@ -97,63 +119,6 @@ class Executor
           case Op::kSh:
           case Op::kSw:
             execStore(insn, res);
-            break;
-          case Op::kAddi: s.setReg(insn.rd, s.reg(insn.rs1) + imm); break;
-          case Op::kSlti:
-            s.setReg(insn.rd,
-                     static_cast<SWord>(s.reg(insn.rs1)) < insn.imm ? 1 : 0);
-            break;
-          case Op::kSltiu:
-            s.setReg(insn.rd, s.reg(insn.rs1) < imm ? 1 : 0);
-            break;
-          case Op::kXori: s.setReg(insn.rd, s.reg(insn.rs1) ^ imm); break;
-          case Op::kOri: s.setReg(insn.rd, s.reg(insn.rs1) | imm); break;
-          case Op::kAndi: s.setReg(insn.rd, s.reg(insn.rs1) & imm); break;
-          case Op::kSlli:
-            s.setReg(insn.rd, s.reg(insn.rs1) << (imm & 31));
-            break;
-          case Op::kSrli:
-            s.setReg(insn.rd, s.reg(insn.rs1) >> (imm & 31));
-            break;
-          case Op::kSrai:
-            s.setReg(insn.rd,
-                     static_cast<Word>(static_cast<SWord>(s.reg(insn.rs1)) >>
-                                       (imm & 31)));
-            break;
-          case Op::kAdd:
-            s.setReg(insn.rd, s.reg(insn.rs1) + s.reg(insn.rs2));
-            break;
-          case Op::kSub:
-            s.setReg(insn.rd, s.reg(insn.rs1) - s.reg(insn.rs2));
-            break;
-          case Op::kSll:
-            s.setReg(insn.rd, s.reg(insn.rs1) << (s.reg(insn.rs2) & 31));
-            break;
-          case Op::kSlt:
-            s.setReg(insn.rd, static_cast<SWord>(s.reg(insn.rs1)) <
-                                      static_cast<SWord>(s.reg(insn.rs2))
-                                  ? 1
-                                  : 0);
-            break;
-          case Op::kSltu:
-            s.setReg(insn.rd, s.reg(insn.rs1) < s.reg(insn.rs2) ? 1 : 0);
-            break;
-          case Op::kXor:
-            s.setReg(insn.rd, s.reg(insn.rs1) ^ s.reg(insn.rs2));
-            break;
-          case Op::kSrl:
-            s.setReg(insn.rd, s.reg(insn.rs1) >> (s.reg(insn.rs2) & 31));
-            break;
-          case Op::kSra:
-            s.setReg(insn.rd,
-                     static_cast<Word>(static_cast<SWord>(s.reg(insn.rs1)) >>
-                                       (s.reg(insn.rs2) & 31)));
-            break;
-          case Op::kOr:
-            s.setReg(insn.rd, s.reg(insn.rs1) | s.reg(insn.rs2));
-            break;
-          case Op::kAnd:
-            s.setReg(insn.rd, s.reg(insn.rs1) & s.reg(insn.rs2));
             break;
           case Op::kFence:
           case Op::kEcall:
@@ -244,6 +209,46 @@ class Executor
             return static_cast<SWord>(rs1) >= static_cast<SWord>(rs2);
           case Op::kBltu: return rs1 < rs2;
           default: return rs1 >= rs2;  // kBgeu
+        }
+    }
+
+    /**
+     * Result of the integer ALU or upper-immediate op @p insn at @p pc
+     * for operand values @p rs1 / @p rs2 (rs2 is read by the
+     * register-register ops only). The single source of ALU semantics:
+     * execute() writes it to rd, and the cores' steady-loop replay
+     * evaluates it on a local register file.
+     */
+    [[gnu::always_inline]] static Word
+    aluResult(const DecodedInsn &insn, Word rs1, Word rs2, Addr pc)
+    {
+        const Word imm = static_cast<Word>(insn.imm);
+        switch (insn.op) {
+          case Op::kLui: return imm << 12;
+          case Op::kAuipc: return pc + (imm << 12);
+          case Op::kAddi: return rs1 + imm;
+          case Op::kSlti:
+            return static_cast<SWord>(rs1) < insn.imm ? 1 : 0;
+          case Op::kSltiu: return rs1 < imm ? 1 : 0;
+          case Op::kXori: return rs1 ^ imm;
+          case Op::kOri: return rs1 | imm;
+          case Op::kAndi: return rs1 & imm;
+          case Op::kSlli: return rs1 << (imm & 31);
+          case Op::kSrli: return rs1 >> (imm & 31);
+          case Op::kSrai:
+            return static_cast<Word>(static_cast<SWord>(rs1) >> (imm & 31));
+          case Op::kAdd: return rs1 + rs2;
+          case Op::kSub: return rs1 - rs2;
+          case Op::kSll: return rs1 << (rs2 & 31);
+          case Op::kSlt:
+            return static_cast<SWord>(rs1) < static_cast<SWord>(rs2) ? 1 : 0;
+          case Op::kSltu: return rs1 < rs2 ? 1 : 0;
+          case Op::kXor: return rs1 ^ rs2;
+          case Op::kSrl: return rs1 >> (rs2 & 31);
+          case Op::kSra:
+            return static_cast<Word>(static_cast<SWord>(rs1) >> (rs2 & 31));
+          case Op::kOr: return rs1 | rs2;
+          default: return rs1 & rs2;  // kAnd
         }
     }
 

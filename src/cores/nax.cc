@@ -381,6 +381,65 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
     return !block_group;
 }
 
+void
+NaxCore::captureTiming(NaxTiming &out) const
+{
+    out.dispatchBlockedUntil = dispatchBlockedUntil_;
+    out.cacheBusyUntil = cacheBusyUntil_;
+    out.lastCommitAt = lastCommitAt_;
+    out.commitsAtLast = commitsAtLast_;
+    out.drainAt = drainAt_;
+    out.aluFreeAt = aluFreeAt_;
+    out.regReadyAt = regReadyAt_;
+    out.robCount = rob_.size();
+    const std::size_t n = std::min(out.robCount, NaxTiming::kMaxRob);
+    for (std::size_t i = 0; i < n; ++i)
+        out.rob[i] = rob_.at(i);
+}
+
+bool
+NaxCore::timingSteady(const NaxTiming &before, Cycle a0, Cycle a1,
+                      std::uint32_t regs) const
+{
+    const Cycle delta = a1 - a0;
+    if (!steadyCycle(before.dispatchBlockedUntil, dispatchBlockedUntil_,
+                     a0, a1) ||
+        !steadyCycle(before.cacheBusyUntil, cacheBusyUntil_, a0, a1) ||
+        !steadyCycle(before.lastCommitAt, lastCommitAt_, a0, a1) ||
+        before.commitsAtLast != commitsAtLast_ ||
+        !steadyCycle(before.drainAt, drainAt_, a0, a1) ||
+        aluFreeAt_[0] - before.aluFreeAt[0] != delta ||
+        aluFreeAt_[1] - before.aluFreeAt[1] != delta) {
+        return false;
+    }
+    for (; regs != 0; regs &= regs - 1) {
+        const int r = std::countr_zero(regs);
+        if (!steadyCycle(before.regReadyAt[r], regReadyAt_[r], a0, a1))
+            return false;
+    }
+    if (rob_.size() != before.robCount || before.robCount > NaxTiming::kMaxRob)
+        return false;
+    for (std::size_t i = 0; i < before.robCount; ++i) {
+        if (rob_.at(i) - before.rob[i] != delta)
+            return false;
+    }
+    return true;
+}
+
+void
+NaxCore::shiftTiming(const NaxTiming &before, Cycle d)
+{
+    shiftMoved(dispatchBlockedUntil_, before.dispatchBlockedUntil, d);
+    shiftMoved(cacheBusyUntil_, before.cacheBusyUntil, d);
+    shiftMoved(lastCommitAt_, before.lastCommitAt, d);
+    shiftMoved(drainAt_, before.drainAt, d);
+    for (unsigned i = 0; i < 2; ++i)
+        shiftMoved(aluFreeAt_[i], before.aluFreeAt[i], d);
+    for (unsigned r = 0; r < 32; ++r)
+        shiftMoved(regReadyAt_[r], before.regReadyAt[r], d);
+    rob_.shift(d);
+}
+
 Cycle
 NaxCore::blockRun(Cycle now, Cycle bound)
 {
@@ -389,6 +448,7 @@ NaxCore::blockRun(Cycle now, Cycle bound)
 
     Cycle t = now;
     BlockTally tally(stats_);
+    LoopReplay<NaxTiming> replay(state_, stats_, &predictor_);
     while (t < bound) {
         if (t < dispatchBlockedUntil_) {
             // Committed redirect/trap-shadow stall cycles: same
@@ -420,6 +480,11 @@ NaxCore::blockRun(Cycle now, Cycle bound)
             continue;
         }
 
+        // The first dispatch boundary after a taken backward branch is
+        // a steady-loop anchor; its snapshot follows the prelude above.
+        if (replay.armed())
+            t = replay.anchor(*this, t, bound);
+
         // ---- group pre-verification (no effects until it passes) ----
         const Addr pc0 = state_.pc();
         const DecodedInsn *insn0 = blockWord(pc0);
@@ -430,13 +495,14 @@ NaxCore::blockRun(Cycle now, Cycle bound)
         // Resolve slot 0's control flow without executing it, to learn
         // whether slot 1 dispatches this cycle and from which pc.
         bool pair = true;
+        bool taken0 = false;
         Addr pc1 = pc0 + 4;
         if (cls0 == InsnClass::kBranch) {
-            const bool taken = Executor::evalBranch(
+            taken0 = Executor::evalBranch(
                 insn0->op, state_.reg(insn0->rs1), state_.reg(insn0->rs2));
             // A mispredict redirects the front-end.
-            pair = predictor_.predictsTaken(pc0) == taken;
-            if (taken)
+            pair = predictor_.predictsTaken(pc0) == taken0;
+            if (taken0)
                 pc1 = pc0 + static_cast<Word>(insn0->imm);
         } else if (cls0 == InsnClass::kJump) {
             if (insn0->op == Op::kJal)
@@ -475,14 +541,20 @@ NaxCore::blockRun(Cycle now, Cycle bound)
         ++stats_.fetchPredecoded;
         const bool cont = dispatchDecoded(t, pc0, *insn0);
         tally.retired(cls0);
+        replay.retired(pc0, insn0, taken0);
         if (cont && insn1) {
             if (rob_.full()) {
                 ++stats_.stallCycles;  // slot 1 stalls, as tick() would
             } else {
                 const InsnClass cls1 = insn1->cls;
+                const bool taken1 =
+                    cls1 == InsnClass::kBranch &&
+                    Executor::evalBranch(insn1->op, state_.reg(insn1->rs1),
+                                         state_.reg(insn1->rs2));
                 ++stats_.fetchPredecoded;
                 dispatchDecoded(t, pc1, *insn1);
                 tally.retired(cls1);
+                replay.retired(pc1, insn1, taken1);
             }
         }
         t += 1;

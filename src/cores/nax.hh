@@ -116,10 +116,7 @@ class CommitRing
     void
     push(Cycle commit)
     {
-        std::size_t tail = head_ + count_;
-        if (tail >= slots_.size())
-            tail -= slots_.size();
-        slots_[tail] = commit;
+        slots_[slotOf(count_)] = commit;
         ++count_;
     }
 
@@ -141,10 +138,50 @@ class CommitRing
         count_ = 0;
     }
 
+    std::size_t size() const { return count_; }
+
+    /** Commit cycle of the @p i-th oldest in-flight entry. */
+    Cycle at(std::size_t i) const { return slots_[slotOf(i)]; }
+
+    /** Delay every in-flight commit by @p d cycles. */
+    void
+    shift(Cycle d)
+    {
+        for (std::size_t i = 0; i < count_; ++i)
+            slots_[slotOf(i)] += d;
+    }
+
   private:
+    /** Ring slot of the @p i-th oldest entry. */
+    std::size_t
+    slotOf(std::size_t i) const
+    {
+        const std::size_t slot = head_ + i;
+        return slot >= slots_.size() ? slot - slots_.size() : slot;
+    }
+
     std::vector<Cycle> slots_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
+};
+
+/** The NaxRiscv timing state steady-loop replay compares at anchors.
+ *  The multiply/divide unit and the LSU are left out: ALU ops and
+ *  branches never read or write them. */
+struct NaxTiming
+{
+    /** ROB entries a snapshot holds; a fuller ROB is never steady. */
+    static constexpr std::size_t kMaxRob = 64;
+
+    Cycle dispatchBlockedUntil = 0;
+    Cycle cacheBusyUntil = 0;
+    Cycle lastCommitAt = 0;
+    unsigned commitsAtLast = 0;
+    Cycle drainAt = 0;
+    std::array<Cycle, 2> aluFreeAt{};
+    std::array<Cycle, 32> regReadyAt{};
+    std::size_t robCount = 0;
+    std::array<Cycle, kMaxRob> rob{};
 };
 
 class NaxCore : public Core
@@ -166,8 +203,9 @@ class NaxCore : public Core
      *  (slot 1 included, branch direction resolved via
      *  Executor::evalBranch) before slot 0 executes, because a bail
      *  between the slots would leave a half-dispatched pair the
-     *  per-cycle path can never reproduce. */
-    Cycle blockRun(Cycle now, Cycle bound) override;
+     *  per-cycle path can never reproduce. Steady loop iterations are
+     *  replayed (LoopReplay). */
+    [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
     const char *name() const override { return "naxriscv"; }
 
@@ -177,6 +215,8 @@ class NaxCore : public Core
     UnitMemPort &ctxQueuePort() { return ctxPort_; }
 
   private:
+    template <class> friend class LoopReplay;
+
     /** Instructions dispatched (and committed) per cycle. blockRun()'s
      *  group verification covers exactly two slots. */
     static constexpr unsigned kDispatchWidth = 2;
@@ -188,6 +228,14 @@ class NaxCore : public Core
      *  re-decode its own word). False ends the group (redirect, mret,
      *  wfi or trap). */
     bool dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn);
+
+    // LoopReplay hooks. The two ALU pipes are compared with each other
+    // (the older one takes the next op), so both must be periodic; the
+    // ROB must hold the same entries relative to the anchor.
+    void captureTiming(NaxTiming &out) const;
+    bool timingSteady(const NaxTiming &before, Cycle a0, Cycle a1,
+                      std::uint32_t regs) const;
+    void shiftTiming(const NaxTiming &before, Cycle d);
 
     NaxParams params_;
     CacheModel dcache_;

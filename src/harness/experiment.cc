@@ -1,11 +1,28 @@
 #include "experiment.hh"
 
 #include <chrono>
+#include <utility>
 
 #include "common/logging.hh"
 #include "kernel/kernel.hh"
 
 namespace rtu {
+
+Program
+buildWorkloadImage(const RtosUnitConfig &unit, const Workload &workload,
+                   Word timer_period_cycles)
+{
+    const WorkloadInfo winfo = workload.info();
+    KernelParams kparams;
+    kparams.unit = unit;
+    kparams.timerPeriodCycles = timer_period_cycles;
+    kparams.usesExternalIrq = winfo.usesExternalIrq;
+    kparams.usesDelayUntil = winfo.usesDelayUntil;
+
+    KernelBuilder kb(kparams);
+    workload.addTasks(kb);
+    return kb.build();
+}
 
 RunResult
 runWorkload(CoreKind core, const RtosUnitConfig &unit,
@@ -13,15 +30,10 @@ runWorkload(CoreKind core, const RtosUnitConfig &unit,
 {
     const WorkloadInfo winfo = workload.info();
 
-    KernelParams kparams;
-    kparams.unit = unit;
-    kparams.timerPeriodCycles = opts.timerPeriodCycles;
-    kparams.usesExternalIrq = winfo.usesExternalIrq;
-    kparams.usesDelayUntil = winfo.usesDelayUntil;
-
-    KernelBuilder kb(kparams);
-    workload.addTasks(kb);
-    const Program program = kb.build();
+    Program program =
+        opts.program ? *opts.program
+                     : buildWorkloadImage(unit, workload,
+                                          opts.timerPeriodCycles);
 
     SimConfig sconfig;
     sconfig.core = core;
@@ -32,7 +44,7 @@ runWorkload(CoreKind core, const RtosUnitConfig &unit,
     sconfig.engine = opts.engine;
     sconfig.watchdogCycles = opts.watchdogCycles;
 
-    Simulation sim(sconfig, program);
+    Simulation sim(sconfig, std::move(program));
     const std::vector<Cycle> &extSchedule =
         opts.extIrqOverride ? *opts.extIrqOverride : winfo.extIrqSchedule;
     for (Cycle at : extSchedule)

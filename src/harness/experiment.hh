@@ -89,7 +89,18 @@ struct RunOptions
     /** Called after run(), before the result is assembled — final
      *  oracle sweep over the end state. */
     std::function<void(Simulation &)> postRun;
+    /** Prebuilt kernel image of this (configuration, workload, timer
+     *  period) from buildWorkloadImage(); nullptr builds one. The run
+     *  simulates a copy, so the fault campaign builds each point's
+     *  image once for its golden run and every injected run. */
+    const Program *program = nullptr;
 };
+
+/** The kernel image runWorkload() simulates for @p workload on
+ *  configuration @p unit with timer period @p timer_period_cycles. */
+Program buildWorkloadImage(const RtosUnitConfig &unit,
+                           const Workload &workload,
+                           Word timer_period_cycles);
 
 /** Run one workload on one (core, configuration) pair. */
 RunResult runWorkload(CoreKind core, const RtosUnitConfig &unit,

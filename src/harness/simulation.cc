@@ -1,5 +1,7 @@
 #include "simulation.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 #include "cores/cv32e40p.hh"
 #include "cores/cva6.hh"
@@ -70,8 +72,8 @@ runStatusName(RunStatus status)
     return "?";
 }
 
-Simulation::Simulation(const SimConfig &config, const Program &program)
-    : config_(config), program_(program),
+Simulation::Simulation(const SimConfig &config, Program program)
+    : config_(config), program_(std::move(program)),
       fastForward_(config.engine != EngineMode::kReference), ext_(irq_),
       imem_("imem", memmap::kImemBase, memmap::kImemSize),
       dmem_("dmem", memmap::kDmemBase, memmap::kDmemSize),
@@ -89,15 +91,17 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     mem_.addDevice(&clint_);
     mem_.addDevice(&hostio_);
 
-    imem_.loadWords(program.textBase, program.text);
-    dmem_.loadWords(program.dataBase, program.data);
-    taskIdAddr_ = program.symbol("currentTaskId");
+    imem_.loadWords(program_.textBase, program_.text);
+    dmem_.loadWords(program_.dataBase, program_.data);
+    taskIdAddr_ = program_.symbol("currentTaskId");
 
     // Decode the whole text segment once; per-cycle fetch becomes an
     // array index. Stores and injected faults landing in text re-decode
     // the touched words through the write observer.
-    if (config_.engine != EngineMode::kNoPredecode && !program.text.empty())
-        predecode_.install(mem_, program.textBase, program.text.size());
+    if (config_.engine != EngineMode::kNoPredecode &&
+        !program_.text.empty()) {
+        predecode_.install(mem_, program_.textBase, program_.text.size());
+    }
 
     // Superblock index on top of the image: straight-line run lengths
     // and worst-case block costs, kept coherent with text writes via
@@ -109,7 +113,7 @@ Simulation::Simulation(const SimConfig &config, const Program &program)
     if (config_.engine == EngineMode::kFull && predecode_.installed())
         blockindex_.install(predecode_, cv32e40p);
 
-    state_.setPc(program.textBase);
+    state_.setPc(program_.textBase);
     exec_.setClock(kernel_.clockPtr());
     hostio_.bindClock(kernel_.clockPtr());
 

@@ -100,7 +100,9 @@ class RunObserver
 class Simulation : public CoreListener, public PhaseObserver
 {
   public:
-    Simulation(const SimConfig &config, const Program &program);
+    /** Simulate @p program, which the simulation keeps: a campaign
+     *  hands every run a copy of one shared image. */
+    Simulation(const SimConfig &config, Program program);
     ~Simulation() override;
 
     /** Assert the external interrupt line at @p cycle. */
@@ -213,7 +215,7 @@ class Simulation : public CoreListener, public PhaseObserver
     void noRetireAbort();
 
     SimConfig config_;
-    const Program &program_;
+    const Program program_;
     const bool fastForward_;  ///< every engine but kReference
 
     IrqLines irq_;

@@ -1,6 +1,7 @@
 #include "campaign.hh"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 #include "common/json.hh"
@@ -226,6 +227,45 @@ perturbIrqSchedule(const FaultSpec &fault,
     return out;
 }
 
+/**
+ * What a planned fault does to its point, as a comparable key: the
+ * point, then for IRQ faults the perturbed schedule as the set of
+ * cycles the line is raised at (a raise at a doubled entry has no
+ * further effect, so "irq-coalesced i" and "irq-dropped i" are one
+ * experiment), and for the other kinds the kind and the fields its
+ * injector reads. Faults with equal keys run identical simulations.
+ */
+std::vector<std::uint64_t>
+faultEffectKey(std::size_t point_index, const FaultSpec &fault,
+               const WorkloadInfo &winfo)
+{
+    std::vector<std::uint64_t> key{point_index};
+    if (isIrqFault(fault.kind)) {
+        std::vector<Cycle> raised =
+            perturbIrqSchedule(fault, winfo.extIrqSchedule);
+        raised.erase(std::unique(raised.begin(), raised.end()),
+                     raised.end());
+        key.push_back(~std::uint64_t{0});  // no FaultKind value
+        key.insert(key.end(), raised.begin(), raised.end());
+        return key;
+    }
+    key.push_back(static_cast<std::uint64_t>(fault.kind));
+    key.push_back(fault.episode);
+    switch (fault.kind) {
+      case FaultKind::kCtxFlip:
+        key.insert(key.end(), {fault.word, fault.bitMask});
+        break;
+      case FaultKind::kTcbField:
+        key.insert(key.end(),
+                   {fault.taskSel, fault.tcbField, fault.bitMask});
+        break;
+      default:  // the unit stalls and the FSM abort
+        key.push_back(fault.cycles);
+        break;
+    }
+    return key;
+}
+
 bool
 semanticTag(std::uint8_t t)
 {
@@ -245,9 +285,20 @@ struct InstrumentedRun
     std::vector<OracleHit> hits;
 };
 
+/** The kernel image every run of @p point simulates. */
+Program
+pointImage(const SweepPoint &point)
+{
+    const auto workload = makeWorkload(point.workload, point.iterations);
+    return buildWorkloadImage(point.unit, *workload,
+                              point.timerPeriodCycles);
+}
+
+/** Run @p point on its prebuilt @p image, clean (@p fault null) or
+ *  with @p fault injected. */
 InstrumentedRun
-runInstrumented(const SweepPoint &point, const FaultSpec *fault,
-                EngineMode engine)
+runInstrumented(const SweepPoint &point, const Program &image,
+                const FaultSpec *fault, EngineMode engine)
 {
     const auto workload = makeWorkload(point.workload, point.iterations);
     const WorkloadInfo winfo = workload->info();
@@ -257,6 +308,7 @@ runInstrumented(const SweepPoint &point, const FaultSpec *fault,
     opts.naxCtxQueueEntries = point.naxCtxQueueEntries;
     opts.seed = point.seed;
     opts.engine = engine;
+    opts.program = &image;
 
     InstrumentedRun out;
     std::vector<Cycle> irqOverride;
@@ -374,10 +426,11 @@ FaultRunRecord
 runSingleFault(const SweepPoint &point, const FaultSpec &fault,
                GoldenRecord *golden_out, EngineMode engine)
 {
+    const Program image = pointImage(point);
     GoldenRecord golden;
     {
         const InstrumentedRun g =
-            runInstrumented(point, nullptr, engine);
+            runInstrumented(point, image, nullptr, engine);
         golden.point = point;
         golden.run = g.run;
         golden.events = g.events;
@@ -387,8 +440,7 @@ runSingleFault(const SweepPoint &point, const FaultSpec &fault,
             golden.oracleDetail = g.hits.front().detail;
     }
 
-    const InstrumentedRun r =
-        runInstrumented(point, &fault, engine);
+    const InstrumentedRun r = runInstrumented(point, image, &fault, engine);
     FaultRunRecord rec;
     rec.fault = fault;
     rec.fired = r.injectorFired;
@@ -418,12 +470,15 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
 
     CampaignResult res;
     res.goldens.resize(spec.points.size());
+    // One kernel image per point, shared by its golden and fault runs.
+    std::vector<Program> images(spec.points.size());
 
     // Stage 1: golden references, sharded across the pool.
     runner.forEachIndex(spec.points.size(), [&](std::size_t i) {
         const SweepPoint &pt = spec.points[i];
+        images[i] = pointImage(pt);
         const InstrumentedRun r =
-            runInstrumented(pt, nullptr, spec.engine);
+            runInstrumented(pt, images[i], nullptr, spec.engine);
         GoldenRecord &g = res.goldens[i];
         g.point = pt;
         g.run = r.run;
@@ -448,25 +503,35 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
     };
     std::vector<PlannedFault> plan;
     plan.reserve(spec.points.size() * spec.faultsPerPoint);
+    // Plan indices of the first fault with each effect, and each
+    // fault's first twin: only the first is simulated.
+    std::vector<std::size_t> simulated;
+    std::vector<std::size_t> twinOf;
+    std::map<std::vector<std::uint64_t>, std::size_t> firstByEffect;
     for (std::size_t i = 0; i < spec.points.size(); ++i) {
         const SweepPoint &pt = spec.points[i];
         const WorkloadInfo winfo =
             makeWorkload(pt.workload, pt.iterations)->info();
         for (const FaultSpec &f :
-             makeFaultPlan(spec.seed, pt, winfo, spec.faultsPerPoint))
+             makeFaultPlan(spec.seed, pt, winfo, spec.faultsPerPoint)) {
+            const auto [it, fresh] = firstByEffect.emplace(
+                faultEffectKey(i, f, winfo), plan.size());
+            if (fresh)
+                simulated.push_back(plan.size());
+            twinOf.push_back(it->second);
             plan.push_back({i, f});
+        }
     }
 
     // Stage 2: injected runs, classified against their goldens.
     res.faults.resize(plan.size());
-    runner.forEachIndex(plan.size(), [&](std::size_t j) {
+    runner.forEachIndex(simulated.size(), [&](std::size_t u) {
+        const std::size_t j = simulated[u];
         const PlannedFault &pf = plan[j];
         const SweepPoint &pt = spec.points[pf.pointIndex];
-        const InstrumentedRun r =
-            runInstrumented(pt, &pf.fault, spec.engine);
+        const InstrumentedRun r = runInstrumented(
+            pt, images[pf.pointIndex], &pf.fault, spec.engine);
         FaultRunRecord &rec = res.faults[j];
-        rec.pointIndex = pf.pointIndex;
-        rec.fault = pf.fault;
         rec.fired = r.injectorFired;
         rec.oracleHits = r.oracleHits;
         if (!r.hits.empty()) {
@@ -483,6 +548,16 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
             classifyOutcome(r.oracleHits, r.run.status, r.run.exitCode,
                             r.events, res.goldens[pf.pointIndex]);
     });
+
+    // Every fault takes its run-derived fields from its simulated
+    // twin (itself, for the simulated ones) and keeps its own spec.
+    for (std::size_t j = 0; j < plan.size(); ++j) {
+        FaultRunRecord &rec = res.faults[j];
+        if (twinOf[j] != j)
+            rec = res.faults[twinOf[j]];
+        rec.pointIndex = plan[j].pointIndex;
+        rec.fault = plan[j].fault;
+    }
     return res;
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Fault-injection campaign engine: for every sweep point, run one
  * golden (fault-free) reference with the oracles attached, then one
- * run per planned fault, and classify each outcome:
+ * run per planned fault, and classify each outcome (faults with the
+ * same effect on a point share one simulation; see runCampaign()):
  *
  *   masked             fault fired (or never triggered) and the run
  *                      matched the golden exit code + checksum stream
@@ -115,6 +116,14 @@ struct CampaignResult
     double detectionCoverage() const;
 };
 
+/**
+ * Run @p spec's goldens, then its fault plans. Each point's kernel
+ * image is built once. Planned faults with the same effect on a point
+ * (the same set of IRQ raise cycles, or the same kind and injector
+ * inputs) are one experiment: the first in plan order is simulated
+ * and the others copy its run-derived fields, so the records equal
+ * one simulation per fault at any thread count.
+ */
 CampaignResult runCampaign(const CampaignSpec &spec,
                            const SweepRunner &runner);
 

@@ -36,8 +36,10 @@ HwListBase::insertSlot(const HwSlot &slot)
             return;
         }
     }
-    fatal("hardware list overflow (%u slots); the paper's fallback to "
-          "software scheduling is out of scope", capacity());
+    // A guest can add more tasks than the list holds: the paper's
+    // fallback to software scheduling is out of scope, so the act is
+    // the guest's architectural error.
+    guest_fault("hardware list overflow (%u slots)", capacity());
 }
 
 void
@@ -113,8 +115,8 @@ HwReadyList::popHeadRoundRobin(Priority *prio)
     rtu_assert(!sorting(), "ready-list head sampled while sorting");
     HwSlot &head = slots_[0];
     if (!head.valid)
-        fatal("hardware ready list empty: no runnable task (the kernel "
-              "must keep the idle task ready)");
+        guest_fault("hardware ready list empty: no runnable task (the "
+                    "kernel must keep the idle task ready)");
     const TaskId id = head.id;
     if (prio)
         *prio = head.prio;
@@ -156,7 +158,8 @@ HwDelayList::before(const HwSlot &a, const HwSlot &b) const
 void
 HwDelayList::insert(TaskId id, Priority prio, Word ticks)
 {
-    rtu_assert(ticks > 0, "zero-tick delay for task %u", id);
+    if (ticks == 0)
+        guest_fault("rtu.adddelay: zero-tick delay for task %u", id);
     HwSlot s;
     s.id = id;
     s.prio = prio;

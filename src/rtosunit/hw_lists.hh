@@ -88,14 +88,15 @@ class HwReadyList : public HwListBase
   public:
     explicit HwReadyList(unsigned slots) : HwListBase(slots) {}
 
-    /** ADD_READY: insert @p id with @p prio. Fatal when full. */
+    /** ADD_READY: insert @p id with @p prio; a GuestFault when full. */
     void insert(TaskId id, Priority prio);
 
     /**
      * GET_HW_SCHED data path: return the head and requeue it at the
      * tail of its priority class (round-robin). Must only be called
-     * when !sorting(). Fatal on an empty list (the kernel guarantees
-     * an always-ready idle task). Optionally reports the priority.
+     * when !sorting(). A GuestFault on an empty list (the kernel
+     * guarantees an always-ready idle task). Optionally reports the
+     * priority.
      */
     TaskId popHeadRoundRobin(Priority *prio = nullptr);
 
@@ -120,7 +121,8 @@ class HwDelayList : public HwListBase
         : HwListBase(slots), ready_(ready)
     {}
 
-    /** ADD_DELAY: insert the running task. Fatal when full. */
+    /** ADD_DELAY: insert the running task; a GuestFault when full or
+     *  for zero @p ticks. */
     void insert(TaskId id, Priority prio, Word ticks);
 
     /** Timer interrupt: decrement every valid entry (paper Fig 5(e)). */

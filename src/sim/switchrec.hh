@@ -26,7 +26,7 @@
 #ifndef RTU_SIM_SWITCHREC_HH
 #define RTU_SIM_SWITCHREC_HH
 
-#include <vector>
+#include <deque>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -145,7 +145,7 @@ class SwitchRecorder
     /** Stream completed episodes to @p sink (may be nullptr). */
     void setSink(TraceSink *sink) { sink_ = sink; }
 
-    const std::vector<SwitchRecord> &records() const { return records_; }
+    const std::deque<SwitchRecord> &records() const { return records_; }
 
     /**
      * Latency statistics. @p switches_only drops same-task episodes;
@@ -180,7 +180,10 @@ class SwitchRecorder
             sink_->episode(current_.toTrace());
     }
 
-    std::vector<SwitchRecord> records_;
+    /** A deque, not a vector: a livelocked run logs ~10^5 episodes,
+     *  and a doubling vector would copy the whole log into a twice
+     *  larger block each time it grows. */
+    std::deque<SwitchRecord> records_;
     SwitchRecord current_{};
     bool inEpisode_ = false;
     Cycle lastMret_ = 0;

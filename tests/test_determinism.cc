@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "harness/experiment.hh"
 #include "sim/hostio.hh"
 
@@ -12,7 +14,7 @@ namespace {
 struct RunCapture
 {
     Cycle cycles = 0;
-    std::vector<SwitchRecord> switches;
+    std::deque<SwitchRecord> switches;
     std::vector<GuestEvent> events;
     Word exitCode = 0;
 };

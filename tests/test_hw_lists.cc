@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "rtosunit/hw_lists.hh"
 
 namespace rtu {
@@ -84,18 +85,29 @@ TEST(HwReadyList, RemoveClearsAllMatches)
     EXPECT_EQ(list.occupancy(), 1u);
 }
 
-TEST(HwReadyListDeath, OverflowIsFatal)
+// The guest reaches these through ADD_READY, GET_HW_SCHED and
+// ADD_DELAY: each is the guest's architectural error, not a host abort.
+TEST(HwReadyList, OverflowIsAGuestFault)
 {
     HwReadyList list(2);
     list.insert(1, 1);
     list.insert(2, 1);
-    EXPECT_DEATH(list.insert(3, 1), "overflow");
+    EXPECT_THROW(list.insert(3, 1), GuestFault);
+    EXPECT_EQ(list.occupancy(), 2u);
 }
 
-TEST(HwReadyListDeath, PopEmptyIsFatal)
+TEST(HwReadyList, PopEmptyIsAGuestFault)
 {
     HwReadyList list(4);
-    EXPECT_DEATH(list.popHeadRoundRobin(), "empty");
+    EXPECT_THROW(list.popHeadRoundRobin(), GuestFault);
+}
+
+TEST(HwDelayList, ZeroTickDelayIsAGuestFault)
+{
+    HwReadyList ready(4);
+    HwDelayList delay(4, ready);
+    EXPECT_THROW(delay.insert(1, 1, 0), GuestFault);
+    EXPECT_EQ(delay.occupancy(), 0u);
 }
 
 TEST(HwDelayList, ExpiryMigratesToReadyList)
