@@ -113,9 +113,6 @@ Assembler::addrOfIndex(size_t index) const
 void Assembler::lui(Reg rd, SWord imm20)
 { emit(encode(Op::kLui, rd, 0, 0, imm20)); }
 
-void Assembler::auipc(Reg rd, SWord imm20)
-{ emit(encode(Op::kAuipc, rd, 0, 0, imm20)); }
-
 void
 Assembler::jal(Reg rd, const std::string &target)
 {
@@ -139,30 +136,12 @@ RTU_BRANCH(bne, Op::kBne)
 RTU_BRANCH(blt, Op::kBlt)
 RTU_BRANCH(bge, Op::kBge)
 RTU_BRANCH(bltu, Op::kBltu)
-RTU_BRANCH(bgeu, Op::kBgeu)
 #undef RTU_BRANCH
 
-#define RTU_LOAD(NAME, OP)                                                \
-    void                                                                  \
-    Assembler::NAME(Reg rd, SWord off, Reg base)                          \
-    { emit(encode(OP, rd, base, 0, off)); }
-
-RTU_LOAD(lb, Op::kLb)
-RTU_LOAD(lh, Op::kLh)
-RTU_LOAD(lw, Op::kLw)
-RTU_LOAD(lbu, Op::kLbu)
-RTU_LOAD(lhu, Op::kLhu)
-#undef RTU_LOAD
-
-#define RTU_STORE(NAME, OP)                                               \
-    void                                                                  \
-    Assembler::NAME(Reg rs2, SWord off, Reg base)                         \
-    { emit(encode(OP, 0, base, rs2, off)); }
-
-RTU_STORE(sb, Op::kSb)
-RTU_STORE(sh, Op::kSh)
-RTU_STORE(sw, Op::kSw)
-#undef RTU_STORE
+void Assembler::lw(Reg rd, SWord off, Reg base)
+{ emit(encode(Op::kLw, rd, base, 0, off)); }
+void Assembler::sw(Reg rs2, SWord off, Reg base)
+{ emit(encode(Op::kSw, 0, base, rs2, off)); }
 
 #define RTU_OPIMM(NAME, OP)                                               \
     void                                                                  \
@@ -170,10 +149,7 @@ RTU_STORE(sw, Op::kSw)
     { emit(encode(OP, rd, rs1, 0, imm)); }
 
 RTU_OPIMM(addi, Op::kAddi)
-RTU_OPIMM(slti, Op::kSlti)
-RTU_OPIMM(sltiu, Op::kSltiu)
 RTU_OPIMM(xori, Op::kXori)
-RTU_OPIMM(ori, Op::kOri)
 RTU_OPIMM(andi, Op::kAndi)
 RTU_OPIMM(slli, Op::kSlli)
 RTU_OPIMM(srli, Op::kSrli)
@@ -187,27 +163,14 @@ RTU_OPIMM(srai, Op::kSrai)
 
 RTU_OP(add, Op::kAdd)
 RTU_OP(sub, Op::kSub)
-RTU_OP(sll, Op::kSll)
 RTU_OP(slt, Op::kSlt)
-RTU_OP(sltu, Op::kSltu)
 RTU_OP(xor_, Op::kXor)
-RTU_OP(srl, Op::kSrl)
-RTU_OP(sra, Op::kSra)
 RTU_OP(or_, Op::kOr)
-RTU_OP(and_, Op::kAnd)
-RTU_OP(mul, Op::kMul)
-RTU_OP(mulh, Op::kMulh)
-RTU_OP(mulhsu, Op::kMulhsu)
-RTU_OP(mulhu, Op::kMulhu)
 RTU_OP(div, Op::kDiv)
 RTU_OP(divu, Op::kDivu)
-RTU_OP(rem, Op::kRem)
-RTU_OP(remu, Op::kRemu)
 #undef RTU_OP
 
-void Assembler::fence() { emit(encode(Op::kFence, 0, 0, 0, 0)); }
 void Assembler::ecall() { emit(encode(Op::kEcall, 0, 0, 0, 0)); }
-void Assembler::ebreak() { emit(encode(Op::kEbreak, 0, 0, 0, 0)); }
 void Assembler::mret() { emit(encode(Op::kMret, 0, 0, 0, 0)); }
 void Assembler::wfi() { emit(encode(Op::kWfi, 0, 0, 0, 0)); }
 
@@ -217,10 +180,6 @@ void Assembler::csrrw(Reg rd, std::uint16_t csr, Reg rs1)
 { emit(encode(Op::kCsrrw, rd, rs1, 0, 0, csr)); }
 void Assembler::csrrs(Reg rd, std::uint16_t csr, Reg rs1)
 { emit(encode(Op::kCsrrs, rd, rs1, 0, 0, csr)); }
-void Assembler::csrrc(Reg rd, std::uint16_t csr, Reg rs1)
-{ emit(encode(Op::kCsrrc, rd, rs1, 0, 0, csr)); }
-void Assembler::csrrwi(Reg rd, std::uint16_t csr, Word uimm5)
-{ emit(encode(Op::kCsrrwi, rd, 0, 0, static_cast<SWord>(uimm5), csr)); }
 void Assembler::csrrsi(Reg rd, std::uint16_t csr, Word uimm5)
 { emit(encode(Op::kCsrrsi, rd, 0, 0, static_cast<SWord>(uimm5), csr)); }
 void Assembler::csrrci(Reg rd, std::uint16_t csr, Word uimm5)

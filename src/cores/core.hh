@@ -273,18 +273,17 @@ class LoopReplay
     bool armed() const { return armed_; }
 
     /**
-     * The run is at an anchor at cycle @p t, the core's timing state
-     * already past the cycle's prelude. Replay whole steady intervals
-     * that end before @p bound, then snapshot the anchor for the next
-     * interval. @return the cycle the normal path continues from (the
-     * same anchor pc).
+     * The run is at an anchor @p pc at cycle @p t, the core's timing
+     * state already past the cycle's prelude. Replay whole steady
+     * intervals that end before @p bound, then snapshot the anchor for
+     * the next interval. @return the cycle the normal path continues
+     * from (at the same pc).
      */
     template <class Model>
     Cycle
-    anchor(Model &model, Cycle t, Cycle bound)
+    anchor(Model &model, Addr pc, Cycle t, Cycle bound)
     {
         armed_ = false;
-        const Addr pc = state_.pc();
         if (aluOnly_ && haveSnap_ && pc == anchorPc_ && t > anchorT_ &&
             steady(model, t)) {
             t = replay(model, t, bound);
@@ -446,8 +445,6 @@ class Core : public Clocked
     /** Advance one clock cycle. */
     void tick(Cycle now) override = 0;
 
-    virtual const char *name() const = 0;
-
     void setListener(CoreListener *l) { listener_ = l; }
 
     const CoreStats &stats() const { return stats_; }
@@ -492,7 +489,8 @@ class Core : public Clocked
             listener_->trapTaken(cause, now);
     }
 
-    /** True while a custom-instruction / mret stall condition holds. */
+    /** True while a custom-instruction / mret stall condition holds.
+     *  Only the ops that can stall ask the unit. */
     bool
     stalledByUnit(const DecodedInsn &insn) const
     {
@@ -500,13 +498,60 @@ class Core : public Clocked
         if (!unit)
             return false;
         switch (insn.op) {
-          case Op::kSwitchRf: return unit->switchRfStall();
-          case Op::kGetHwSched: return unit->getHwSchedStall();
-          case Op::kMret: return unit->mretStall();
+          case Op::kSwitchRf:
+          case Op::kGetHwSched:
+          case Op::kMret:
           case Op::kSemTake:
           case Op::kSemGive:
-            return unit->semOpStall();
+            return unit->stalls(insn.op);
           default: return false;
+        }
+    }
+
+    /**
+     * The wfi step of a cycle: an enabled pending interrupt wakes the
+     * core. @return true if the core sleeps on, the cycle counted as a
+     * wfi cycle.
+     */
+    bool
+    sleepCycle()
+    {
+        if (!sleeping_)
+            return false;
+        if (exec_.pendingEnabledIrqs() != 0) {
+            sleeping_ = false;
+            return false;
+        }
+        ++stats_.wfiCycles;
+        return true;
+    }
+
+    /** nextEventAt() of a sleeping core: the next cycle wakes it, or
+     *  nothing does until an interrupt arrives. */
+    Cycle
+    sleepEventAt(Cycle now) const
+    {
+        return exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+    }
+
+    /** An mret issued; it completes at cycle @p done. */
+    void
+    mretIssued(Cycle done)
+    {
+        ++stats_.mrets;
+        mretPending_ = true;
+        mretDoneAt_ = done;
+    }
+
+    /** The mret-completion step of cycle @p now: tell the listener
+     *  once the pending mret is done (the paper's latency end point). */
+    void
+    mretStep(Cycle now)
+    {
+        if (mretPending_ && now >= mretDoneAt_) {
+            mretPending_ = false;
+            if (listener_)
+                listener_->mretCompleted(now);
         }
     }
 
@@ -532,13 +577,15 @@ class Core : public Clocked
 
     /**
      * True if blockRun() may start: a block index is installed, the
-     * core is not @p busy (asleep or with an in-flight condition the
-     * per-cycle path owns) and no interrupt is ready.
+     * core is neither asleep, nor waiting on an mret, nor @p busy
+     * with another in-flight condition the per-cycle path owns, and
+     * no interrupt is ready.
      */
     bool
-    blockRunOpen(bool busy) const
+    blockRunOpen(bool busy = false) const
     {
-        return blockindex_ != nullptr && !busy && !exec_.interruptReady();
+        return blockindex_ != nullptr && !busy && !sleeping_ &&
+               !mretPending_ && !exec_.interruptReady();
     }
 
     /**
@@ -615,6 +662,11 @@ class Core : public Clocked
     const BlockIndex *blockindex_;
     CoreListener *listener_ = nullptr;
     CoreStats stats_;
+    /** Sleeping in wfi. */
+    bool sleeping_ = false;
+    /** An issued mret completes at mretDoneAt_ (see mretStep()). */
+    bool mretPending_ = false;
+    Cycle mretDoneAt_ = 0;
 };
 
 } // namespace rtu

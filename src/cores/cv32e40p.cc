@@ -34,7 +34,7 @@ Cv32e40pCore::nextEventAt(Cycle now) const
         return now + remaining_ - 1;
     }
     if (sleeping_)
-        return exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+        return sleepEventAt(now);
     return now;
 }
 
@@ -64,23 +64,13 @@ Cv32e40pCore::tick(Cycle now)
         } else {
             --remaining_;
             ++stats_.stallCycles;
-            if (remaining_ == 0 && mretInFlight_) {
-                mretInFlight_ = false;
-                if (listener_)
-                    listener_->mretCompleted(now);
-            }
+            mretStep(now);
             return;
         }
     }
 
-    if (sleeping_) {
-        if (exec_.pendingEnabledIrqs() != 0) {
-            sleeping_ = false;
-        } else {
-            ++stats_.wfiCycles;
-            return;
-        }
-    }
+    if (sleepCycle())
+        return;
 
     if (exec_.interruptReady()) {
         const Word cause = exec_.pendingCause();
@@ -129,13 +119,9 @@ Cv32e40pCore::tick(Cycle now)
         remaining_ > 0 && (cls == InsnClass::kDiv || cls == InsnClass::kMul);
 
     if (insn.op == Op::kMret) {
-        ++stats_.mrets;
-        if (remaining_ == 0) {
-            if (listener_)
-                listener_->mretCompleted(now);
-        } else {
-            mretInFlight_ = true;
-        }
+        // Done when the countdown ends: at once for a one-cycle mret.
+        mretIssued(now + remaining_);
+        mretStep(now);
     }
 
     lastWasLoad_ = cls == InsnClass::kLoad;
@@ -156,12 +142,11 @@ Cv32e40pCore::loadUseStall(const DecodedInsn &insn) const
 
 // Inlined into blockRun(), its one caller: the per-instruction hot path.
 [[gnu::always_inline]] inline bool
-Cv32e40pCore::blockStep(const DecodedInsn *word, Cycle &t, Cycle bound,
-                        LoopReplay<Cv32e40pTiming> &replay)
+Cv32e40pCore::blockStep(const DecodedInsn *word, Addr &pc, Cycle &t,
+                        Cycle bound, LoopReplay<Cv32e40pTiming> &replay)
 {
     // By value: a store may re-decode its own word.
     const DecodedInsn insn = *word;
-    const Addr pc = state_.pc();
     const InsnClass cls = insn.cls;
     ++stats_.fetchPredecoded;
 
@@ -174,9 +159,9 @@ Cv32e40pCore::blockStep(const DecodedInsn *word, Cycle &t, Cycle bound,
     // or touch the RTOSUnit; a wild jalr target is caught by the
     // coverage check before the next run.
     const ExecResult res = exec_.execute(insn, pc);
-    state_.setPc(res.nextPc);
     ++stats_.instret;
     replay.retired(pc, word, res.branchTaken);
+    pc = res.nextPc;
 
     if (res.memAccess) {
         dmemPort_.beginCycle();
@@ -208,21 +193,26 @@ Cv32e40pCore::blockStep(const DecodedInsn *word, Cycle &t, Cycle bound,
 Cycle
 Cv32e40pCore::blockRun(Cycle now, Cycle bound)
 {
-    if (!blockRunOpen(remaining_ > 0 || sleeping_))
+    if (!blockRunOpen(remaining_ > 0))
         return 0;
 
+    // The run keeps pc in a local and writes it back once, at its exit.
     Cycle t = now;
+    Addr pc = state_.pc();
     BlockTally tally(stats_);
     LoopReplay<Cv32e40pTiming> replay(state_, stats_, nullptr);
+    auto done = [&](Cycle ran) {
+        state_.setPc(pc);
+        return ran;
+    };
     while (t < bound) {
         // Runs start at block boundaries, so the first one after a
         // taken backward branch is an anchor.
         if (replay.armed())
-            t = replay.anchor(*this, t, bound);
-        const Addr pc = state_.pc();
+            t = replay.anchor(*this, pc, t, bound);
         const DecodedInsn *insn = blockWord(pc);
         if (!insn)
-            return tally.bail(t - now);
+            return done(tally.bail(t - now));
 
         // Block-entry fast path: a store-free run whose worst-case
         // cost (plus one inherited load-use stall of margin) fits the
@@ -239,18 +229,18 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
         }
         while (true) {
             const InsnClass cls = insn->cls;
-            const bool horizon = blockStep(insn, t, bound, replay);
+            const bool horizon = blockStep(insn, pc, t, bound, replay);
             tally.retired(cls);
             if (horizon)
-                return tally.finish(t - now);
+                return done(tally.finish(t - now));
             if (--steps == 0)
                 break;
-            insn = &predecode_->at(state_.pc());
+            insn = &predecode_->at(pc);
             if (!blockAccessSafe(*insn))
-                return tally.bail(t - now);
+                return done(tally.bail(t - now));
         }
     }
-    return tally.finish(t - now);
+    return done(tally.finish(t - now));
 }
 
 } // namespace rtu

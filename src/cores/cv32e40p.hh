@@ -56,8 +56,6 @@ class Cv32e40pCore : public Core
      *  loop iterations (LoopReplay). */
     [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
-    const char *name() const override { return "cv32e40p"; }
-
   private:
     template <class> friend class LoopReplay;
 
@@ -68,11 +66,11 @@ class Cv32e40pCore : public Core
     unsigned loadUseStall(const DecodedInsn &insn) const;
 
     /** Execute the image word @p word, verified for the block path at
-     *  pc, advancing @p t by its full pipeline occupancy and recording
-     *  it in @p replay. @return true if that occupancy crosses
-     *  @p bound: t is then the bound and the remainder resumes
-     *  per-cycle. */
-    bool blockStep(const DecodedInsn *word, Cycle &t, Cycle bound,
+     *  @p pc, advancing @p pc to the next instruction and @p t by the
+     *  word's full pipeline occupancy, and record it in @p replay.
+     *  @return true if that occupancy crosses @p bound: t is then the
+     *  bound and the remainder resumes per-cycle. */
+    bool blockStep(const DecodedInsn *word, Addr &pc, Cycle &t, Cycle bound,
                    LoopReplay<Cv32e40pTiming> &replay);
 
     // LoopReplay hooks: nothing of this state is a cycle, so a steady
@@ -99,13 +97,9 @@ class Cv32e40pCore : public Core
     unsigned remaining_ = 0;
     /** The in-flight op may be killed by an interrupt (mul/div). */
     bool abortable_ = false;
-    /** Pending mret-completion notification at the end of the stall. */
-    bool mretInFlight_ = false;
     /** Destination of the most recent load (load-use hazard). */
     RegIndex lastLoadRd_ = 0;
     bool lastWasLoad_ = false;
-    /** Sleeping in wfi. */
-    bool sleeping_ = false;
     /** Significant dividend bits of the div in flight (latency). */
     unsigned divOperandBits_ = 0;
 };

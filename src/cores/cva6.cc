@@ -18,7 +18,7 @@ Cva6Core::nextEventAt(Cycle now) const
     if (mretPending_)
         return std::max(now, mretDoneAt_);  // listener completion event
     if (sleeping_)
-        return exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+        return sleepEventAt(now);
     if (now < issueReadyAt_)
         return issueReadyAt_;  // interrupts sampled at issue boundaries
     if (exec_.interruptReady())
@@ -56,20 +56,9 @@ Cva6Core::tick(Cycle now)
         --storeBuf_;
     }
 
-    if (mretPending_ && now >= mretDoneAt_) {
-        mretPending_ = false;
-        if (listener_)
-            listener_->mretCompleted(now);
-    }
-
-    if (sleeping_) {
-        if (exec_.pendingEnabledIrqs() != 0) {
-            sleeping_ = false;
-        } else {
-            ++stats_.wfiCycles;
-            return;
-        }
-    }
+    mretStep(now);
+    if (sleepCycle())
+        return;
 
     if (now < issueReadyAt_) {
         ++stats_.stallCycles;
@@ -192,10 +181,8 @@ Cva6Core::issueDecoded(Cycle now, Addr pc, DecodedInsn insn)
         break;
       case InsnClass::kSystem:
         if (insn.op == Op::kMret) {
-            ++stats_.mrets;
             issue_next = now + params_.mretCycles;
-            mretPending_ = true;
-            mretDoneAt_ = now + params_.mretCycles - 1;
+            mretIssued(now + params_.mretCycles - 1);
         } else if (res.isWfi) {
             sleeping_ = true;
         }
@@ -248,7 +235,7 @@ Cva6Core::shiftTiming(const Cva6Timing &before, Cycle d)
 Cycle
 Cva6Core::blockRun(Cycle now, Cycle bound)
 {
-    if (!blockRunOpen(mretPending_ || sleeping_))
+    if (!blockRunOpen())
         return 0;
 
     Cycle t = now;
@@ -272,7 +259,7 @@ Cva6Core::blockRun(Cycle now, Cycle bound)
         // The first issue boundary after a taken backward branch is a
         // steady-loop anchor.
         if (replay.armed())
-            t = replay.anchor(*this, t, bound);
+            t = replay.anchor(*this, state_.pc(), t, bound);
 
         // Verify before applying any cycle-t effect, so a bail leaves
         // cycle t wholly unconsumed for the per-cycle path.

@@ -76,8 +76,6 @@ class Cva6Core : public Core
      *  loop iterations (LoopReplay). */
     [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
-    const char *name() const override { return "cva6"; }
-
     CacheModel &dcache() { return dcache_; }
 
   private:
@@ -114,9 +112,6 @@ class Cva6Core : public Core
     /** Write-through store buffer occupancy. */
     unsigned storeBuf_ = 0;
     BimodalPredictor predictor_;
-    bool sleeping_ = false;
-    bool mretPending_ = false;
-    Cycle mretDoneAt_ = 0;
 };
 
 } // namespace rtu

@@ -287,19 +287,9 @@ Executor::execCustom(const DecodedInsn &d, Addr pc)
     if (!unit_ || !unit_->implements(d.op))
         execInvalid(d, pc);
     ArchState &s = state_;
-    const Word rs1 = s.reg(d.rs1);
-    const Word rs2 = s.reg(d.rs2);
-    RtosUnitPort *unit = unit_;
-    switch (d.op) {
-      case Op::kSetContextId: unit->setContextId(rs1); break;
-      case Op::kGetHwSched: s.setReg(d.rd, unit->getHwSched()); break;
-      case Op::kAddReady: unit->addReady(rs1, rs2); break;
-      case Op::kAddDelay: unit->addDelay(rs1, rs2); break;
-      case Op::kRmTask: unit->rmTask(rs1); break;
-      case Op::kSwitchRf: unit->switchRf(); break;
-      case Op::kSemTake: s.setReg(d.rd, unit->semTake(rs1)); break;
-      default: s.setReg(d.rd, unit->semGive(rs1)); break;  // kSemGive
-    }
+    const Word result = unit_->execute(d.op, s.reg(d.rs1), s.reg(d.rs2));
+    if (writesRd(d.op))  // GET_HW_SCHED, SEM_TAKE, SEM_GIVE
+        s.setReg(d.rd, result);
 }
 
 void

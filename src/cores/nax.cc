@@ -108,7 +108,7 @@ NaxCore::nextEventAt(Cycle now) const
     if (mretPending_)
         return std::max(now, mretDoneAt_);  // listener completion event
     if (sleeping_)
-        return exec_.pendingEnabledIrqs() != 0 ? now : kNoEvent;
+        return sleepEventAt(now);
     if (exec_.interruptReady()) {
         // Taken at the first commit boundary; until then the core only
         // burns stall cycles (and deliberately does not retire).
@@ -155,20 +155,9 @@ NaxCore::tick(Cycle now)
     if (now < cacheBusyUntil_)
         cachePort_.claim();
 
-    if (mretPending_ && now >= mretDoneAt_) {
-        mretPending_ = false;
-        if (listener_)
-            listener_->mretCompleted(now);
-    }
-
-    if (sleeping_) {
-        if (exec_.pendingEnabledIrqs() != 0) {
-            sleeping_ = false;
-        } else {
-            ++stats_.wfiCycles;
-            return;
-        }
-    }
+    mretStep(now);
+    if (sleepCycle())
+        return;
 
     // Interrupts redirect the front-end themselves, so a pending
     // branch/mret redirect (dispatchBlockedUntil_) does not delay
@@ -338,12 +327,10 @@ NaxCore::dispatchDecoded(Cycle now, Addr pc, DecodedInsn insn)
       case InsnClass::kSystem: {
         complete = std::max(ops_ready, now) + 1;
         if (insn.op == Op::kMret) {
-            ++stats_.mrets;
             const Cycle done = std::max(drainAt_, complete) +
                                params_.mretPenalty;
             dispatchBlockedUntil_ = done;
-            mretPending_ = true;
-            mretDoneAt_ = done - 1;
+            mretIssued(done - 1);
             block_group = true;
         } else if (res.isWfi) {
             sleeping_ = true;
@@ -443,7 +430,7 @@ NaxCore::shiftTiming(const NaxTiming &before, Cycle d)
 Cycle
 NaxCore::blockRun(Cycle now, Cycle bound)
 {
-    if (!blockRunOpen(mretPending_ || sleeping_))
+    if (!blockRunOpen())
         return 0;
 
     Cycle t = now;
@@ -483,7 +470,7 @@ NaxCore::blockRun(Cycle now, Cycle bound)
         // The first dispatch boundary after a taken backward branch is
         // a steady-loop anchor; its snapshot follows the prelude above.
         if (replay.armed())
-            t = replay.anchor(*this, t, bound);
+            t = replay.anchor(*this, state_.pc(), t, bound);
 
         // ---- group pre-verification (no effects until it passes) ----
         const Addr pc0 = state_.pc();

@@ -207,8 +207,6 @@ class NaxCore : public Core
      *  replayed (LoopReplay). */
     [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
-    const char *name() const override { return "naxriscv"; }
-
     CacheModel &dcache() { return dcache_; }
     SharedPort &cachePort() { return cachePort_; }
     /** The RTOSUnit-side memory port (LSU ctxQueue, Fig 8). */
@@ -253,9 +251,6 @@ class NaxCore : public Core
     Cycle drainAt_ = 0;
     CommitRing rob_;  ///< commit cycles of in-flight insns
     BimodalPredictor predictor_;
-    bool sleeping_ = false;
-    bool mretPending_ = false;
-    Cycle mretDoneAt_ = 0;
 };
 
 } // namespace rtu

@@ -46,54 +46,14 @@ Cv32rtUnit::tick(Cycle now)
 }
 
 bool
-Cv32rtUnit::switchRfStall() const
+Cv32rtUnit::stalls(Op op) const
 {
+    if (op != Op::kSwitchRf)
+        return false;
     const bool stall = drainBusy() || !port_.idle();
     if (stall)
         ++stats_.barrierStallCycles;
     return stall;
-}
-
-void
-Cv32rtUnit::setContextId(Word)
-{
-    panic("SET_CONTEXT_ID is not part of the CV32RT baseline");
-}
-
-Word
-Cv32rtUnit::getHwSched()
-{
-    panic("GET_HW_SCHED is not part of the CV32RT baseline");
-}
-
-void
-Cv32rtUnit::addReady(Word, Word)
-{
-    panic("ADD_READY is not part of the CV32RT baseline");
-}
-
-void
-Cv32rtUnit::addDelay(Word, Word)
-{
-    panic("ADD_DELAY is not part of the CV32RT baseline");
-}
-
-void
-Cv32rtUnit::rmTask(Word)
-{
-    panic("RM_TASK is not part of the CV32RT baseline");
-}
-
-Word
-Cv32rtUnit::semTake(Word)
-{
-    panic("SEM_TAKE is not part of the CV32RT baseline");
-}
-
-Word
-Cv32rtUnit::semGive(Word)
-{
-    panic("SEM_GIVE is not part of the CV32RT baseline");
 }
 
 } // namespace rtu

@@ -76,21 +76,13 @@ class Cv32rtUnit : public RtosUnitPort, public Clocked
 
     // ---- RtosUnitPort ---------------------------------------------------
     /** Only SWITCH_RF, re-purposed as the drain barrier. The other
-     *  custom ops are illegal instructions under CV32RT; their methods
-     *  below panic if a caller bypasses the executor's check. */
+     *  custom ops are illegal instructions under CV32RT. */
     bool implements(Op op) const override { return op == Op::kSwitchRf; }
-    void setContextId(Word id) override;
-    Word getHwSched() override;
-    void addReady(Word id, Word prio) override;
-    void addDelay(Word prio, Word ticks) override;
-    void rmTask(Word id) override;
-    Word semTake(Word sem_id) override;
-    Word semGive(Word sem_id) override;
-    /** Re-purposed as the drain barrier in the CV32RT kernel. */
-    void switchRf() override {}
-    bool switchRfStall() const override;
-    bool getHwSchedStall() const override { return false; }
-    bool mretStall() const override { return false; }
+    /** The barrier has no effect of its own once it issues. */
+    Word execute(Op, Word, Word) override { return 0; }
+    /** SWITCH_RF waits for the drain; each stalled cycle counts toward
+     *  barrierStallCycles. Nothing else stalls. */
+    bool stalls(Op op) const override;
     void onTrapEntry(Word cause) override;
     void onMretExecuted() override {}
 

@@ -63,6 +63,21 @@ RtosUnit::implements(Op op) const
     }
 }
 
+Word
+RtosUnit::execute(Op op, Word rs1, Word rs2)
+{
+    switch (op) {
+      case Op::kSetContextId: setContextId(rs1); return 0;
+      case Op::kGetHwSched: return getHwSched();
+      case Op::kAddReady: addReady(rs1, rs2); return 0;
+      case Op::kAddDelay: addDelay(rs1, rs2); return 0;
+      case Op::kRmTask: rmTask(rs1); return 0;
+      case Op::kSwitchRf: switchRf(); return 0;
+      case Op::kSemTake: return semTake(rs1);
+      default: return semGive(rs1);  // kSemGive
+    }
+}
+
 void
 RtosUnit::setContextId(Word id)
 {
@@ -160,6 +175,20 @@ RtosUnit::semGive(Word sem_id)
 }
 
 // ---- stall conditions ---------------------------------------------------
+
+bool
+RtosUnit::stalls(Op op) const
+{
+    switch (op) {
+      case Op::kSwitchRf: return switchRfStall();
+      case Op::kGetHwSched: return getHwSchedStall();
+      case Op::kMret: return mretStall();
+      case Op::kSemTake:
+      case Op::kSemGive:
+        return semOpStall();
+      default: return false;
+    }
+}
 
 bool
 RtosUnit::switchRfStall() const

@@ -108,20 +108,37 @@ class RtosUnit : public RtosUnitPort, public Clocked
 
     // ---- RtosUnitPort -------------------------------------------------
     bool implements(Op op) const override;
-    void setContextId(Word id) override;
-    Word getHwSched() override;
-    void addReady(Word id, Word prio) override;
-    void addDelay(Word prio, Word ticks) override;
-    void rmTask(Word id) override;
-    void switchRf() override;
-    Word semTake(Word sem_id) override;
-    Word semGive(Word sem_id) override;
-    bool switchRfStall() const override;
-    bool getHwSchedStall() const override;
-    bool mretStall() const override;
-    bool semOpStall() const override;
+    /** Dispatch to the named op below. */
+    Word execute(Op op, Word rs1, Word rs2) override;
+    /** Dispatch to the named stall condition below. */
+    bool stalls(Op op) const override;
     void onTrapEntry(Word cause) override;
     void onMretExecuted() override;
+
+    // ---- custom instructions (Table 1) --------------------------------
+    void setContextId(Word id);
+    Word getHwSched();
+    void addReady(Word id, Word prio);
+    void addDelay(Word prio, Word ticks);
+    void rmTask(Word id);
+    void switchRf();
+    // Hardware synchronization extension (paper future work, §7).
+    /** SEM_TAKE: returns 1 when acquired; 0 when the caller was
+     *  moved to the semaphore's wait queue and must yield. */
+    Word semTake(Word sem_id);
+    /** SEM_GIVE: returns 1 when a higher-priority waiter woke (the
+     *  caller should yield); 0 otherwise. */
+    Word semGive(Word sem_id);
+
+    // ---- stall conditions (sampled before the insn executes) ---------
+    /** SWITCH_RF must wait for the store FSM (Section 4.2). */
+    bool switchRfStall() const;
+    /** GET_HW_SCHED must wait while the ready list is mid-sort. */
+    bool getHwSchedStall() const;
+    /** mret must wait for context restore completion (Section 4.3). */
+    bool mretStall() const;
+    /** SEM_TAKE/SEM_GIVE must wait while any wait queue is mid-sort. */
+    bool semOpStall() const;
 
     // ---- fault injection (src/inject campaign engine) ------------------
     /**

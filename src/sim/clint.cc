@@ -7,7 +7,11 @@ namespace rtu {
 Word
 Clint::read(Addr addr, MemSize size)
 {
-    rtu_assert(size == MemSize::kWord, "CLINT requires word access");
+    // A guest's bad access is a bus error it must survive, not a
+    // simulator bug: raise RISC-V access-fault semantics.
+    if (size != MemSize::kWord)
+        guest_fault("CLINT read of %u bytes at 0x%08x: word access only",
+                    static_cast<unsigned>(size), addr);
     switch (addr) {
       case memmap::kClintMsip:
         return msip_;
@@ -20,14 +24,16 @@ Clint::read(Addr addr, MemSize size)
       case memmap::kClintMtimeHi:
         return static_cast<Word>(mtime_ >> 32);
       default:
-        panic("CLINT read at unsupported offset 0x%08x", addr);
+        guest_fault("CLINT read at unsupported offset 0x%08x", addr);
     }
 }
 
 void
 Clint::write(Addr addr, Word value, MemSize size)
 {
-    rtu_assert(size == MemSize::kWord, "CLINT requires word access");
+    if (size != MemSize::kWord)
+        guest_fault("CLINT write of %u bytes at 0x%08x: word access only",
+                    static_cast<unsigned>(size), addr);
     switch (addr) {
       case memmap::kClintMsip:
         msip_ = value & 1;
@@ -40,7 +46,7 @@ Clint::write(Addr addr, Word value, MemSize size)
                     (static_cast<DWord>(value) << 32);
         break;
       default:
-        panic("CLINT write at unsupported offset 0x%08x", addr);
+        guest_fault("CLINT write at unsupported offset 0x%08x", addr);
     }
     updateLevels(now_);
 }

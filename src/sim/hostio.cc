@@ -7,7 +7,11 @@ namespace rtu {
 Word
 HostIo::read(Addr addr, MemSize size)
 {
-    rtu_assert(size == MemSize::kWord, "host I/O requires word access");
+    // A guest's bad access is a bus error it must survive, not a
+    // simulator bug: raise RISC-V access-fault semantics.
+    if (size != MemSize::kWord)
+        guest_fault("host I/O read of %u bytes at 0x%08x: word access only",
+                    static_cast<unsigned>(size), addr);
     switch (addr) {
       case memmap::kHostCycleLo:
         return static_cast<Word>(cycleNow());
@@ -21,15 +25,17 @@ HostIo::read(Addr addr, MemSize size)
         rng_ ^= rng_ << 5;
         return rng_;
       default:
-        panic("host I/O read at unsupported offset 0x%08x", addr);
+        guest_fault("host I/O read at unsupported offset 0x%08x", addr);
     }
 }
 
 void
 HostIo::write(Addr addr, Word value, MemSize size)
 {
-    rtu_assert(size == MemSize::kWord || addr == memmap::kHostPutchar,
-               "host I/O requires word access");
+    // The putchar register also takes byte stores.
+    if (size != MemSize::kWord && addr != memmap::kHostPutchar)
+        guest_fault("host I/O write of %u bytes at 0x%08x: word access only",
+                    static_cast<unsigned>(size), addr);
     switch (addr) {
       case memmap::kHostPutchar:
         console_.push_back(static_cast<char>(value & 0xFF));
@@ -46,7 +52,7 @@ HostIo::write(Addr addr, Word value, MemSize size)
         ext_.ack(lines_);
         break;
       default:
-        panic("host I/O write at unsupported offset 0x%08x", addr);
+        guest_fault("host I/O write at unsupported offset 0x%08x", addr);
     }
 }
 

@@ -1,8 +1,9 @@
 /** A custom RTOSUnit instruction the configured hardware lacks is an
  *  illegal instruction: the run ends as guest-fault and the host
- *  process lives on. Four programs, each on all three cores:
+ *  process lives on. Ten programs, each on all three cores:
  *   - vanilla (no unit at all) executing ADD_READY;
- *   - CV32RT executing ADD_READY;
+ *   - CV32RT executing each of the seven custom ops it lacks (all
+ *     but SWITCH_RF);
  *   - S (no hardware scheduler) executing GET_HW_SCHED;
  *   - SLT (no +HS extension) executing SEM_TAKE. */
 
@@ -31,7 +32,13 @@ TEST_P(IllegalCustomOp, EndsTheRunAsGuestFault)
 {
     const LackingCase cases[] = {
         {"vanilla", [](Assembler &a) { a.rtuAddReady(A0, A1); }},
+        {"CV32RT", [](Assembler &a) { a.rtuSetContextId(A0); }},
+        {"CV32RT", [](Assembler &a) { a.rtuGetHwSched(A0); }},
         {"CV32RT", [](Assembler &a) { a.rtuAddReady(A0, A1); }},
+        {"CV32RT", [](Assembler &a) { a.rtuAddDelay(A0, A1); }},
+        {"CV32RT", [](Assembler &a) { a.rtuRmTask(A0); }},
+        {"CV32RT", [](Assembler &a) { a.rtuSemTake(A0, A1); }},
+        {"CV32RT", [](Assembler &a) { a.rtuSemGive(A0, A1); }},
         {"S", [](Assembler &a) { a.rtuGetHwSched(A0); }},
         {"SLT", [](Assembler &a) { a.rtuSemTake(A0, A1); }},
     };

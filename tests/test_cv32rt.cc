@@ -72,25 +72,16 @@ TEST_F(Cv32rtTest, DrainUsesOneWordPerCycleOnDedicatedPort)
 TEST_F(Cv32rtTest, BarrierStallsUntilDrainComplete)
 {
     unit->onTrapEntry(mcause::kMachineTimer);
-    EXPECT_TRUE(unit->switchRfStall());
+    EXPECT_TRUE(unit->stalls(Op::kSwitchRf));
     run(Cv32rtUnit::kSnapWords);
-    EXPECT_FALSE(unit->switchRfStall());
+    EXPECT_FALSE(unit->stalls(Op::kSwitchRf));
     EXPECT_GT(unit->stats().barrierStallCycles, 0u);
 }
 
 TEST_F(Cv32rtTest, NoMretStallEver)
 {
     unit->onTrapEntry(mcause::kMachineTimer);
-    EXPECT_FALSE(unit->mretStall());
-}
-
-TEST_F(Cv32rtTest, SchedulerInstructionsAreRejected)
-{
-    EXPECT_DEATH(unit->getHwSched(), "not part of the CV32RT");
-    EXPECT_DEATH(unit->addReady(1, 1), "not part of the CV32RT");
-    EXPECT_DEATH(unit->addDelay(1, 1), "not part of the CV32RT");
-    EXPECT_DEATH(unit->rmTask(1), "not part of the CV32RT");
-    EXPECT_DEATH(unit->setContextId(1), "not part of the CV32RT");
+    EXPECT_FALSE(unit->stalls(Op::kMret));
 }
 
 TEST_F(Cv32rtTest, CacheHookInvalidatesDrainedLines)

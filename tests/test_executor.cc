@@ -314,5 +314,33 @@ TEST_F(ExecutorTest, CustomInsnWithoutUnitIsIllegal)
     EXPECT_THROW(run(Op::kSwitchRf, 0, 0, 0, 0), GuestFault);
 }
 
+TEST_F(ExecutorTest, CustomOpWritesRdOnlyForOpsWithAResult)
+{
+    // A unit that has every op and answers each with 7. Only
+    // GET_HW_SCHED, SEM_TAKE and SEM_GIVE write rd, whatever the rd
+    // field of the other ops holds (a bit flip may set it).
+    struct AnswerUnit : RtosUnitPort
+    {
+        bool implements(Op) const override { return true; }
+        Word execute(Op, Word, Word) override { return 7; }
+        bool stalls(Op) const override { return false; }
+        void onTrapEntry(Word) override {}
+        void onMretExecuted() override {}
+    } unit;
+    Executor withUnit(state, mem, irq);
+    withUnit.setUnit(&unit);
+    auto result = [&](Op op) {
+        state.setReg(A0, 1);
+        withUnit.execute(decodeLike(op, A0, A1, A2, 0, 0), state.pc());
+        return state.reg(A0);
+    };
+    for (Op op : {Op::kSetContextId, Op::kAddReady, Op::kAddDelay,
+                  Op::kRmTask, Op::kSwitchRf}) {
+        EXPECT_EQ(result(op), 1u) << static_cast<int>(op);
+    }
+    for (Op op : {Op::kGetHwSched, Op::kSemTake, Op::kSemGive})
+        EXPECT_EQ(result(op), 7u) << static_cast<int>(op);
+}
+
 } // namespace
 } // namespace rtu

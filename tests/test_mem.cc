@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "sim/clint.hh"
+#include "sim/hostio.hh"
 #include "sim/mem.hh"
 #include "sim/memmap.hh"
 
@@ -87,6 +89,45 @@ TEST(MemSystemGuestFault, StraddlingAccessIsACleanBusError)
     EXPECT_EQ(sys.read(0xFC, MemSize::kWord), 0x11223344u);
     // Byte access to the last device byte is fine.
     EXPECT_EQ(sys.read(0xFF, MemSize::kByte), 0x11u);
+}
+
+TEST(MemSystemGuestFault, ClintBadAccessesThrow)
+{
+    // A guest (fault-corrupted pointers included) reaches every device
+    // register with any size: an access the CLINT does not decode is
+    // an access fault, not a host abort.
+    IrqLines irq;
+    Clint clint(irq);
+    MemSystem sys;
+    sys.addDevice(&clint);
+    EXPECT_THROW(sys.read(memmap::kClintMtime, MemSize::kHalf), GuestFault);
+    EXPECT_THROW(sys.read32(memmap::kClintBase + 0x5c0), GuestFault);
+    EXPECT_THROW(sys.write(memmap::kClintMsip, 1, MemSize::kByte),
+                 GuestFault);
+    EXPECT_THROW(sys.write32(memmap::kClintMtime, 1), GuestFault);
+    // The registers themselves still work.
+    sys.write32(memmap::kClintMtimecmp, 7);
+    EXPECT_EQ(sys.read32(memmap::kClintMtimecmp), 7u);
+}
+
+TEST(MemSystemGuestFault, HostIoBadAccessesThrow)
+{
+    IrqLines irq;
+    ExtIrqDriver ext(irq);
+    HostIo hostio(irq, ext);
+    MemSystem sys;
+    sys.addDevice(&hostio);
+    EXPECT_THROW(sys.read(memmap::kHostRand, MemSize::kByte), GuestFault);
+    EXPECT_THROW(sys.read32(memmap::kHostExit), GuestFault);
+    EXPECT_THROW(sys.write(memmap::kHostExit, 1, MemSize::kHalf),
+                 GuestFault);
+    EXPECT_THROW(sys.write32(memmap::kHostRand, 1), GuestFault);
+    EXPECT_FALSE(hostio.exited());
+    // A byte store to the console register is legal, and so is a
+    // word read of the PRNG.
+    sys.write(memmap::kHostPutchar, 'k', MemSize::kByte);
+    EXPECT_EQ(hostio.consoleOutput(), "k");
+    EXPECT_NE(sys.read32(memmap::kHostRand), sys.read32(memmap::kHostRand));
 }
 
 TEST(SharedPort, CoreHasPriority)
