@@ -53,7 +53,7 @@ struct RunResult
     Word exitCode = 0;
     Cycle cycles = 0;
     RunStatus status = RunStatus::kExited;
-    std::string diagnostic;  ///< non-empty on a watchdog abort
+    std::string diagnostic;  ///< non-empty on a watchdog abort or guest fault
     SampleStats switchLatency;   ///< task-switching episodes only
     SampleStats episodeLatency;  ///< every ISR episode
     CoreStats coreStats;

@@ -68,6 +68,7 @@ runStatusName(RunStatus status)
       case RunStatus::kCycleLimit: return "cycle-limit";
       case RunStatus::kNoRetire: return "no-retire";
       case RunStatus::kGuestFault: return "guest-fault";
+      case RunStatus::kStopped: return "stopped";
     }
     return "?";
 }
@@ -80,7 +81,7 @@ Simulation::Simulation(const SimConfig &config, Program program)
       clint_(irq_), hostio_(irq_, ext_),
       exec_(state_, mem_, irq_),
       dmemPort_("dmem-port"), busPort_("bus-port"),
-      portReset_(dmemPort_, busPort_)
+      portReset_(dmemPort_, busPort_), endCycle_(config.maxCycles)
 {
     std::string why;
     if (!config_.unit.validate(&why))
@@ -277,7 +278,7 @@ Simulation::run()
 
     while (!hostio_.exited()) {
         const Cycle now = kernel_.now();
-        if (now >= config_.maxCycles)
+        if (now >= endCycle_)
             break;
 
         // Track progress at loop top so ticked and fast-forwarded runs
@@ -288,7 +289,7 @@ Simulation::run()
             lastProgressCycle = now;
         }
 
-        Cycle limit = config_.maxCycles;
+        Cycle limit = endCycle_;
         if (config_.watchdogCycles != 0) {
             const Cycle deadline =
                 lastProgressCycle + config_.watchdogCycles;
@@ -316,6 +317,8 @@ Simulation::run()
 
     if (hostio_.exited())
         status_ = RunStatus::kExited;
+    else if (stopped_)
+        status_ = RunStatus::kStopped;
     return hostio_.exited();
 }
 

@@ -78,6 +78,7 @@ enum class RunStatus
     kCycleLimit,  ///< ran to maxCycles
     kNoRetire,    ///< watchdog: no instruction retired, guest hung
     kGuestFault,  ///< architecturally fatal act (illegal insn, bus error)
+    kStopped,     ///< ended early by requestStop()
 };
 
 const char *runStatusName(RunStatus status);
@@ -127,10 +128,26 @@ class Simulation : public CoreListener, public PhaseObserver
     void addClocked(Clocked *component) { kernel_.add(component); }
 
     /**
-     * Run to guest exit, the cycle limit, or a watchdog abort.
+     * Run to guest exit, the cycle limit, a watchdog abort, a guest
+     * fault or a requested stop.
      * @return true if the guest exited voluntarily.
      */
     bool run();
+
+    /**
+     * End the run at the next loop top: a component or observer that
+     * calls this mid-tick stops the run one cycle after the cycle it
+     * acted in, in every engine mode (trap and mret callbacks fire
+     * only from per-cycle ticks). run() then reports kStopped, unless
+     * the guest exited in the same cycle. The stop lowers the loop's
+     * end cycle, so runs that never ask pay for no extra check.
+     */
+    void
+    requestStop()
+    {
+        stopped_ = true;
+        endCycle_ = 0;
+    }
 
     Cycle now() const { return kernel_.now(); }
     bool exited() const { return hostio_.exited(); }
@@ -138,8 +155,9 @@ class Simulation : public CoreListener, public PhaseObserver
 
     /** Outcome of the last run() (kExited before any run). */
     RunStatus status() const { return status_; }
-    /** Hang diagnostic (last PC, pending irqs, unit FSM state); empty
-     *  unless status() == kNoRetire. */
+    /** Why the run ended abnormally: the hang diagnostic (last PC,
+     *  pending irqs, unit FSM state) for kNoRetire, the fault's message
+     *  for kGuestFault; empty otherwise. */
     const std::string &statusDiagnostic() const { return diagnostic_; }
     /** Scheduling-kernel throughput counters. */
     const SimKernelStats &kernelStats() const { return kernel_.stats(); }
@@ -243,6 +261,10 @@ class Simulation : public CoreListener, public PhaseObserver
     RunObserver *observer_ = nullptr;
     RunStatus status_ = RunStatus::kExited;
     std::string diagnostic_;
+    /** The run loop ends at this cycle: maxCycles, or 0 once a stop
+     *  is requested. */
+    Cycle endCycle_;
+    bool stopped_ = false;
     Addr taskIdAddr_ = 0;
 };
 

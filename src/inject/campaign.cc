@@ -158,35 +158,48 @@ class FaultInjector : public RunObserver, public Clocked
 
 /** Fan one RunObserver stream out to the oracle and the injector.
  *  Oracle first: a boundary's checks see pre-injection state, so a
- *  fault at episode n is detectable from episode n+1 onward. */
+ *  fault at episode n is detectable from episode n+1 onward. With a
+ *  @p stop_on_hit simulation, the first boundary the oracle fires at
+ *  ends that run: the outcome is decided (detected-oracle), and what
+ *  would follow, often a livelock to the cycle limit, would change no
+ *  recorded field but the status, cycle count and hit tally. */
 class ObserverChain : public RunObserver
 {
   public:
-    ObserverChain(RunObserver *first, RunObserver *second)
-        : first_(first), second_(second)
+    ObserverChain(KernelOracle &oracle, FaultInjector *injector,
+                  Simulation *stop_on_hit)
+        : oracle_(oracle), injector_(injector), stopOnHit_(stop_on_hit)
     {}
 
     void
     trapTaken(Word cause, Cycle entry_cycle, Word from_task) override
     {
-        if (first_)
-            first_->trapTaken(cause, entry_cycle, from_task);
-        if (second_)
-            second_->trapTaken(cause, entry_cycle, from_task);
+        oracle_.trapTaken(cause, entry_cycle, from_task);
+        stopIfDetected();
+        if (injector_)
+            injector_->trapTaken(cause, entry_cycle, from_task);
     }
 
     void
     mretCompleted(Cycle cycle, Word to_task) override
     {
-        if (first_)
-            first_->mretCompleted(cycle, to_task);
-        if (second_)
-            second_->mretCompleted(cycle, to_task);
+        oracle_.mretCompleted(cycle, to_task);
+        stopIfDetected();
+        if (injector_)
+            injector_->mretCompleted(cycle, to_task);
     }
 
   private:
-    RunObserver *first_;
-    RunObserver *second_;
+    void
+    stopIfDetected()
+    {
+        if (stopOnHit_ && oracle_.detected())
+            stopOnHit_->requestStop();
+    }
+
+    KernelOracle &oracle_;
+    FaultInjector *injector_;
+    Simulation *stopOnHit_;
 };
 
 bool
@@ -329,8 +342,10 @@ runInstrumented(const SweepPoint &point, const Program &image,
                 std::make_unique<FaultInjector>(sim, *fault, point.unit);
             sim.addClocked(injector.get());
         }
-        chain = std::make_unique<ObserverChain>(oracle.get(),
-                                                injector.get());
+        // A golden run goes to its end: it is the reference, and any
+        // hit on it is a soundness bug reported in full.
+        chain = std::make_unique<ObserverChain>(
+            *oracle, injector.get(), fault ? &sim : nullptr);
         sim.setRunObserver(chain.get());
     };
     opts.postRun = [&](Simulation &sim) {
@@ -349,6 +364,30 @@ runInstrumented(const SweepPoint &point, const Program &image,
     if (injector)
         out.injectorFired = injector->fired();
     return out;
+}
+
+/** The run-derived fields of an injected run's record, classified
+ *  against its point's @p golden. */
+FaultRunRecord
+faultRecord(const InstrumentedRun &r, const GoldenRecord &golden)
+{
+    FaultRunRecord rec;
+    rec.fired = r.injectorFired;
+    rec.oracleHits = r.oracleHits;
+    if (!r.hits.empty()) {
+        const OracleHit &h = r.hits.front();
+        rec.oracleName = h.oracle;
+        rec.oracleCycle = h.cycle;
+        rec.oracleEpisode = h.episode;
+        rec.oracleDetail = h.detail;
+    }
+    rec.status = r.run.status;
+    rec.statusDetail = r.run.diagnostic;
+    rec.exitCode = r.run.exitCode;
+    rec.cycles = r.run.cycles;
+    rec.outcome = classifyOutcome(r.oracleHits, r.run.status,
+                                  r.run.exitCode, r.events, golden);
+    return rec;
 }
 
 } // namespace
@@ -440,23 +479,9 @@ runSingleFault(const SweepPoint &point, const FaultSpec &fault,
             golden.oracleDetail = g.hits.front().detail;
     }
 
-    const InstrumentedRun r = runInstrumented(point, image, &fault, engine);
-    FaultRunRecord rec;
+    FaultRunRecord rec = faultRecord(
+        runInstrumented(point, image, &fault, engine), golden);
     rec.fault = fault;
-    rec.fired = r.injectorFired;
-    rec.oracleHits = r.oracleHits;
-    if (!r.hits.empty()) {
-        const OracleHit &h = r.hits.front();
-        rec.oracleName = h.oracle;
-        rec.oracleCycle = h.cycle;
-        rec.oracleEpisode = h.episode;
-        rec.oracleDetail = h.detail;
-    }
-    rec.status = r.run.status;
-    rec.exitCode = r.run.exitCode;
-    rec.cycles = r.run.cycles;
-    rec.outcome = classifyOutcome(r.oracleHits, r.run.status,
-                                  r.run.exitCode, r.events, golden);
     if (golden_out)
         *golden_out = golden;
     return rec;
@@ -529,24 +554,10 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
         const std::size_t j = simulated[u];
         const PlannedFault &pf = plan[j];
         const SweepPoint &pt = spec.points[pf.pointIndex];
-        const InstrumentedRun r = runInstrumented(
-            pt, images[pf.pointIndex], &pf.fault, spec.engine);
-        FaultRunRecord &rec = res.faults[j];
-        rec.fired = r.injectorFired;
-        rec.oracleHits = r.oracleHits;
-        if (!r.hits.empty()) {
-            const OracleHit &h = r.hits.front();
-            rec.oracleName = h.oracle;
-            rec.oracleCycle = h.cycle;
-            rec.oracleEpisode = h.episode;
-            rec.oracleDetail = h.detail;
-        }
-        rec.status = r.run.status;
-        rec.exitCode = r.run.exitCode;
-        rec.cycles = r.run.cycles;
-        rec.outcome =
-            classifyOutcome(r.oracleHits, r.run.status, r.run.exitCode,
-                            r.events, res.goldens[pf.pointIndex]);
+        res.faults[j] = faultRecord(
+            runInstrumented(pt, images[pf.pointIndex], &pf.fault,
+                            spec.engine),
+            res.goldens[pf.pointIndex]);
     });
 
     // Every fault takes its run-derived fields from its simulated
@@ -593,6 +604,7 @@ writeCampaignJsonl(std::ostream &os, const CampaignSpec &spec,
             .num("oracle_episode", f.oracleEpisode)
             .str("oracle_detail", f.oracleDetail)
             .str("status", runStatusName(f.status))
+            .str("status_detail", f.statusDetail)
             .num("exit_code", f.exitCode)
             .num("cycles", f.cycles).endObject();
         os << line << '\n';

@@ -7,8 +7,10 @@
  *
  *   masked             fault fired (or never triggered) and the run
  *                      matched the golden exit code + checksum stream
- *   detected-oracle    a kernel-invariant oracle fired
- *   detected-watchdog  the no-retire watchdog aborted the run
+ *   detected-oracle    a kernel-invariant oracle fired (the run
+ *                      stops there; see FaultRunRecord)
+ *   detected-watchdog  the no-retire watchdog aborted the run, or
+ *                      the guest faulted
  *   hang               the run hit the cycle limit still making
  *                      progress (e.g. a livelocked scheduler)
  *   silent-corruption  the run exited "cleanly" with a wrong exit
@@ -83,7 +85,16 @@ struct GoldenRecord
     std::string oracleDetail;
 };
 
-/** One injected run, classified against its point's golden. */
+/**
+ * One injected run, classified against its point's golden. An injected
+ * run ends at the first trap/mret boundary an oracle fires at, since
+ * its outcome (detected-oracle) is decided then. Such a run's `status`
+ * is kStopped, its `cycles` the stop cycle, one past `oracleCycle`,
+ * and its `oracleHits` counts the hits up to the stop plus those of
+ * the end-of-run sweep. A hit that only the end-of-run sweep finds
+ * leaves the run's own status, with `oracleCycle` == `cycles`. The
+ * first-hit fields equal those of a run left to its end.
+ */
 struct FaultRunRecord
 {
     std::size_t pointIndex = 0;
@@ -92,11 +103,16 @@ struct FaultRunRecord
     bool fired = false;
     FaultOutcome outcome = FaultOutcome::kMasked;
     unsigned oracleHits = 0;
+    /** The first hit: oracle, cycle, mret ordinal and detail text. */
     std::string oracleName;
     Cycle oracleCycle = 0;
     unsigned oracleEpisode = 0;
     std::string oracleDetail;
     RunStatus status = RunStatus::kExited;
+    /** RunResult::diagnostic: what a guest fault was (illegal
+     *  instruction, device access, wild fetch, unit id check) or where
+     *  the watchdog found the guest hung; empty otherwise. */
+    std::string statusDetail;
     Word exitCode = 0;
     Cycle cycles = 0;
 };
@@ -149,8 +165,10 @@ FaultRunRecord runSingleFault(const SweepPoint &point,
                               EngineMode engine = EngineMode::kFull);
 
 /** Version of the writeCampaignJsonl line format, stamped into the
- *  header line bench_inject writes ahead of it. */
-constexpr unsigned kCampaignSchema = 1;
+ *  header line bench_inject writes ahead of it. 2: decided runs stop
+ *  at their first oracle hit (see FaultRunRecord), and each line
+ *  carries `status_detail`. */
+constexpr unsigned kCampaignSchema = 2;
 
 /** One byte-stable JSONL line per injected run. */
 void writeCampaignJsonl(std::ostream &os, const CampaignSpec &spec,

@@ -56,8 +56,9 @@ class Clocked
     virtual void tick(Cycle now) = 0;
 
     /** Earliest cycle >= @p now at which observable state may change.
-     *  Default: always active (conservative — never skipped). */
-    virtual Cycle nextEventAt(Cycle now) const { return now; }
+     *  No default: returning `now` would veto every skip the component
+     *  takes part in, so each component states its own horizon. */
+    virtual Cycle nextEventAt(Cycle now) const = 0;
 
     /** Replicate the pure ticks in [@p now, @p target). */
     virtual void

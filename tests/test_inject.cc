@@ -1,7 +1,8 @@
 /** Fault-injection engine tests: outcome classification (all five
  *  classes), fault-plan determinism, campaign thread-count
- *  independence, and seeded defects each runtime oracle is guaranteed
- *  to catch (context flip, TCB corruption, stack-canary smash). */
+ *  independence, seeded defects each runtime oracle is guaranteed to
+ *  catch (context flip, TCB corruption, stack-canary smash), and the
+ *  stop of a decided run at its first oracle hit. */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "harness/experiment.hh"
@@ -364,6 +366,140 @@ TEST(Campaign, ByteIdenticalJsonlAtAnyThreadCount)
                   std::count(serial.begin(), serial.end(), '\n')),
               cs.faultsPerPoint *
                   static_cast<unsigned>(cs.points.size()));
+}
+
+/** Stops the run at its first mret and remembers that cycle. */
+class StopAtFirstMret : public RunObserver
+{
+  public:
+    explicit StopAtFirstMret(Simulation &sim) : sim_(sim) {}
+
+    void trapTaken(Word, Cycle, Word) override {}
+
+    void
+    mretCompleted(Cycle cycle, Word) override
+    {
+        if (stopCycle_ == 0)
+            stopCycle_ = cycle;
+        sim_.requestStop();
+    }
+
+    Cycle stopCycle() const { return stopCycle_; }
+
+  private:
+    Simulation &sim_;
+    Cycle stopCycle_ = 0;
+};
+
+TEST(CampaignStop, RequestStopEndsTheRunOneCyclePastTheCallback)
+{
+    setQuiet(true);
+    const SweepPoint pt = smallPoint("vanilla");
+    const auto workload = makeWorkload(pt.workload, pt.iterations);
+    for (EngineMode engine :
+         {EngineMode::kFull, EngineMode::kNoBlock, EngineMode::kNoPredecode,
+          EngineMode::kReference}) {
+        RunOptions opts;
+        opts.engine = engine;
+        std::unique_ptr<StopAtFirstMret> stopper;
+        opts.preRun = [&](Simulation &sim) {
+            stopper = std::make_unique<StopAtFirstMret>(sim);
+            sim.setRunObserver(stopper.get());
+        };
+        const RunResult run =
+            runWorkload(pt.core, pt.unit, *workload, opts);
+        const char *name = engineModeName(engine);
+        EXPECT_EQ(run.status, RunStatus::kStopped) << name;
+        EXPECT_STREQ(runStatusName(run.status), "stopped");
+        EXPECT_FALSE(run.ok) << name;
+        EXPECT_TRUE(run.diagnostic.empty()) << name;
+        ASSERT_GT(stopper->stopCycle(), 0u) << name;
+        EXPECT_EQ(run.cycles, stopper->stopCycle() + 1) << name;
+    }
+}
+
+/** The perfbench inject grid's CVA6 vanilla round_robin point. */
+SweepPoint
+cva6RoundRobinPoint()
+{
+    SweepSpec spec;
+    spec.cores = {CoreKind::kCva6};
+    spec.units = {RtosUnitConfig::vanilla()};
+    spec.workloads = {"round_robin"};
+    spec.iterations = 5;
+    return spec.points().front();
+}
+
+TEST(CampaignStop, LivelockedRunStopsAtItsFirstHit)
+{
+    // Left to its end this tcb-field run livelocks to the 20M-cycle
+    // limit, firing 242,790 times; the first hit decides its outcome.
+    setQuiet(true);
+    CampaignSpec cs;
+    cs.points = {cva6RoundRobinPoint()};
+    cs.faultsPerPoint = 8;
+    cs.seed = 1;
+    const CampaignResult res = runCampaign(cs, SweepRunner(1));
+    const auto it = std::find_if(
+        res.faults.begin(), res.faults.end(), [](const FaultRunRecord &f) {
+            return f.fault.kind == FaultKind::kTcbField &&
+                   f.fault.episode == 3;
+        });
+    ASSERT_NE(it, res.faults.end());
+    EXPECT_EQ(it->outcome, FaultOutcome::kDetectedOracle);
+    EXPECT_EQ(it->oracleName, "list");
+    EXPECT_EQ(it->oracleCycle, 3156u);
+    EXPECT_EQ(it->oracleEpisode, 4u);
+    EXPECT_EQ(it->oracleDetail, "ready list 2: task 4 prev link broken");
+    EXPECT_EQ(it->status, RunStatus::kStopped);
+    EXPECT_TRUE(it->statusDetail.empty()) << it->statusDetail;
+    EXPECT_LE(it->cycles - it->oracleCycle, 1u);
+    EXPECT_GT(it->oracleHits, 0u);
+}
+
+TEST(CampaignStop, JsonlIdenticalInEveryEngineAndAtAnyThreadCount)
+{
+    // No run of this grid reaches the cycle limit, so even the
+    // reference engine is cheap; most of its runs are decided by an
+    // oracle and stop there.
+    setQuiet(true);
+    SweepSpec spec;
+    spec.cores = {CoreKind::kCv32e40p, CoreKind::kCva6, CoreKind::kNax};
+    spec.units = {RtosUnitConfig::vanilla(),
+                  RtosUnitConfig::fromName("CV32RT")};
+    spec.workloads = {"yield_pingpong", "round_robin"};
+    spec.iterations = 5;
+    CampaignSpec cs;
+    cs.points = spec.points();
+    cs.faultsPerPoint = 8;
+    cs.seed = 1;
+
+    const auto jsonl = [&](EngineMode engine, unsigned threads) {
+        cs.engine = engine;
+        CampaignResult res = runCampaign(cs, SweepRunner(threads));
+        std::ostringstream os;
+        writeCampaignJsonl(os, cs, res);
+        return std::make_pair(std::move(res), os.str());
+    };
+    const auto [full, bytes] = jsonl(EngineMode::kFull, 4);
+    unsigned stopped = 0;
+    for (const FaultRunRecord &f : full.faults) {
+        if (f.outcome != FaultOutcome::kDetectedOracle) {
+            EXPECT_NE(f.status, RunStatus::kStopped);
+            continue;
+        }
+        // Stopped at the hit, or found only by the end-of-run sweep.
+        EXPECT_NE(f.status, RunStatus::kCycleLimit);
+        EXPECT_LE(f.cycles - f.oracleCycle, 1u);
+        stopped += f.status == RunStatus::kStopped;
+    }
+    EXPECT_GT(stopped, 0u);
+
+    EXPECT_EQ(jsonl(EngineMode::kFull, 1).second, bytes);
+    for (EngineMode engine : {EngineMode::kNoBlock, EngineMode::kNoPredecode,
+                              EngineMode::kReference}) {
+        EXPECT_EQ(jsonl(engine, 4).second, bytes) << engineModeName(engine);
+    }
 }
 
 } // namespace

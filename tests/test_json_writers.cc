@@ -137,6 +137,7 @@ campaignBytes()
     f.oracleEpisode = 6;
     f.oracleDetail = kNasty;
     f.status = RunStatus::kNoRetire;
+    f.statusDetail = kNasty;
     f.exitCode = 0xffffffffu;
     f.cycles = 99999;
     result.faults.push_back(f);
@@ -310,7 +311,7 @@ TEST(JsonWriters, BytesPinned)
     const std::string blob = sweepBytes() + traceBytes() +
                              campaignBytes() + schedBytes() +
                              exploreBytes() + cacheBytes() + diagBytes();
-    EXPECT_EQ(fnv1a(blob), 0x4f501baaffa1ab2cull) << blob;
+    EXPECT_EQ(fnv1a(blob), 0x64e608e7155391e4ull) << blob;
 }
 
 } // namespace
