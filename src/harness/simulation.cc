@@ -155,9 +155,8 @@ Simulation::Simulation(const SimConfig &config, Program program)
     if (config_.unit.cv32rt) {
         // CV32RT uses a dedicated memory port; on NaxRiscv it bypasses
         // the write-back cache and invalidates the drained lines.
-        unitPort_ = std::make_unique<DedicatedUnitPort>(mem_);
         UnitCacheHook *hook = nax ? &nax->dcache() : nullptr;
-        cv32rt_ = std::make_unique<Cv32rtUnit>(state_, *unitPort_, hook);
+        cv32rt_ = std::make_unique<Cv32rtUnit>(state_, mem_, hook);
         exec_.setUnit(cv32rt_.get());
     } else if (config_.unit.anyHardware()) {
         // RTOSUnit arbitration point per core (paper Section 5):

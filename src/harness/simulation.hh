@@ -8,6 +8,7 @@
 #ifndef RTU_HARNESS_SIMULATION_HH
 #define RTU_HARNESS_SIMULATION_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -75,7 +76,7 @@ struct SimConfig
 enum class RunStatus
 {
     kExited,      ///< guest exited voluntarily
-    kCycleLimit,  ///< ran to maxCycles
+    kCycleLimit,  ///< ran to maxCycles (or a capEndCycle() cap)
     kNoRetire,    ///< watchdog: no instruction retired, guest hung
     kGuestFault,  ///< architecturally fatal act (illegal insn, bus error)
     kStopped,     ///< ended early by requestStop()
@@ -148,6 +149,14 @@ class Simulation : public CoreListener, public PhaseObserver
         stopped_ = true;
         endCycle_ = 0;
     }
+
+    /**
+     * Lower the run's end cycle to @p end when that is earlier than
+     * the configured maxCycles: a run still going at @p end stops
+     * there as kCycleLimit, in every engine mode. Like requestStop(),
+     * it moves the loop's end cycle and adds no check to the loop.
+     */
+    void capEndCycle(Cycle end) { endCycle_ = std::min(endCycle_, end); }
 
     Cycle now() const { return kernel_.now(); }
     bool exited() const { return hostio_.exited(); }
@@ -261,8 +270,8 @@ class Simulation : public CoreListener, public PhaseObserver
     RunObserver *observer_ = nullptr;
     RunStatus status_ = RunStatus::kExited;
     std::string diagnostic_;
-    /** The run loop ends at this cycle: maxCycles, or 0 once a stop
-     *  is requested. */
+    /** The run loop ends at this cycle: maxCycles or an earlier cap,
+     *  or 0 once a stop is requested. */
     Cycle endCycle_;
     bool stopped_ = false;
     Addr taskIdAddr_ = 0;

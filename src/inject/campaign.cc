@@ -161,7 +161,7 @@ class FaultInjector : public RunObserver, public Clocked
  *  fault at episode n is detectable from episode n+1 onward. With a
  *  @p stop_on_hit simulation, the first boundary the oracle fires at
  *  ends that run: the outcome is decided (detected-oracle), and what
- *  would follow, often a livelock to the cycle limit, would change no
+ *  would follow, often a livelock to the hang budget, would change no
  *  recorded field but the status, cycle count and hit tally. */
 class ObserverChain : public RunObserver
 {
@@ -307,11 +307,24 @@ pointImage(const SweepPoint &point)
                               point.timerPeriodCycles);
 }
 
+/**
+ * The cycle an injected run of @p golden's point is called hung at:
+ * one watchdog window past the golden run's end. The run loop takes
+ * the minimum with the workload's maxCycles. A run that stops retiring
+ * before the golden's end is still caught by the watchdog first.
+ */
+Cycle
+hangBudget(const GoldenRecord &golden)
+{
+    return golden.run.cycles + RunOptions{}.watchdogCycles;
+}
+
 /** Run @p point on its prebuilt @p image, clean (@p fault null) or
- *  with @p fault injected. */
+ *  with @p fault injected, ending at @p budget at the latest. */
 InstrumentedRun
 runInstrumented(const SweepPoint &point, const Program &image,
-                const FaultSpec *fault, EngineMode engine)
+                const FaultSpec *fault, EngineMode engine,
+                Cycle budget = kNoEvent)
 {
     const auto workload = makeWorkload(point.workload, point.iterations);
     const WorkloadInfo winfo = workload->info();
@@ -337,6 +350,7 @@ runInstrumented(const SweepPoint &point, const Program &image,
     opts.preRun = [&](Simulation &sim) {
         oracle = std::make_unique<KernelOracle>(sim, point.unit);
         oracle->plantCanaries();
+        sim.capEndCycle(budget);
         if (fault && !isIrqFault(fault->kind)) {
             injector =
                 std::make_unique<FaultInjector>(sim, *fault, point.unit);
@@ -480,7 +494,8 @@ runSingleFault(const SweepPoint &point, const FaultSpec &fault,
     }
 
     FaultRunRecord rec = faultRecord(
-        runInstrumented(point, image, &fault, engine), golden);
+        runInstrumented(point, image, &fault, engine, hangBudget(golden)),
+        golden);
     rec.fault = fault;
     if (golden_out)
         *golden_out = golden;
@@ -553,11 +568,11 @@ runCampaign(const CampaignSpec &spec, const SweepRunner &runner)
     runner.forEachIndex(simulated.size(), [&](std::size_t u) {
         const std::size_t j = simulated[u];
         const PlannedFault &pf = plan[j];
-        const SweepPoint &pt = spec.points[pf.pointIndex];
+        const GoldenRecord &golden = res.goldens[pf.pointIndex];
         res.faults[j] = faultRecord(
-            runInstrumented(pt, images[pf.pointIndex], &pf.fault,
-                            spec.engine),
-            res.goldens[pf.pointIndex]);
+            runInstrumented(golden.point, images[pf.pointIndex], &pf.fault,
+                            spec.engine, hangBudget(golden)),
+            golden);
     });
 
     // Every fault takes its run-derived fields from its simulated

@@ -11,8 +11,9 @@
  *                      stops there; see FaultRunRecord)
  *   detected-watchdog  the no-retire watchdog aborted the run, or
  *                      the guest faulted
- *   hang               the run hit the cycle limit still making
- *                      progress (e.g. a livelocked scheduler)
+ *   hang               the run reached its cycle budget, one
+ *                      watchdog window past the golden run's end,
+ *                      still retiring (e.g. a livelocked scheduler)
  *   silent-corruption  the run exited "cleanly" with a wrong exit
  *                      code or checksum stream — the dangerous class
  *
@@ -94,6 +95,12 @@ struct GoldenRecord
  * the end-of-run sweep. A hit that only the end-of-run sweep finds
  * leaves the run's own status, with `oracleCycle` == `cycles`. The
  * first-hit fields equal those of a run left to its end.
+ *
+ * Every injected run has a cycle budget, min(the workload's maxCycles,
+ * golden cycles + the default watchdog window). A run still retiring
+ * at its budget is a `hang` with status kCycleLimit, and its `cycles`
+ * is that budget. A run that stops retiring before the golden's end is
+ * caught by the watchdog before the budget, as without one.
  */
 struct FaultRunRecord
 {
@@ -167,8 +174,10 @@ FaultRunRecord runSingleFault(const SweepPoint &point,
 /** Version of the writeCampaignJsonl line format, stamped into the
  *  header line bench_inject writes ahead of it. 2: decided runs stop
  *  at their first oracle hit (see FaultRunRecord), and each line
- *  carries `status_detail`. */
-constexpr unsigned kCampaignSchema = 2;
+ *  carries `status_detail`. 3: a `hang` record's `cycles` is its run's
+ *  budget, golden cycles + the watchdog window, not the workload's
+ *  cycle limit. */
+constexpr unsigned kCampaignSchema = 3;
 
 /** One byte-stable JSONL line per injected run. */
 void writeCampaignJsonl(std::ostream &os, const CampaignSpec &spec,

@@ -28,21 +28,20 @@ Cv32rtUnit::onTrapEntry(Word cause)
 void
 Cv32rtUnit::tick(Cycle now)
 {
-    if (drainBusy() && port_.canAccept()) {
-        port_.pushWrite(drainBase_ + 4 * drainIdx_, snapshot_[drainIdx_]);
-        ++stats_.drainedWords;
-        ++drainIdx_;
-        if (!drainBusy()) {
-            if (cache_) {
-                // The dedicated port bypassed the write-back cache; the
-                // lines covering the drained words must be invalidated.
-                cache_->invalidateRange(drainBase_, kSnapWords * 4);
-            }
-            if (phaseObserver_)
-                phaseObserver_->phaseReached(SwitchPhase::kStoreDone, now);
+    if (!drainBusy())
+        return;
+    mem_.write32(drainBase_ + 4 * drainIdx_, snapshot_[drainIdx_]);
+    ++stats_.drainedWords;
+    ++drainIdx_;
+    if (!drainBusy()) {
+        if (cache_) {
+            // The dedicated port bypassed the write-back cache; the
+            // lines covering the drained words must be invalidated.
+            cache_->invalidateRange(drainBase_, kSnapWords * 4);
         }
+        if (phaseObserver_)
+            phaseObserver_->phaseReached(SwitchPhase::kStoreDone, now);
     }
-    port_.tick();
 }
 
 bool
@@ -50,7 +49,7 @@ Cv32rtUnit::stalls(Op op) const
 {
     if (op != Op::kSwitchRf)
         return false;
-    const bool stall = drainBusy() || !port_.idle();
+    const bool stall = drainBusy();
     if (stall)
         ++stats_.barrierStallCycles;
     return stall;

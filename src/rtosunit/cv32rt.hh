@@ -10,9 +10,11 @@
  * The drain destination follows the kernel's fixed ISR frame
  * convention: the frame is 128 bytes below the interrupted stack
  * pointer, with the hardware-saved half at slots 14..29 (see
- * kernel/layout.hh). On NaxRiscv the dedicated port bypasses the
- * write-back data cache, and the affected lines are invalidated
- * (paper Section 6, CV32RT variant description).
+ * kernel/layout.hh). The dedicated port never contends with the core,
+ * so the drain writes one word per cycle straight to memory. On
+ * NaxRiscv the dedicated port bypasses the write-back data cache, and
+ * the affected lines are invalidated (paper Section 6, CV32RT variant
+ * description).
  */
 
 #ifndef RTU_RTOSUNIT_CV32RT_HH
@@ -25,6 +27,7 @@
 #include "cores/arch_state.hh"
 #include "cores/rtosunit_port.hh"
 #include "sim/kernel.hh"
+#include "sim/mem.hh"
 #include "trace/trace.hh"
 #include "unit_mem.hh"
 
@@ -47,25 +50,18 @@ class Cv32rtUnit : public RtosUnitPort, public Clocked
     static constexpr unsigned kFrameBytes = 128;
     static constexpr unsigned kHwSlotOffset = 14 * 4;
 
-    Cv32rtUnit(ArchState &state, UnitMemPort &port,
+    Cv32rtUnit(ArchState &state, MemSystem &mem,
                UnitCacheHook *cache = nullptr)
-        : state_(state), port_(port), cache_(cache)
+        : state_(state), mem_(mem), cache_(cache)
     {}
 
     void tick(Cycle now) override;
 
-    /** `now` while the background drain (or its port) is busy. */
+    /** `now` while the background drain is busy. */
     Cycle
     nextEventAt(Cycle now) const override
     {
-        return (drainBusy() || !port_.idle()) ? now : kNoEvent;
-    }
-
-    /** Quiescent cycles only advance the port's internal clock. */
-    void
-    skipTo(Cycle now, Cycle target) override
-    {
-        port_.skipCycles(target - now);
+        return drainBusy() ? now : kNoEvent;
     }
 
     /** Phase tracing: store-done fires when the drain completes. */
@@ -91,7 +87,7 @@ class Cv32rtUnit : public RtosUnitPort, public Clocked
 
   private:
     ArchState &state_;
-    UnitMemPort &port_;
+    MemSystem &mem_;
     UnitCacheHook *cache_;
     PhaseObserver *phaseObserver_ = nullptr;
 

@@ -4,14 +4,15 @@
  *
  * The unit pushes at most one request per cycle; the port decides
  * acceptance (arbitration against the core, queue capacity) and
- * delivers read responses strictly in request order. Three
+ * delivers read responses strictly in request order. Two
  * implementations exist:
  *  - DirectUnitPort: single-cycle tightly-coupled SRAM behind the
  *    shared LSU port (CV32E40P, paper Section 5.1) or the shared bus
  *    (CVA6, Section 5.2);
  *  - the NaxRiscv LSU ctxQueue port (Section 5.3, Fig 8), defined with
- *    the NaxRiscv core model;
- *  - DedicatedUnitPort: the CV32RT baseline's private memory port.
+ *    the NaxRiscv core model.
+ * The CV32RT baseline's dedicated port needs no model: its drain only
+ * writes, one word per cycle, uncontended (see Cv32rtUnit).
  */
 
 #ifndef RTU_RTOSUNIT_UNIT_MEM_HH
@@ -121,50 +122,6 @@ class DirectUnitPort : public UnitMemPort
 
   private:
     SharedPort &arb_;
-    MemSystem &mem_;
-    std::deque<Word> responses_;
-};
-
-/**
- * The CV32RT baseline's dedicated port: no arbitration, one word per
- * cycle straight to memory.
- */
-class DedicatedUnitPort : public UnitMemPort
-{
-  public:
-    explicit DedicatedUnitPort(MemSystem &mem) : mem_(mem) {}
-
-    bool canAccept() const override { return true; }
-
-    void
-    pushRead(Addr addr) override
-    {
-        responses_.push_back(mem_.read32(addr));
-        ++stats_.reads;
-    }
-
-    void
-    pushWrite(Addr addr, Word data) override
-    {
-        mem_.write32(addr, data);
-        ++stats_.writes;
-    }
-
-    bool
-    popResponse(Word *data) override
-    {
-        if (responses_.empty())
-            return false;
-        *data = responses_.front();
-        responses_.pop_front();
-        return true;
-    }
-
-    bool idle() const override { return responses_.empty(); }
-
-    void tick() override {}
-
-  private:
     MemSystem &mem_;
     std::deque<Word> responses_;
 };

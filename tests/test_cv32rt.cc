@@ -16,8 +16,7 @@ class Cv32rtTest : public ::testing::Test
     Cv32rtTest()
     {
         mem.addDevice(&dmem);
-        port = std::make_unique<DedicatedUnitPort>(mem);
-        unit = std::make_unique<Cv32rtUnit>(state, *port);
+        unit = std::make_unique<Cv32rtUnit>(state, mem);
         // A plausible interrupted stack pointer inside DMEM.
         sp = memmap::kDmemBase + 0x8000;
         state.setBankReg(ArchState::kAppBank, 2, sp);
@@ -33,7 +32,6 @@ class Cv32rtTest : public ::testing::Test
     ArchState state;
     MemSystem mem;
     Sram dmem{"dmem", memmap::kDmemBase, memmap::kDmemSize};
-    std::unique_ptr<DedicatedUnitPort> port;
     std::unique_ptr<Cv32rtUnit> unit;
     Addr sp = 0;
     Cycle now = 0;
@@ -87,7 +85,7 @@ TEST_F(Cv32rtTest, NoMretStallEver)
 TEST_F(Cv32rtTest, CacheHookInvalidatesDrainedLines)
 {
     CacheModel cache({1024, 2, 16, true});
-    Cv32rtUnit hooked(state, *port, &cache);
+    Cv32rtUnit hooked(state, mem, &cache);
     // Warm the lines covering the drain area.
     const Addr base = sp - Cv32rtUnit::kFrameBytes +
                       Cv32rtUnit::kHwSlotOffset;

@@ -1,8 +1,9 @@
 /** Fault-injection engine tests: outcome classification (all five
  *  classes), fault-plan determinism, campaign thread-count
  *  independence, seeded defects each runtime oracle is guaranteed to
- *  catch (context flip, TCB corruption, stack-canary smash), and the
- *  stop of a decided run at its first oracle hit. */
+ *  catch (context flip, TCB corruption, stack-canary smash), the
+ *  stop of a decided run at its first oracle hit, and the cycle
+ *  budget that ends a hang one watchdog window past its golden. */
 
 #include <gtest/gtest.h>
 
@@ -499,6 +500,134 @@ TEST(CampaignStop, JsonlIdenticalInEveryEngineAndAtAnyThreadCount)
     for (EngineMode engine : {EngineMode::kNoBlock, EngineMode::kNoPredecode,
                               EngineMode::kReference}) {
         EXPECT_EQ(jsonl(engine, 4).second, bytes) << engineModeName(engine);
+    }
+}
+
+/** The perfbench inject grid: vanilla and CV32RT x 3 cores x 3
+ *  workloads x 5 iterations, 8 faults per point. */
+CampaignSpec
+perfbenchGridCampaign(std::uint64_t seed)
+{
+    SweepSpec spec;
+    spec.cores = {CoreKind::kCv32e40p, CoreKind::kCva6, CoreKind::kNax};
+    spec.units = {RtosUnitConfig::vanilla(),
+                  RtosUnitConfig::fromName("CV32RT")};
+    spec.workloads = {"yield_pingpong", "round_robin", "ext_interrupt"};
+    spec.iterations = 5;
+    CampaignSpec cs;
+    cs.points = spec.points();
+    cs.faultsPerPoint = 8;
+    cs.seed = seed;
+    return cs;
+}
+
+/** The CV32E40P vanilla ext_interrupt point of that grid. */
+SweepPoint
+cv32e40pExtInterruptPoint()
+{
+    SweepSpec spec;
+    spec.cores = {CoreKind::kCv32e40p};
+    spec.units = {RtosUnitConfig::vanilla()};
+    spec.workloads = {"ext_interrupt"};
+    spec.iterations = 5;
+    return spec.points().front();
+}
+
+TEST(CampaignBudget, LivelockIsAHangOneWatchdogWindowPastItsGolden)
+{
+    // Dropping the third external interrupt livelocks the kernel: it
+    // keeps retiring (the tick ISR runs every period) but never exits.
+    setQuiet(true);
+    const SweepPoint pt = cv32e40pExtInterruptPoint();
+    FaultSpec drop;
+    drop.kind = FaultKind::kIrqDropped;
+    drop.irqIndex = 2;
+    GoldenRecord golden;
+    const FaultRunRecord own = runSingleFault(pt, drop, &golden);
+    EXPECT_EQ(own.outcome, FaultOutcome::kHang);
+    EXPECT_EQ(own.status, RunStatus::kCycleLimit);
+    EXPECT_TRUE(own.statusDetail.empty()) << own.statusDetail;
+    EXPECT_EQ(own.oracleHits, 0u);
+    ASSERT_TRUE(golden.run.ok);
+    EXPECT_EQ(own.cycles, golden.run.cycles + RunOptions{}.watchdogCycles);
+
+    // The campaign gives the same record for the same planned fault.
+    CampaignSpec cs;
+    cs.points = {pt};
+    cs.faultsPerPoint = 8;
+    cs.seed = 1;
+    const CampaignResult res = runCampaign(cs, SweepRunner(1));
+    EXPECT_EQ(res.goldens.front().run.cycles, golden.run.cycles);
+    const auto it = std::find_if(
+        res.faults.begin(), res.faults.end(), [](const FaultRunRecord &f) {
+            return f.fault.kind == FaultKind::kIrqDropped &&
+                   f.fault.irqIndex == 2;
+        });
+    ASSERT_NE(it, res.faults.end());
+    EXPECT_EQ(it->fired, own.fired);
+    EXPECT_EQ(it->outcome, own.outcome);
+    EXPECT_EQ(it->oracleHits, own.oracleHits);
+    EXPECT_EQ(it->status, own.status);
+    EXPECT_EQ(it->statusDetail, own.statusDetail);
+    EXPECT_EQ(it->exitCode, own.exitCode);
+    EXPECT_EQ(it->cycles, own.cycles);
+}
+
+TEST(CampaignBudget, PerfbenchGridOutcomesUnchangedAndHangsEndAtBudget)
+{
+    // The outcome counts every earlier campaign format gave this grid:
+    // the budget moves only the end cycle of its hangs.
+    setQuiet(true);
+    const struct
+    {
+        std::uint64_t seed;
+        unsigned masked, oracle, watchdog, hang;
+    } kExpected[] = {{1, 56, 66, 6, 16}, {2, 59, 58, 3, 24}};
+    for (const auto &e : kExpected) {
+        const CampaignSpec cs = perfbenchGridCampaign(e.seed);
+        const CampaignResult res = runCampaign(cs, SweepRunner(2));
+        ASSERT_EQ(res.faults.size(), 144u);
+        EXPECT_EQ(res.countOf(FaultOutcome::kMasked), e.masked) << e.seed;
+        EXPECT_EQ(res.countOf(FaultOutcome::kDetectedOracle), e.oracle)
+            << e.seed;
+        EXPECT_EQ(res.countOf(FaultOutcome::kDetectedWatchdog), e.watchdog)
+            << e.seed;
+        EXPECT_EQ(res.countOf(FaultOutcome::kSilentCorruption), 0u)
+            << e.seed;
+        EXPECT_EQ(res.countOf(FaultOutcome::kHang), e.hang) << e.seed;
+        for (const FaultRunRecord &f : res.faults) {
+            if (f.outcome != FaultOutcome::kHang)
+                continue;
+            const GoldenRecord &g = res.goldens[f.pointIndex];
+            EXPECT_EQ(f.status, RunStatus::kCycleLimit);
+            EXPECT_EQ(f.cycles, g.run.cycles + RunOptions{}.watchdogCycles)
+                << f.fault.describe();
+        }
+    }
+}
+
+TEST(CampaignBudget, JsonlIdenticalInEveryEngine)
+{
+    // Includes the irq-dropped livelock above: the budget ends a hang
+    // at the same cycle whether or not the run fast-forwards or
+    // executes blocks.
+    setQuiet(true);
+    CampaignSpec cs;
+    cs.points = {cv32e40pExtInterruptPoint()};
+    cs.faultsPerPoint = 8;
+    cs.seed = 1;
+    const auto jsonl = [&](EngineMode engine) {
+        cs.engine = engine;
+        const CampaignResult res = runCampaign(cs, SweepRunner(2));
+        std::ostringstream os;
+        writeCampaignJsonl(os, cs, res);
+        return std::make_pair(res.countOf(FaultOutcome::kHang), os.str());
+    };
+    const auto [hangs, bytes] = jsonl(EngineMode::kFull);
+    EXPECT_GT(hangs, 0u);
+    for (EngineMode engine : {EngineMode::kNoBlock, EngineMode::kNoPredecode,
+                              EngineMode::kReference}) {
+        EXPECT_EQ(jsonl(engine).second, bytes) << engineModeName(engine);
     }
 }
 
