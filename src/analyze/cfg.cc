@@ -59,10 +59,10 @@ Cfg::Cfg(const Program &program) : program_(program)
         if (term == TermKind::kBranch || term == TermKind::kJump ||
             term == TermKind::kCall) {
             const Addr target = pc + static_cast<Word>(d.imm);
-            rtu_assert(contains(target),
-                       "control target 0x%08x outside text (insn at "
-                       "0x%08x)", target, pc);
-            leaders.insert(target);
+            if (contains(target))
+                leaders.insert(target);
+            else
+                outOfText_.push_back(pc);
         }
         if (contains(pc + 4))
             leaders.insert(pc + 4);
@@ -79,6 +79,11 @@ Cfg::Cfg(const Program &program) : program_(program)
 
         const DecodedInsn &last = insnAt(bb.termPc());
         bb.term = termKindOf(last);
+        // A direct transfer out of text has no static successor.
+        if (std::binary_search(outOfText_.begin(), outOfText_.end(),
+                               bb.termPc())) {
+            bb.term = TermKind::kIndirect;
+        }
         const bool atTextEnd = bb.end >= program_.textEnd();
         switch (bb.term) {
           case TermKind::kFallThrough:

@@ -31,7 +31,8 @@ enum class TermKind : std::uint8_t {
     kJump,         ///< jal with rd = zero
     kCall,         ///< jal with rd = ra; continues at pc + 4
     kReturn,       ///< jalr zero, ra, 0
-    kIndirect,     ///< any other jalr (no static successor)
+    kIndirect,     ///< any other jalr, or a branch, jal or call whose
+                   ///< target lies outside text (no static successor)
     kTrapReturn,   ///< mret
     kFallOffText,  ///< last text word without a terminator
 };
@@ -76,6 +77,13 @@ class Cfg
     /** Block containing @p pc, or nullptr when pc is outside text. */
     const BasicBlock *blockContaining(Addr pc) const;
 
+    /** Branches, jumps and calls whose target lies outside text, by
+     *  pc in address order; their blocks end in kIndirect. */
+    const std::vector<Addr> &outOfTextTransfers() const
+    {
+        return outOfText_;
+    }
+
     /** All blocks, keyed by leader, in address order. */
     const std::map<Addr, BasicBlock> &blocks() const { return blocks_; }
 
@@ -101,6 +109,7 @@ class Cfg
   private:
     const Program &program_;
     std::vector<DecodedInsn> insns_;   ///< one per text word
+    std::vector<Addr> outOfText_;
     std::map<Addr, BasicBlock> blocks_;
 };
 

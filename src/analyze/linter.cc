@@ -5,6 +5,7 @@
 #include "analyze/absint/engine.hh"
 #include "analyze/absint/loopbound.hh"
 #include "analyze/absint/wcsu.hh"
+#include "common/logging.hh"
 #include "kernel/kernel.hh"
 #include "workloads/workloads.hh"
 
@@ -16,6 +17,16 @@ lintProgram(const Program &program, const RtosUnitConfig &unit,
 {
     LintResult result;
     const Cfg cfg(program);
+    // A transfer out of text leaves the CFG open, and every pass
+    // assumes a closed one: report the transfers and run no pass.
+    for (Addr pc : cfg.outOfTextTransfers()) {
+        result.diags.push_back(diagAt(
+            cfg, Severity::kError, "cfg-target-outside-text", pc,
+            csprintf("control target 0x%08x lies outside text",
+                     pc + static_cast<Word>(cfg.insnAt(pc).imm))));
+    }
+    if (!result.diags.empty())
+        return result;
     checkContextIntegrity(cfg, unit, options, result.diags);
     checkCalleeSaved(cfg, options, result.diags);
     checkStackDiscipline(cfg, options, result.diags);

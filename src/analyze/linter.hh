@@ -23,6 +23,10 @@
  *     (which would make the WCET analysis unsound), trap handlers
  *     that cannot reach `mret`, indirect jumps on the ISR path.
  *
+ * A branch, jump or call whose target lies outside text leaves the
+ * CFG open; lintProgram() then reports each such transfer
+ * ("cfg-target-outside-text") and runs no pass.
+ *
  * Passes 1-3 are policies on one path walker (walker.hh): pass 1 walks
  * interprocedurally from k_isr with a return stack, passes 2-3 walk
  * each function on its own. A walk that exhausts the shared state

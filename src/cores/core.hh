@@ -15,7 +15,6 @@
 #include "arch_state.hh"
 #include "asm/decode.hh"
 #include "executor.hh"
-#include "sim/blockexec.hh"
 #include "sim/clint.hh"
 #include "sim/irq.hh"
 #include "sim/kernel.hh"
@@ -60,8 +59,7 @@ struct CoreStats
     /** blockRun() entries or runs that bailed to the per-instruction
      *  path (stop instruction, unsafe memory access, uncovered pc). */
     std::uint64_t blockFallbacks = 0;
-    /** Block-summary words re-formed by text writes. Accounted at the
-     *  simulation level (the index is shared, not per-core). */
+    /** Always 0; perfbench and the sweep JSONL still read it. */
     std::uint64_t blockInvalidations = 0;
     /** Instructions retired by steady-loop replay inside blockRun()
      *  (a subset of instret; see LoopReplay). */
@@ -430,15 +428,15 @@ class Core : public Clocked
         Clint *clint = nullptr;
         /** Decode-once text image; nullptr = always fetch via mem. */
         const PredecodedImage *predecode = nullptr;
-        /** Superblock index over the image; nullptr disables the block
-         *  fast path (cores fall back to per-cycle ticking only). */
-        const BlockIndex *blockindex = nullptr;
+        /** Run straight-line blocks over @c predecode (which must be
+         *  set); false leaves the cores to per-cycle ticking only. */
+        bool blocks = false;
     };
 
     explicit Core(const Env &env)
         : state_(*env.state), exec_(*env.exec), mem_(*env.mem),
           irq_(*env.irq), dmemPort_(*env.dmemPort), clint_(*env.clint),
-          predecode_(env.predecode), blockindex_(env.blockindex)
+          predecode_(env.predecode), blocks_(env.blocks)
     {}
     virtual ~Core() = default;
 
@@ -576,35 +574,50 @@ class Core : public Clocked
     }
 
     /**
-     * True if blockRun() may start: a block index is installed, the
-     * core is neither asleep, nor waiting on an mret, nor @p busy
-     * with another in-flight condition the per-cycle path owns, and
-     * no interrupt is ready.
+     * True if blockRun() may start: blocks are enabled, the core is
+     * neither asleep, nor waiting on an mret, nor @p busy with another
+     * in-flight condition the per-cycle path owns, and no interrupt is
+     * ready.
      */
     bool
     blockRunOpen(bool busy = false) const
     {
-        return blockindex_ != nullptr && !busy && !sleeping_ &&
+        return blocks_ && !busy && !sleeping_ &&
                !mretPending_ && !exec_.interruptReady();
     }
 
     /**
      * The instruction at @p pc if the block path may execute it: the
-     * index covers @p pc, the word is no stop word, and a load/store
+     * image covers @p pc, the word is no stop word, and a load/store
      * passes blockAccessSafe(). nullptr means the run must bail with
-     * nothing executed. The flags are re-read on every call: an
-     * in-block store to text may have re-formed the very run being
-     * executed.
+     * nothing executed. The image is read afresh on every call: an
+     * in-block store to text may have re-decoded the very word.
      */
     [[gnu::always_inline]] const DecodedInsn *
     blockWord(Addr pc) const
     {
-        if (!blockindex_->covers(pc) ||
-            (blockindex_->flagsAt(pc) & BlockIndex::kStop)) {
+        if (!predecode_->covers(pc))
             return nullptr;
-        }
         const DecodedInsn &insn = predecode_->at(pc);
-        return blockAccessSafe(insn) ? &insn : nullptr;
+        return !stopWord(insn) && blockAccessSafe(insn) ? &insn : nullptr;
+    }
+
+    /**
+     * True if the block path never executes @p insn: it may trap,
+     * read or write CSRs, sleep, return from a trap or stall on the
+     * RTOSUnit (invalid encodings, CSR, system and custom words).
+     */
+    [[gnu::always_inline]] static bool
+    stopWord(const DecodedInsn &insn)
+    {
+        switch (insn.cls) {
+          case InsnClass::kCsr:
+          case InsnClass::kSystem:
+          case InsnClass::kCustom:
+            return true;
+          default:
+            return !insn.valid();
+        }
     }
 
     /**
@@ -659,7 +672,7 @@ class Core : public Clocked
     SharedPort &dmemPort_;
     Clint &clint_;
     const PredecodedImage *predecode_;
-    const BlockIndex *blockindex_;
+    const bool blocks_;
     CoreListener *listener_ = nullptr;
     CoreStats stats_;
     /** Sleeping in wfi. */

@@ -150,8 +150,7 @@ Cv32e40pCore::blockStep(const DecodedInsn *word, Addr &pc, Cycle &t,
     const InsnClass cls = insn.cls;
     ++stats_.fetchPredecoded;
 
-    // Load-use hazard from the *dynamic* previous instruction — exact,
-    // unlike the decode-time schedule, which is only a worst case.
+    // Load-use hazard from the dynamic previous instruction.
     const unsigned extra = loadUseStall(insn);
     divOperandBits_ = dividendBits(insn);
 
@@ -206,39 +205,17 @@ Cv32e40pCore::blockRun(Cycle now, Cycle bound)
         return ran;
     };
     while (t < bound) {
-        // Runs start at block boundaries, so the first one after a
-        // taken backward branch is an anchor.
+        // The first word after a taken backward branch is an anchor.
         if (replay.armed())
             t = replay.anchor(*this, pc, t, bound);
         const DecodedInsn *insn = blockWord(pc);
         if (!insn)
             return done(tally.bail(t - now));
-
-        // Block-entry fast path: a store-free run whose worst-case
-        // cost (plus one inherited load-use stall of margin) fits the
-        // horizon needs no coverage or stop re-check per word, and
-        // cannot reach the horizon inside the run. Otherwise step once
-        // and re-verify: store-carrying or horizon-limited runs
-        // re-verify every word (a store may have re-formed the very
-        // block being executed).
-        std::uint32_t steps = 1;
-        if (!(blockindex_->flagsAt(pc) & BlockIndex::kSuffixStore) &&
-            t + blockindex_->worstCyclesAt(pc) + params_.loadUseStall <=
-                bound) {
-            steps = blockindex_->runLenAt(pc);
-        }
-        while (true) {
-            const InsnClass cls = insn->cls;
-            const bool horizon = blockStep(insn, pc, t, bound, replay);
-            tally.retired(cls);
-            if (horizon)
-                return done(tally.finish(t - now));
-            if (--steps == 0)
-                break;
-            insn = &predecode_->at(pc);
-            if (!blockAccessSafe(*insn))
-                return done(tally.bail(t - now));
-        }
+        const InsnClass cls = insn->cls;
+        const bool horizon = blockStep(insn, pc, t, bound, replay);
+        tally.retired(cls);
+        if (horizon)
+            return done(tally.finish(t - now));
     }
     return done(tally.finish(t - now));
 }

@@ -25,6 +25,17 @@
 
 namespace rtu {
 
+/** CV32E40P timing parameters; the WCET analyzer reads them too. */
+struct Cv32e40pParams
+{
+    unsigned trapEntryCycles = 4;   ///< constant interrupt entry
+    unsigned mretCycles = 5;        ///< pipeline refill on return
+    unsigned takenBranchCycles = 3; ///< branch resolved in EX
+    unsigned jumpCycles = 2;
+    unsigned loadUseStall = 1;
+    unsigned divBaseCycles = 3;     ///< plus one per significant bit
+};
+
 /** The CV32E40P timing state steady-loop replay compares at anchors:
  *  the pipeline is empty there, so only the hazard bookkeeping of the
  *  last instruction is left. No field is a cycle. */
@@ -52,8 +63,7 @@ class Cv32e40pCore : public Core
     void skipTo(Cycle now, Cycle target) override;
 
     /** Superblock fast path: execute straight-line runs up to the
-     *  event horizon with one bound check per block, replaying steady
-     *  loop iterations (LoopReplay). */
+     *  event horizon, replaying steady loop iterations (LoopReplay). */
     [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
   private:

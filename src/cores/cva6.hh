@@ -70,10 +70,8 @@ class Cva6Core : public Core
     void skipTo(Cycle now, Cycle target) override;
 
     /** Superblock fast path: issue straight-line runs up to the event
-     *  horizon, re-validating each word against the block index (the
-     *  scoreboard/cache state makes a static block cost impossible, so
-     *  unlike CV32E40P every step is checked), and replaying steady
-     *  loop iterations (LoopReplay). */
+     *  horizon, verifying each word before it issues, and replaying
+     *  steady loop iterations (LoopReplay). */
     [[gnu::aligned(64)]] Cycle blockRun(Cycle now, Cycle bound) override;
 
     CacheModel &dcache() { return dcache_; }

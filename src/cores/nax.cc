@@ -9,7 +9,6 @@ NaxCtxQueuePort::pushRead(Addr addr)
 {
     rtu_assert(canAccept(), "ctxQueue overflow");
     queue_.push_back({true, addr, 0});
-    ++stats_.reads;
 }
 
 void
@@ -17,7 +16,6 @@ NaxCtxQueuePort::pushWrite(Addr addr, Word data)
 {
     rtu_assert(canAccept(), "ctxQueue overflow");
     queue_.push_back({false, addr, data});
-    ++stats_.writes;
 }
 
 bool
@@ -71,8 +69,6 @@ NaxCtxQueuePort::tick()
             }
             next->serviced = true;
             next->doneAt = now_ + lat;
-        } else {
-            ++stats_.rejectCycles;
         }
     }
 

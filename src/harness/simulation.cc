@@ -104,16 +104,6 @@ Simulation::Simulation(const SimConfig &config, Program program)
         predecode_.install(mem_, program_.textBase, program_.text.size());
     }
 
-    // Superblock index on top of the image: straight-line run lengths
-    // and worst-case block costs, kept coherent with text writes via
-    // the image's invalidation listener. Only the full engine runs
-    // blocks: the reference mode has no event horizon to execute them
-    // against. Its worst-case costs use the CV32E40P timing the core
-    // below is built with.
-    const Cv32e40pParams cv32e40p;
-    if (config_.engine == EngineMode::kFull && predecode_.installed())
-        blockindex_.install(predecode_, cv32e40p);
-
     state_.setPc(program_.textBase);
     exec_.setClock(kernel_.clockPtr());
     hostio_.bindClock(kernel_.clockPtr());
@@ -129,13 +119,15 @@ Simulation::Simulation(const SimConfig &config, Program program)
     env.clint = &clint_;
     if (predecode_.installed())
         env.predecode = &predecode_;
-    if (blockindex_.installed())
-        env.blockindex = &blockindex_;
+    // Only the full engine runs straight-line blocks over the image:
+    // the reference mode has no event horizon to execute them against.
+    env.blocks =
+        config_.engine == EngineMode::kFull && env.predecode != nullptr;
 
     NaxCore *nax = nullptr;
     switch (config_.core) {
       case CoreKind::kCv32e40p:
-        core_ = std::make_unique<Cv32e40pCore>(env, cv32e40p);
+        core_ = std::make_unique<Cv32e40pCore>(env);
         break;
       case CoreKind::kCva6:
         core_ = std::make_unique<Cva6Core>(env, busPort_);

@@ -290,37 +290,30 @@ RtosUnit::stepStoreFsm()
         ++storeIdx_;
     }
 
-    if (storeIdx_ < kCtxWords) {
-        if (portFree()) {
-            Word value;
-            if (storeIdx_ == 0)
-                value = storeMepc_;
-            else if (storeIdx_ == 1)
-                value = storeMstatus_;
-            else
-                value = state_.bankReg(ArchState::kAppBank,
-                                       ctxReg(storeIdx_));
-            port_.pushWrite(memmap::ctxAddr(storeTask_) + 4 * storeIdx_,
-                            value);
-            ++stats_.storeWords;
-            // Rewriting a context invalidates a stale preload of it.
-            if (preBufValid_ && preBufId_ == storeTask_)
-                preBufValid_ = false;
-            if (lockstepActive_) {
-                const Word pv = preBuf_[storeIdx_];
-                if (storeIdx_ == 0) {
-                    state_.csrs.mepc = pv & ~Word{1};
-                } else if (storeIdx_ == 1) {
-                    state_.csrs.mstatus = pv & kMstatusCtxMask;
-                } else {
-                    state_.setBankReg(ArchState::kAppBank,
-                                      ctxReg(storeIdx_), pv);
-                }
+    if (storeIdx_ < kCtxWords && portFree()) {
+        Word value;
+        if (storeIdx_ == 0)
+            value = storeMepc_;
+        else if (storeIdx_ == 1)
+            value = storeMstatus_;
+        else
+            value = state_.bankReg(ArchState::kAppBank, ctxReg(storeIdx_));
+        port_.pushWrite(memmap::ctxAddr(storeTask_) + 4 * storeIdx_, value);
+        ++stats_.storeWords;
+        // Rewriting a context invalidates a stale preload of it.
+        if (preBufValid_ && preBufId_ == storeTask_)
+            preBufValid_ = false;
+        if (lockstepActive_) {
+            const Word pv = preBuf_[storeIdx_];
+            if (storeIdx_ == 0) {
+                state_.csrs.mepc = pv & ~Word{1};
+            } else if (storeIdx_ == 1) {
+                state_.csrs.mstatus = pv & kMstatusCtxMask;
+            } else {
+                state_.setBankReg(ArchState::kAppBank, ctxReg(storeIdx_), pv);
             }
-            ++storeIdx_;
-        } else {
-            ++port_.stats().rejectCycles;
         }
+        ++storeIdx_;
     }
 
     if (storeIdx_ == kCtxWords && port_.idle()) {
@@ -388,8 +381,6 @@ RtosUnit::stepRestoreFsm()
     if (restoreReqIdx_ < kCtxWords && portFree()) {
         port_.pushRead(memmap::ctxAddr(restoreTask_) + 4 * restoreReqIdx_);
         ++restoreReqIdx_;
-    } else if (restoreReqIdx_ < kCtxWords) {
-        ++port_.stats().rejectCycles;
     }
 
     Word w;

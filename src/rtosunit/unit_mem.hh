@@ -18,7 +18,6 @@
 #ifndef RTU_RTOSUNIT_UNIT_MEM_HH
 #define RTU_RTOSUNIT_UNIT_MEM_HH
 
-#include <cstdint>
 #include <deque>
 
 #include "common/types.hh"
@@ -32,13 +31,6 @@ class UnitCacheHook
   public:
     virtual ~UnitCacheHook() = default;
     virtual void invalidateRange(Addr base, unsigned bytes) = 0;
-};
-
-struct UnitMemStats
-{
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t rejectCycles = 0;  ///< canAccept() sampled false
 };
 
 class UnitMemPort
@@ -64,11 +56,6 @@ class UnitMemPort
     /** Bulk-advance an internal clock across @p delta quiescent
      *  cycles (ports without one ignore this). */
     virtual void skipCycles(Cycle delta) { (void)delta; }
-
-    UnitMemStats &stats() { return stats_; }
-
-  protected:
-    UnitMemStats stats_;
 };
 
 /**
@@ -94,7 +81,6 @@ class DirectUnitPort : public UnitMemPort
         const bool granted = arb_.tryUse();
         rtu_assert(granted, "pushRead without arbitration grant");
         responses_.push_back(mem_.read32(addr));
-        ++stats_.reads;
     }
 
     void
@@ -103,7 +89,6 @@ class DirectUnitPort : public UnitMemPort
         const bool granted = arb_.tryUse();
         rtu_assert(granted, "pushWrite without arbitration grant");
         mem_.write32(addr, data);
-        ++stats_.writes;
     }
 
     bool

@@ -31,8 +31,6 @@ PredecodedImage::memWritten(Addr addr, MemSize size)
             continue;
         insns_[(w - base_) >> 2] = decode(mem_->read32(w));
         ++invalidations_;
-        if (listener_)
-            listener_->wordRedecoded((w - base_) >> 2);
     }
 }
 

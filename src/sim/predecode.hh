@@ -31,18 +31,6 @@
 
 namespace rtu {
 
-/**
- * Notified after a text word has been re-decoded in place (the image
- * already holds the new decode). The superblock index subscribes here
- * to re-form the blocks whose summaries covered the touched word.
- */
-class PredecodeListener
-{
-  public:
-    virtual ~PredecodeListener() = default;
-    virtual void wordRedecoded(std::size_t index) = 0;
-};
-
 class PredecodedImage : public MemWriteObserver
 {
   public:
@@ -69,19 +57,6 @@ class PredecodedImage : public MemWriteObserver
         return insns_[(pc - base_) >> 2];
     }
 
-    /** Text base address / instruction-word count (index geometry). */
-    Addr base() const { return base_; }
-    std::size_t words() const { return insns_.size(); }
-
-    /** The pre-decoded instruction at word @p index. */
-    const DecodedInsn &atIndex(std::size_t index) const
-    {
-        return insns_[index];
-    }
-
-    /** Subscribe to per-word re-decodes; nullptr unsubscribes. */
-    void setListener(PredecodeListener *listener) { listener_ = listener; }
-
     /** Re-decode the words touched by a completed write. */
     void memWritten(Addr addr, MemSize size) override;
 
@@ -93,7 +68,6 @@ class PredecodedImage : public MemWriteObserver
     Addr base_ = 0;
     Addr size_ = 0;  ///< bytes covered; base_ + size_ = text end
     std::vector<DecodedInsn> insns_;
-    PredecodeListener *listener_ = nullptr;
     std::uint64_t invalidations_ = 0;
 };
 

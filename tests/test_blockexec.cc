@@ -1,11 +1,10 @@
-/** Superblock index and block-execution tests: block formation over a
- *  hand-built program (flags, run lengths, worst-case suffix costs),
- *  the word-granular invalidation audit — a 2-byte store straddling a
- *  block boundary re-forms both blocks — and the end-to-end acceptance
- *  case: a mid-block bit flip written by the running guest re-forms
- *  the block and the flipped instruction executes, identically with
- *  block execution on and off. Counter plumbing through the sweep
- *  JSONL stream is checked last. */
+/** Block-execution tests over self-modifying text: three guest writes
+ *  into the running straight-line run (a word store onto a later word,
+ *  a half store straddling two words, a mid-run bit flip) and a half
+ *  store straddling the boundary into the next run must give the same
+ *  final state in every engine mode on every core, and the flipped
+ *  instruction must execute with block execution on and off. Counter
+ *  plumbing through the sweep JSONL stream is checked last. */
 
 #include <gtest/gtest.h>
 
@@ -14,126 +13,14 @@
 #include <vector>
 
 #include "asm/assembler.hh"
-#include "asm/decode.hh"
+#include "asm/encode.hh"
 #include "harness/simulation.hh"
 #include "rtosunit/config.hh"
-#include "sim/blockexec.hh"
 #include "sim/memmap.hh"
-#include "sim/predecode.hh"
 #include "sweep/sweep.hh"
 
 namespace rtu {
 namespace {
-
-struct IndexFixture
-{
-    Sram imem{"imem", memmap::kImemBase, memmap::kImemSize};
-    MemSystem mem;
-    PredecodedImage image;
-    BlockIndex index;
-
-    explicit IndexFixture(const std::vector<Word> &text)
-    {
-        mem.addDevice(&imem);
-        imem.loadWords(memmap::kImemBase, text);
-        image.install(mem, memmap::kImemBase, text.size());
-        index.install(image, Cv32e40pCostParams{});
-    }
-
-    Addr pc(std::size_t word) const
-    {
-        return memmap::kImemBase + 4 * static_cast<Addr>(word);
-    }
-};
-
-TEST(Blockexec, FormationFlagsRunLengthsAndWorstCosts)
-{
-    Assembler a(memmap::kImemBase, memmap::kDmemBase);
-    a.dataWord("currentTaskId", 0);
-    a.label("top");
-    a.addi(A0, Zero, 1);    // w0: plain ALU
-    a.lw(T1, 0, T0);        // w1: load
-    a.add(A1, T1, A0);      // w2: consumes the load -> hazard stall
-    a.sw(A1, 0, T0);        // w3: store
-    a.j("top");             // w4: block terminator
-    a.ecall();              // w5: stop word
-    a.addi(Zero, Zero, 0);  // w6: plain word at the end of text
-    const Program p = a.finish();
-    ASSERT_EQ(p.text.size(), 7u);
-
-    IndexFixture f(p.text);
-    ASSERT_TRUE(f.index.installed());
-    for (std::size_t w = 0; w < p.text.size(); ++w)
-        EXPECT_TRUE(f.index.covers(f.pc(w))) << "word " << w;
-    EXPECT_FALSE(f.index.covers(f.pc(7)));
-    EXPECT_FALSE(f.index.covers(f.pc(0) + 2));
-
-    using B = BlockIndex;
-    // A store at w3 marks every word of the run up to it.
-    EXPECT_EQ(f.index.flagsAt(f.pc(0)), B::kSuffixStore);
-    EXPECT_EQ(f.index.flagsAt(f.pc(1)), B::kMem | B::kSuffixStore);
-    EXPECT_EQ(f.index.flagsAt(f.pc(2)), B::kHazPrev | B::kSuffixStore);
-    EXPECT_EQ(f.index.flagsAt(f.pc(3)),
-              B::kMem | B::kStoreOp | B::kSuffixStore);
-    EXPECT_EQ(f.index.flagsAt(f.pc(4)), B::kControl);
-    EXPECT_EQ(f.index.flagsAt(f.pc(5)), B::kStop);
-    EXPECT_EQ(f.index.flagsAt(f.pc(6)), 0u);
-
-    // Run lengths count down to the terminator, terminator included;
-    // stop words never execute in-block; the last text word is a
-    // one-instruction run by construction.
-    const std::uint32_t lens[7] = {5, 4, 3, 2, 1, 0, 1};
-    for (std::size_t w = 0; w < 7; ++w)
-        EXPECT_EQ(f.index.runLenAt(f.pc(w)), lens[w]) << "word " << w;
-
-    // Worst-case CV32E40P suffix costs: ALU/load/store 1 cycle, the
-    // hazard consumer 1 + loadUseStall, the jump 2.
-    const std::uint32_t worst[7] = {7, 6, 5, 3, 2, 0, 1};
-    for (std::size_t w = 0; w < 7; ++w)
-        EXPECT_EQ(f.index.worstCyclesAt(f.pc(w)), worst[w])
-            << "word " << w;
-
-    EXPECT_EQ(f.index.invalidations(), 0u);
-}
-
-TEST(Blockexec, StraddlingHalfStoreReformsBothBlocks)
-{
-    Assembler a(memmap::kImemBase, memmap::kDmemBase);
-    a.dataWord("currentTaskId", 0);
-    a.label("top");
-    a.addi(A0, Zero, 1);  // w0 ┐ block A
-    a.j("top");           // w1 ┘
-    a.addi(A1, Zero, 2);  // w2 ┐ block B
-    a.j("top");           // w3 ┘
-    const Program p = a.finish();
-    ASSERT_EQ(p.text.size(), 4u);
-
-    IndexFixture f(p.text);
-    using B = BlockIndex;
-    ASSERT_EQ(f.index.runLenAt(f.pc(0)), 2u);
-    ASSERT_EQ(f.index.runLenAt(f.pc(2)), 2u);
-    ASSERT_EQ(f.index.flagsAt(f.pc(2)), 0u);
-    const std::uint64_t before = f.index.invalidations();
-
-    // A 2-byte store at byte 7 spans the last byte of block A's
-    // terminator (w1) and the first byte of block B's head (w2): the
-    // low byte 0x00 rewrites w1's jal immediate field, the high byte
-    // 0x6F rewrites w2's opcode to JAL. Both words re-decode and both
-    // blocks re-form — B is now two one-instruction runs.
-    f.mem.write(f.pc(1) + 3, 0x6F00, MemSize::kHalf);
-
-    EXPECT_EQ(f.image.invalidations(), 2u);
-    EXPECT_GE(f.index.invalidations() - before, 2u);
-
-    // Block B re-formed around the new control word.
-    EXPECT_NE(f.index.flagsAt(f.pc(2)) & B::kControl, 0u);
-    EXPECT_EQ(f.index.runLenAt(f.pc(2)), 1u);
-    // Block A re-formed too: w1 is still a jal (opcode byte is below
-    // the written range), so its summaries are re-derived unchanged.
-    EXPECT_NE(f.index.flagsAt(f.pc(1)) & B::kControl, 0u);
-    EXPECT_EQ(f.index.runLenAt(f.pc(0)), 2u);
-    EXPECT_EQ(f.index.worstCyclesAt(f.pc(0)), 3u);
-}
 
 SimConfig
 bareConfig(EngineMode engine)
@@ -149,9 +36,9 @@ bareConfig(EngineMode engine)
 
 /** Flip bit 20 of a later instruction in the same straight-line run —
  *  the immediate's LSB of "addi a0, x0, 0" — then fall through into
- *  it. The store and its target sit in one superblock, so this is the
- *  worst case for stale summaries: the flip must re-form the block
- *  mid-run and the flipped instruction must execute. */
+ *  it. The store and its target sit in one straight-line run, so the
+ *  block path must read the re-decoded word mid-run and execute the
+ *  flipped instruction. */
 Program
 midBlockFlipProgram()
 {
@@ -167,6 +54,156 @@ midBlockFlipProgram()
     a.label("spin");
     a.j("spin");
     return a.finish();
+}
+
+/** End a test program: exit the host with code 0, then spin. */
+void
+exitAndSpin(Assembler &a)
+{
+    a.li(T0, static_cast<SWord>(memmap::kHostExit));
+    a.sw(Zero, 0, T0);
+    a.label("spin");
+    a.j("spin");
+}
+
+/** Copy the donor word over a later word of the running straight-line
+ *  run: "addi a0, x0, 0" becomes "addi a0, x0, 7" before it executes. */
+Program
+laterWordStoreProgram()
+{
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.dataWord("currentTaskId", 0);
+    a.la(T0, "patch");
+    a.la(T1, "donor");
+    a.lw(T2, 0, T1);
+    a.sw(T2, 0, T0);
+    a.addi(A1, Zero, 1);
+    a.label("patch");
+    a.addi(A0, Zero, 0);
+    exitAndSpin(a);
+    a.label("donor");
+    a.addi(A0, Zero, 7);  // never executed in place
+    return a.finish();
+}
+
+/** A half store at byte 3 of "addi a0, x0, 0" spans two words of the
+ *  running run: its low byte 0x01 sets imm[11:4] of the first (now
+ *  "addi a0, x0, 16"), its high byte 0x93 sets bit 0 of the second's
+ *  rd ("addi a2, x0, 5" becomes "addi a3, x0, 5"). The assembler emits
+ *  no sh, so the test patches the store into the text image. */
+Program
+straddlingHalfStoreProgram()
+{
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.dataWord("currentTaskId", 0);
+    a.la(T0, "patch");
+    a.li(T1, 0x9301);
+    a.label("store");
+    a.nop();  // sh t1, 3(t0)
+    a.label("patch");
+    a.addi(A0, Zero, 0);
+    a.addi(A2, Zero, 5);
+    exitAndSpin(a);
+    Program p = a.finish();
+    p.text[(p.symbol("store") - p.textBase) / 4] =
+        encode(Op::kSh, 0, T0, T1, 3);
+    return p;
+}
+
+/** A half store at byte 3 of the running run's terminator ("j head",
+ *  a jal with imm 4) spans the boundary into the next run's head, as in
+ *  the old block-index audit: its low byte 0x00 rewrites the jal's top
+ *  immediate byte unchanged, its high byte 0x93 sets bit 0 of the
+ *  head's rd ("addi a2, x0, 5" becomes "addi a3, x0, 5"). */
+Program
+straddlingRunBoundaryProgram()
+{
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.dataWord("currentTaskId", 0);
+    a.la(T0, "jump");
+    a.li(T1, 0x9300);
+    a.label("store");
+    a.nop();  // sh t1, 3(t0)
+    a.addi(A0, Zero, 1);
+    a.label("jump");
+    a.j("head");
+    a.label("head");
+    a.addi(A2, Zero, 5);
+    exitAndSpin(a);
+    Program p = a.finish();
+    p.text[(p.symbol("store") - p.textBase) / 4] =
+        encode(Op::kSh, 0, T0, T1, 3);
+    return p;
+}
+
+/** Run @p program on all three cores in every engine mode: the
+ *  reference engine's registers must hold @p want, and kFull, kNoBlock
+ *  and kNoPredecode must equal the reference in final registers,
+ *  cycles, instret, exit code and status. */
+void
+expectEnginesAgree(const char *name, const Program &program,
+                   const std::vector<std::pair<RegIndex, Word>> &want)
+{
+    for (CoreKind core : {CoreKind::kCv32e40p, CoreKind::kCva6,
+                          CoreKind::kNax}) {
+        auto config = [core](EngineMode engine) {
+            SimConfig cfg = bareConfig(engine);
+            cfg.core = core;
+            return cfg;
+        };
+        Simulation ref(config(EngineMode::kReference), program);
+        ref.run();
+        const std::string what = std::string(name) + " on " +
+                                 coreKindName(core);
+        for (const auto &[r, v] : want) {
+            EXPECT_EQ(ref.archState().reg(r), v)
+                << what << ": x" << unsigned(r);
+        }
+        for (EngineMode engine : {EngineMode::kFull, EngineMode::kNoBlock,
+                                  EngineMode::kNoPredecode}) {
+            Simulation sim(config(engine), program);
+            sim.run();
+            const std::string how =
+                what + ", engine " + engineModeName(engine);
+            EXPECT_EQ(sim.status(), ref.status()) << how;
+            EXPECT_EQ(sim.exitCode(), ref.exitCode()) << how;
+            EXPECT_EQ(sim.now(), ref.now()) << how;
+            EXPECT_EQ(sim.coreStats().instret, ref.coreStats().instret)
+                << how;
+            for (RegIndex r = 0; r < 32; ++r) {
+                EXPECT_EQ(sim.archState().reg(r), ref.archState().reg(r))
+                    << how << ": x" << unsigned(r);
+            }
+        }
+    }
+}
+
+TEST(Blockexec, SelfModifyingTextAgreesAcrossEnginesOnEveryCore)
+{
+    expectEnginesAgree("later-word store", laterWordStoreProgram(),
+                       {{A0, 7}, {A1, 1}});
+    expectEnginesAgree("straddling half store", straddlingHalfStoreProgram(),
+                       {{A0, 16}, {A2, 0}, {A3, 5}});
+    expectEnginesAgree("mid-run bit flip", midBlockFlipProgram(), {{A0, 1}});
+}
+
+TEST(Blockexec, StraddlingHalfStoreReformsBothBlocks)
+{
+    const Program p = straddlingRunBoundaryProgram();
+    expectEnginesAgree("run-boundary half store", p,
+                       {{A0, 1}, {A2, 0}, {A3, 5}});
+
+    // Both words re-decode, and the block path runs the rewritten head.
+    for (CoreKind core : {CoreKind::kCv32e40p, CoreKind::kCva6,
+                          CoreKind::kNax}) {
+        SimConfig cfg = bareConfig(EngineMode::kFull);
+        cfg.core = core;
+        Simulation sim(cfg, p);
+        EXPECT_TRUE(sim.run()) << coreKindName(core);
+        EXPECT_EQ(sim.coreStats().textInvalidations, 2u)
+            << coreKindName(core);
+        EXPECT_GT(sim.coreStats().blocksExecuted, 0u) << coreKindName(core);
+    }
 }
 
 TEST(Blockexec, MidBlockBitFlipReformsTheBlockAndExecutesTheFlip)
@@ -187,13 +224,11 @@ TEST(Blockexec, MidBlockBitFlipReformsTheBlockAndExecutesTheFlip)
     EXPECT_EQ(on.instret, off.instret);
     EXPECT_EQ(on.memOps, off.memOps);
     EXPECT_EQ(on.stallCycles, off.stallCycles);
-    // The guest store re-decoded one text word and re-formed its
-    // block; with the knob off the index is never installed.
+    // The guest store re-decoded one text word; with the knob off no
+    // block runs.
     EXPECT_EQ(on.textInvalidations, 1u);
-    EXPECT_GE(on.blockInvalidations, 1u);
     EXPECT_GT(on.blocksExecuted, 0u);
     EXPECT_EQ(off.blocksExecuted, 0u);
-    EXPECT_EQ(off.blockInvalidations, 0u);
 }
 
 TEST(Blockexec, CountersFlowThroughTheSweepJsonlStream)
@@ -225,10 +260,6 @@ TEST(Blockexec, CountersFlowThroughTheSweepJsonlStream)
         << line;
     EXPECT_NE(line.find("\"block_fallbacks\":" +
                         std::to_string(s.blockFallbacks)),
-              std::string::npos)
-        << line;
-    EXPECT_NE(line.find("\"block_invalidations\":" +
-                        std::to_string(s.blockInvalidations)),
               std::string::npos)
         << line;
 }

@@ -14,6 +14,7 @@
 #include "analyze/linter.hh"
 #include "analyze/walker.hh"
 #include "asm/assembler.hh"
+#include "asm/encode.hh"
 #include "kernel/layout.hh"
 #include "wcet/wcet.hh"
 
@@ -540,6 +541,27 @@ TEST(Soundness, FallOffTextEnd)
     a.fnEnd();
     const auto diags = lint(a.finish(), "vanilla");
     EXPECT_TRUE(hasCode(diags, "cfg-fall-off-text")) << diagsText(diags);
+}
+
+TEST(Soundness, BranchOutOfTextIsADiagnosticNotAnAbort)
+{
+    Assembler a(kTextBase, kDataBase);
+    a.fnBegin("f");
+    a.label("top");
+    a.beqz(A0, "top");  // patched below to branch past textEnd()
+    a.ret();
+    a.fnEnd();
+    Program p = a.finish();
+    p.text[0] = encode(Op::kBeq, 0, A0, Zero, 64);
+    EXPECT_EQ(Cfg(p).outOfTextTransfers(), std::vector<Addr>{kTextBase});
+
+    LintOptions options;
+    options.absint = true;
+    const auto diags =
+        lintProgram(p, RtosUnitConfig::fromName("vanilla"), options).diags;
+    ASSERT_EQ(diags.size(), 1u) << diagsText(diags);
+    EXPECT_EQ(diags[0].code, "cfg-target-outside-text");
+    EXPECT_EQ(diags[0].severity, Severity::kError);
 }
 
 TEST(Soundness, UnreachableBlock)
