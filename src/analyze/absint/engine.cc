@@ -1,6 +1,7 @@
 #include "engine.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -60,6 +61,20 @@ liveOrNull(const RegState &st)
     return st.live ? &st : nullptr;
 }
 
+/**
+ * Initial memo capacity of an image's value pool: eight slots per text
+ * word, rounded down to a power of two. A generated image ends with
+ * about one pool entry and at most ~1.2 memo entries per text word, so
+ * the tables start at a load of a quarter or less and rarely grow;
+ * larger tables cost more to zero and to keep in cache than the
+ * shorter probes save.
+ */
+size_t
+poolCapacity(const Program &program)
+{
+    return std::bit_floor(std::max<size_t>(8 * program.text.size(), 256));
+}
+
 } // namespace
 
 // ---- decisions -------------------------------------------------------------
@@ -87,7 +102,7 @@ absDecide(Op op, const AbsVal &a, const AbsVal &b)
 // ---- engine ----------------------------------------------------------------
 
 AbsintEngine::AbsintEngine(const Program &program)
-    : program_(program), cfg_(program)
+    : program_(program), cfg_(program), pool_(poolCapacity(program))
 {
     dataBase_ = program.dataBase;
     dataEnd_ = program.dataBase +
@@ -102,8 +117,10 @@ AbsintEngine::AbsintEngine(const Program &program)
     entryStamps_.resize(n);
     returnStamps_.resize(n);
     deps_.resize(n);
+    calleeMarks_.resize(n);
     cells_.assign(program.data.size(), kInitial);
     cellStamps_.resize(program.data.size());
+    cellMarks_.resize(program.data.size());
 
     // Root code (boot, trap entry, task bodies) runs with sp inside
     // some generated stack region; see the header's assumption list.
@@ -332,6 +349,20 @@ AbsintEngine::inStack(Addr a) const
     return false;
 }
 
+void
+AbsintEngine::logRead(LogMark &mark, std::vector<std::uint32_t> ReadLog::*ids,
+                      std::uint32_t id) const
+{
+    if (mark.analysis != analysisSerial_) {
+        mark.analysis = analysisSerial_;
+        (regionLog_->*ids).push_back(id);
+    }
+    if (mark.transfer != transferSerial_) {
+        mark.transfer = transferSerial_;
+        (blockLog_->*ids).push_back(id);
+    }
+}
+
 ValId
 AbsintEngine::cellId(Addr addr) const
 {
@@ -342,8 +373,8 @@ AbsintEngine::cellId(Addr addr) const
         if (a >= lo && a <= hi)
             return ValuePool::kTop;
     const Addr word = (a - dataBase_) / 4;
-    if (reading_)
-        reading_->cells.push_back(word);
+    if (blockLog_)
+        logRead(cellMarks_[word], &ReadLog::cells, word);
     if (cells_[word] != kInitial)
         return cells_[word];
     return pool_.constant(static_cast<std::int32_t>(program_.data[word]));
@@ -630,14 +661,12 @@ AbsintEngine::applyInsn(Addr pc, const DecodedInsn &d, RegState &st)
       case Op::kGetHwSched:
         // Only ids previously inserted into the hardware lists can
         // come back out (assumption list in the header).
-        if (reading_)
-            reading_->hwListIds = true;
+        regionLog_->hwListIds = blockLog_->hwListIds = true;
         setRd(hwListIds_);
         return;
       case Op::kSetContextId:
       case Op::kAddReady: {
-        if (reading_)
-            reading_->hwListIds = true;
+        regionLog_->hwListIds = blockLog_->hwListIds = true;
         const ValId next = pool_.join(hwListIds_, operand(st, d.rs1));
         if (next != hwListIds_) {
             hwListIds_ = round_ >= kWidenRound
@@ -688,6 +717,12 @@ AbsintEngine::transfer(unsigned region, unsigned block, const RegState &in)
     const BasicBlock &bb = *layout.blocks[block];
     RegionStates &states = states_[region];
     FnState &f = fn_;
+    ++stats_.blockTransfers;
+    ++transferSerial_;
+    f.transferred[block] = true;
+    f.emitted[block] = 0;
+    blockLog_ = &f.logs[block];
+    blockLog_->restart(seq_);
     RegState &st = f.st;
     st = in;
     const bool bodyIncludesLast = bb.term == TermKind::kFallThrough ||
@@ -712,6 +747,7 @@ AbsintEngine::transfer(unsigned region, unsigned block, const RegState &in)
             return;
         }
         f.outs[f.numOuts++] = {e, out};
+        f.emitted[block] |= 1u << (e - layout.edgeBegin[block]);
     };
 
     switch (bb.term) {
@@ -789,8 +825,7 @@ AbsintEngine::transfer(unsigned region, unsigned block, const RegState &in)
         if (cr) {
             const auto callee =
                 static_cast<std::uint32_t>(cr - regions_.data());
-            if (reading_)
-                reading_->callees.push_back(callee);
+            logRead(calleeMarks_[callee], &ReadLog::callees, callee);
             st.v[kA0Reg] = returnValues_[callee];
         } else {
             st.v[kA0Reg] = ValuePool::kBottom;
@@ -816,13 +851,20 @@ AbsintEngine::transfer(unsigned region, unsigned block, const RegState &in)
       case TermKind::kFallOffText:
         break;
     }
+    blockLog_ = nullptr;
 }
 
 void
 AbsintEngine::analyzeRegion(unsigned region)
 {
+    RegionDeps &deps = deps_[region];
+    deps.analyzed = true;
+    deps.reads.restart(seq_);
     if (!entryStates_[region].live)
         return;
+    ++stats_.regionAnalyses;
+    ++analysisSerial_;
+    regionLog_ = &deps.reads;
     // A copy: a recursive call may widen the live entry mid-analysis.
     const RegState entry = entryStates_[region];
     const RegionLayout &layout = layouts_[region];
@@ -836,6 +878,9 @@ AbsintEngine::analyzeRegion(unsigned region)
         f.visits.resize(n);
         f.queued.resize(n);
         f.work.resize(n);
+        f.transferred.resize(n);
+        f.logs.resize(n);
+        f.emitted.resize(n);
     }
     for (unsigned b = 0; b < n; ++b) {
         states.in[b].live = false;
@@ -843,6 +888,7 @@ AbsintEngine::analyzeRegion(unsigned region)
         states.verdicts[b] = Verdict::kOpen;
         f.visits[b] = 0;
         f.queued[b] = false;
+        f.transferred[b] = false;
     }
     for (RegState &e : states.edges)
         e.live = false;
@@ -877,7 +923,12 @@ AbsintEngine::analyzeRegion(unsigned region)
     }
 
     // Phase 2: bounded descending sweeps (narrowing) recomputing each
-    // reachable block's entry from its predecessor edges.
+    // reachable block's entry from its predecessor edges. A block
+    // whose recomputed entry is the input of its last transfer, with
+    // nothing that transfer read stamped since, is clean: the transfer
+    // would recompute the term state, verdict and edges it left, and
+    // joining its global writes again changes nothing. A block still
+    // queued when the budget ran out has no such transfer.
     for (unsigned sweep = 0; sweep < kNarrowSweeps; ++sweep) {
         for (unsigned b = 0; b < n; ++b) {
             RegState &newIn = f.narrowed;
@@ -888,37 +939,52 @@ AbsintEngine::analyzeRegion(unsigned region)
                 joinState(newIn, states.edges[e], false);
             if (!newIn.live)
                 continue;
-            states.in[b] = newIn;
-            // Drop stale edges from this block before re-emitting.
+            const bool clean = f.transferred[b] && !f.queued[b] &&
+                               newIn.v == states.in[b].v &&
+                               !stale(f.logs[b]);
+            // Drop stale edges from this block: all before a transfer
+            // re-emits, the ones its last transfer left out on a skip.
+            const unsigned keep = clean ? f.emitted[b] : 0;
             for (unsigned e = layout.edgeBegin[b];
                  e < layout.edgeBegin[b + 1]; ++e)
-                states.edges[e].live = false;
+                if (!(keep >> (e - layout.edgeBegin[b]) & 1))
+                    states.edges[e].live = false;
+            if (clean) {
+                ++stats_.sweepSkips;
+                continue;
+            }
+            states.in[b] = newIn;
             transfer(region, b, states.in[b]);
             for (unsigned k = 0; k < f.numOuts; ++k)
                 states.edges[f.outs[k].first] = f.outs[k].second;
         }
     }
+    regionLog_ = nullptr;
+}
+
+bool
+AbsintEngine::stale(const ReadLog &log) const
+{
+    const auto newer = [&](std::uint64_t stamp) {
+        return stamp > log.start;
+    };
+    if (newer(havocStamp_) || (log.hwListIds && newer(hwListIdsStamp_)))
+        return true;
+    for (std::uint32_t c : log.callees)
+        if (newer(returnStamps_[c]))
+            return true;
+    for (std::uint32_t c : log.cells)
+        if (newer(cellStamps_[c]))
+            return true;
+    return false;
 }
 
 bool
 AbsintEngine::needsAnalysis(unsigned region) const
 {
     const RegionDeps &deps = deps_[region];
-    if (!deps.analyzed)
-        return true;
-    const auto newer = [&](std::uint64_t stamp) {
-        return stamp > deps.start;
-    };
-    if (newer(entryStamps_[region]) || newer(havocStamp_) ||
-        (deps.hwListIds && newer(hwListIdsStamp_)))
-        return true;
-    for (std::uint32_t c : deps.callees)
-        if (newer(returnStamps_[c]))
-            return true;
-    for (std::uint32_t c : deps.cells)
-        if (newer(cellStamps_[c]))
-            return true;
-    return false;
+    return !deps.analyzed || entryStamps_[region] > deps.reads.start ||
+           stale(deps.reads);
 }
 
 void
@@ -940,27 +1006,13 @@ AbsintEngine::run()
     for (; round < kMaxOuterRounds; ++round) {
         round_ = round;
         changed_ = false;
-        for (unsigned i = 0; i < regions_.size(); ++i) {
-            if (!regions_[i].analyzed || !needsAnalysis(i))
-                continue;
-            RegionDeps &deps = deps_[i];
-            deps.analyzed = true;
-            deps.start = seq_;
-            deps.cells.clear();
-            deps.callees.clear();
-            deps.hwListIds = false;
-            reading_ = &deps;
-            analyzeRegion(i);
-            reading_ = nullptr;
-            for (auto *ids : {&deps.cells, &deps.callees}) {
-                std::sort(ids->begin(), ids->end());
-                ids->erase(std::unique(ids->begin(), ids->end()),
-                           ids->end());
-            }
-        }
+        for (unsigned i = 0; i < regions_.size(); ++i)
+            if (regions_[i].analyzed && needsAnalysis(i))
+                analyzeRegion(i);
         if (!changed_)
             break;
     }
+    stats_.rounds = std::min(round + 1, kMaxOuterRounds);
 
     // The states and verdicts queried after run() are each region's
     // last analysis. At a fixpoint that analysis already saw the

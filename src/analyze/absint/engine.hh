@@ -111,6 +111,18 @@ class AbsintEngine
      *  discarded by the clients (conservative, never wrong). */
     bool converged() const { return converged_; }
 
+    /** How much work run() did. */
+    struct Stats
+    {
+        unsigned rounds = 0;          ///< outer fixpoint rounds
+        unsigned regionAnalyses = 0;  ///< region passes from a live entry
+        std::uint64_t blockTransfers = 0;  ///< both phases
+        /** Narrowing-sweep transfers skipped as clean (see
+         *  analyzeRegion()). */
+        std::uint64_t sweepSkips = 0;
+    };
+    const Stats &stats() const { return stats_; }
+
     /** A maximal single-entry code region: a declared function, or a
      *  synthesized gap region for code outside any declared one. */
     struct Region
@@ -170,17 +182,40 @@ class AbsintEngine
     };
 
     /**
-     * What a region's last analysis in the rounds read. The region is
-     * re-analyzed only when one of these inputs was written after
-     * that analysis started (see run()).
+     * What one region analysis or one block transfer read of the
+     * global state. It is redone only when one of these inputs was
+     * stamped after @c start (see run() and analyzeRegion()). Each id
+     * is logged once (see logRead()).
      */
-    struct RegionDeps
+    struct ReadLog
     {
-        bool analyzed = false;
         std::uint64_t start = 0;  ///< write sequence number at start
         std::vector<std::uint32_t> cells;    ///< data word indices
         std::vector<std::uint32_t> callees;  ///< region indices
         bool hwListIds = false;
+
+        void restart(std::uint64_t seq)
+        {
+            start = seq;
+            cells.clear();
+            callees.clear();
+            hwListIds = false;
+        }
+    };
+
+    /** A region's last analysis in the rounds. */
+    struct RegionDeps
+    {
+        bool analyzed = false;
+        ReadLog reads;
+    };
+
+    /** Serials of the region analysis and of the block transfer that
+     *  last logged a cell or callee: a log takes each id once. */
+    struct LogMark
+    {
+        std::uint32_t analysis = 0;
+        std::uint32_t transfer = 0;
     };
 
     /** Branch verdict of a block's last visit in its region's last
@@ -207,6 +242,12 @@ class AbsintEngine
         std::vector<unsigned> visits;
         std::vector<bool> queued;
         std::vector<unsigned> work;  ///< FIFO ring, one slot per block
+        /** By block, over the current analysis: whether it was
+         *  transferred, what its last transfer read, and which of its
+         *  edge slots (bit e - edgeBegin) that transfer emitted. */
+        std::vector<bool> transferred;
+        std::vector<ReadLog> logs;
+        std::vector<std::uint8_t> emitted;
         /** The block's in-region out-edges: slot and state. A branch
          *  whose two edges reach one block emits that slot twice. */
         std::array<std::pair<unsigned, RegState>, 2> outs;
@@ -231,6 +272,8 @@ class AbsintEngine
     /** Extent of the data symbol containing @p a, or bottom. */
     Interval objectExtent(Addr a) const;
 
+    /** True when an input @p log read was stamped after it started. */
+    bool stale(const ReadLog &log) const;
     bool needsAnalysis(unsigned region) const;
     void analyzeRegion(unsigned region);
     void transfer(unsigned region, unsigned block, const RegState &in);
@@ -248,6 +291,9 @@ class AbsintEngine
     ValId address(const RegState &st, const DecodedInsn &d);
     ValId intern(const AbsVal &v) const { return pool_.intern(v); }
 
+    /** Add @p id to the region and block logs that lack it. */
+    void logRead(LogMark &mark, std::vector<std::uint32_t> ReadLog::*ids,
+                 std::uint32_t id) const;
     ValId cellId(Addr addr) const;
     ValId loadWord(const AbsVal &addr) const;
     ValId loadSized(const AbsVal &addr, Op op) const;
@@ -305,9 +351,16 @@ class AbsintEngine
     std::uint64_t hwListIdsStamp_ = 0;
     std::uint64_t havocStamp_ = 0;
     std::vector<RegionDeps> deps_;
-    /** Read log of the analysis in progress; null outside the
-     *  rounds (cellValue is also a public query). */
-    mutable RegionDeps *reading_ = nullptr;
+    /** Read logs of the region analysis and the block transfer in
+     *  progress; null outside them (cellValue is also a public
+     *  query). Reads happen only inside a transfer. */
+    ReadLog *regionLog_ = nullptr;
+    ReadLog *blockLog_ = nullptr;
+    std::uint32_t analysisSerial_ = 0;
+    std::uint32_t transferSerial_ = 0;
+    mutable std::vector<LogMark> cellMarks_;    ///< by data word index
+    mutable std::vector<LogMark> calleeMarks_;  ///< by region
+    Stats stats_;
 
     RegState root_;  ///< state at an unconstrained root entry
     std::set<Addr> infeasibleTaken_;

@@ -748,7 +748,9 @@ memoHash(std::uint64_t key, std::uint32_t tag)
 
 } // namespace
 
-ValuePool::ValuePool()
+ValuePool::ValuePool(size_t capacity)
+    : index_(2 * capacity, kNone), constants_(capacity), joins_(capacity),
+      widens_(capacity), evals_(capacity), branches_(capacity)
 {
     intern(AbsVal::top());
     intern(AbsVal::bottom());

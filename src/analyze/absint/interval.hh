@@ -217,7 +217,11 @@ class ValuePool
     static constexpr ValId kTop = 0;
     static constexpr ValId kBottom = 1;
 
-    ValuePool();
+    /** @p capacity (a power of two) is the initial slot count of
+     *  each memo; the value index starts at twice that. Tables double
+     *  at load one half, so a size near the final entry count saves
+     *  the rehashes and the long probes of a crowded table. */
+    explicit ValuePool(size_t capacity = 256);
     ValuePool(const ValuePool &) = delete;
     ValuePool &operator=(const ValuePool &) = delete;
 
@@ -256,6 +260,7 @@ class ValuePool
     class Memo
     {
       public:
+        explicit Memo(size_t capacity) : slots_(capacity) {}
         ValId find(std::uint64_t key, std::uint32_t tag = 0) const;
         void insert(std::uint64_t key, std::uint32_t tag, ValId result);
 
@@ -266,7 +271,7 @@ class ValuePool
             std::uint32_t tag = 0;
             ValId result = kNone;  ///< kNone = empty slot
         };
-        std::vector<Slot> slots_ = std::vector<Slot>(256);
+        std::vector<Slot> slots_;
         size_t used_ = 0;
     };
 
@@ -279,7 +284,7 @@ class ValuePool
     std::vector<std::unique_ptr<Entry[]>> chunks_;
     size_t size_ = 0;
     /** Hash index over the entries: ids, kNone = empty. */
-    std::vector<ValId> index_ = std::vector<ValId>(1024, kNone);
+    std::vector<ValId> index_;
     Memo constants_;
     Memo joins_;
     Memo widens_;

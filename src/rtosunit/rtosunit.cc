@@ -250,8 +250,10 @@ RtosUnit::onMretExecuted()
 void
 RtosUnit::startStoreFsm()
 {
-    rtu_assert(!storeActive_ && !restoreActive_ && !restorePending_,
-               "context switch episode while FSMs are busy");
+    // A guest that re-enables interrupts inside its ISR, or before a
+    // restore drains, can trap into a new episode mid-transfer.
+    if (storeActive_ || restoreActive_ || restorePending_)
+        guest_fault("context switch episode while FSMs are busy");
     storeActive_ = true;
     storeIdx_ = 0;
     storeTask_ = currentCtxId_;
@@ -359,7 +361,10 @@ RtosUnit::scheduleRestore(TaskId id)
         notifyPhase(SwitchPhase::kLoadDone);
         return;
     }
-    rtu_assert(!restoreActive_, "restore scheduled while one is running");
+    // Nothing stalls SET_CONTEXT_ID or GET_HW_SCHED behind a running
+    // restore: a guest can issue a second one mid-transfer.
+    if (restoreActive_)
+        guest_fault("restore scheduled while one is running");
     restorePending_ = true;
     restoreTask_ = id;
 }

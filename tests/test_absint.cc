@@ -512,6 +512,207 @@ TEST(AbsintDeps, HardwareListIdsAddedLater)
     EXPECT_TRUE(admits(v, 5)) << v.str();
 }
 
+// ---- narrowing-sweep dependency tracking ------------------------------
+//
+// A narrowing sweep skips a block whose recomputed entry is the input
+// of its last transfer when nothing that transfer read was stamped
+// since. A converged run's last analyses see no stamps, so these
+// fixtures keep the fixpoint moving until the round cap: a ticker (two
+// regions relaying k_tick -> k_tock -> k_tick + 1) adds one member to
+// k_tick every round, and the recording pass after the cap is each
+// region's last analysis. In it, the region under test reads a global
+// in its entry block and then, in a later block, writes the ticker's
+// new member into that global. The entry block's input is the same in
+// the sweep, so only its read log makes the sweep redo it; skipped, it
+// keeps the value it read before the write.
+
+namespace {
+
+/** Start a sweep fixture: the ticker's cells and its two regions. */
+Assembler
+tickerFixture()
+{
+    Assembler a(kTextBase, kDataBase);
+    a.dataWord("k_tick", 0);
+    a.dataWord("k_tock", 0);
+    a.dataWord("k_relay", 0);
+    a.fnBegin("k_task_tick_copy");
+    a.la(T0, "k_tick");
+    a.lw(T1, 0, T0);
+    a.la(T0, "k_tock");
+    a.sw(T1, 0, T0);
+    a.ret();
+    a.fnEnd();
+    a.fnBegin("k_task_tick_step");
+    a.la(T0, "k_tock");
+    a.lw(T1, 0, T0);
+    a.addi(T1, T1, 1);
+    a.la(T0, "k_tick");
+    a.sw(T1, 0, T0);
+    a.ret();
+    a.fnEnd();
+    return a;
+}
+
+/** Run @p engine; its ticker must still be moving at the round cap. */
+void
+runToTheCap(AbsintEngine &engine)
+{
+    engine.run();
+    EXPECT_FALSE(engine.converged());
+    EXPECT_EQ(engine.stats().rounds, 24u);
+}
+
+} // namespace
+
+TEST(AbsintSweepDeps, DataCellWrittenAfterTheRead)
+{
+    Assembler a = tickerFixture();
+    a.fnBegin("k_task_reader");
+    a.la(T0, "k_relay");
+    a.lw(A1, 0, T0);
+    a.j("write");
+    a.label("write");
+    a.la(T0, "k_tick");
+    a.lw(T1, 0, T0);
+    a.la(T0, "k_relay");
+    a.sw(T1, 0, T0);
+    a.ret();
+    a.fnEnd();
+    const Program p = a.finish();
+    AbsintEngine engine(p);
+    runToTheCap(engine);
+    const RegState *st = engine.termState(p.symbol("k_task_reader"));
+    ASSERT_NE(st, nullptr);
+    const AbsVal &tick = engine.cellValue(p.symbol("k_tick"));
+    EXPECT_EQ(engine.cellValue(p.symbol("k_relay")), tick);
+    EXPECT_EQ(st->reg(A1), tick) << st->reg(A1).str() << " vs "
+                                 << tick.str();
+}
+
+TEST(AbsintSweepDeps, CalleeSummaryWrittenAfterTheCall)
+{
+    // relay_rec calls itself before its other path returns k_tick:
+    // the worklist transfers the call first, then the return that
+    // widens the summary the call read.
+    Assembler a = tickerFixture();
+    a.fnBegin("k_task_caller");
+    a.call("relay_rec");
+    a.ret();
+    a.fnEnd();
+    a.fnBegin("relay_rec");
+    a.bnez(A0, "recurse");
+    a.la(T0, "k_tick");
+    a.lw(A0, 0, T0);
+    a.ret();
+    a.label("recurse");
+    a.call("relay_rec");
+    a.ret();
+    a.fnEnd();
+    const Program p = a.finish();
+    AbsintEngine engine(p);
+    runToTheCap(engine);
+    const Addr call = p.symbol("recurse");
+    const RegState *st = engine.edgeState(call, call + 4);
+    ASSERT_NE(st, nullptr);
+    const AbsVal &tick = engine.cellValue(p.symbol("k_tick"));
+    EXPECT_EQ(st->reg(A0), tick) << st->reg(A0).str() << " vs "
+                                 << tick.str();
+}
+
+TEST(AbsintSweepDeps, HardwareListIdsAddedAfterTheRead)
+{
+    Assembler a = tickerFixture();
+    a.fnBegin("k_task_sched");
+    a.rtuGetHwSched(A1);
+    a.j("add");
+    a.label("add");
+    a.la(T0, "k_tick");
+    a.lw(T1, 0, T0);
+    a.li(T2, 1);
+    a.rtuAddReady(T1, T2);
+    a.ret();
+    a.fnEnd();
+    const Program p = a.finish();
+    AbsintEngine engine(p);
+    runToTheCap(engine);
+    const RegState *st = engine.termState(p.symbol("k_task_sched"));
+    ASSERT_NE(st, nullptr);
+    const AbsVal &tick = engine.cellValue(p.symbol("k_tick"));
+    EXPECT_EQ(st->reg(A1), tick) << st->reg(A1).str() << " vs "
+                                 << tick.str();
+}
+
+TEST(AbsintSweepDeps, HavocRangeAddedAfterTheRead)
+{
+    // The store through a2 (top at a root entry) havocs the whole data
+    // image. It is gated on k_tick holding 25, the member the ticker
+    // adds in the recording pass, so the havoc lands in the region's
+    // last analysis after its entry block read k_relay.
+    Assembler a = tickerFixture();
+    a.dataArray("k_pool", 80);
+    a.fnBegin("k_task_reader");
+    a.la(T0, "k_relay");
+    a.lw(A1, 0, T0);
+    a.j("gate");
+    a.label("gate");
+    a.la(T0, "k_tick");
+    a.lw(T1, 0, T0);
+    a.li(T2, 25);
+    a.beq(T1, T2, "wide");
+    a.ret();
+    a.label("wide");
+    a.sw(Zero, 0, A2);
+    a.ret();
+    a.fnEnd();
+    const Program p = a.finish();
+    AbsintEngine engine(p);
+    runToTheCap(engine);
+    ASSERT_NE(engine.blockEntry(p.symbol("wide")), nullptr);
+    EXPECT_TRUE(engine.cellValue(p.symbol("k_relay")).isTop());
+    const RegState *st = engine.termState(p.symbol("k_task_reader"));
+    ASSERT_NE(st, nullptr);
+    EXPECT_TRUE(st->reg(A1).isTop()) << st->reg(A1).str();
+}
+
+TEST(AbsintSweepDeps, EdgeLeftOutByTheLastVisitIsCleared)
+{
+    // At `head`, t0 is first {k_scalar}: the load reads {0, 5} and both
+    // edges of the beqz are feasible. The back edge makes t0
+    // {k_scalar, k_array}, a computed set, so the load drops the
+    // scalar member and reads k_array's 5: the last phase-1 visit
+    // refutes the taken edge. The sweep finds `head` clean, and its
+    // taken edge must not keep the first visit's state.
+    Assembler a(kTextBase, kDataBase);
+    a.dataWord("k_scalar", 0);
+    a.dataArray("k_array", 2, 5);
+    a.fnBegin("k_task_store");
+    a.la(T0, "k_scalar");
+    a.li(T1, 5);
+    a.sw(T1, 0, T0);
+    a.ret();
+    a.fnEnd();
+    a.fnBegin("k_task_flip");
+    a.la(T0, "k_scalar");
+    a.label("head");
+    a.lw(T1, 0, T0);
+    a.beqz(T1, "out");
+    a.la(T0, "k_array");
+    a.j("head");
+    a.label("out");
+    a.ret();
+    a.fnEnd();
+    const Program p = a.finish();
+    AbsintEngine engine(p);
+    engine.run();
+    ASSERT_TRUE(engine.converged());
+    const Addr head = p.symbol("head");
+    EXPECT_EQ(engine.infeasibleTaken(), std::set<Addr>{head + 4});
+    EXPECT_EQ(engine.edgeState(head, p.symbol("out")), nullptr);
+    EXPECT_NE(engine.edgeState(head, head + 8), nullptr);
+    EXPECT_GT(engine.stats().sweepSkips, 0u);
+}
+
 // ---- loop-bound inference + seeded defects ---------------------------
 
 TEST(LoopBound, InfersCountdownTripCount)

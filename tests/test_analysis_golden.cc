@@ -16,7 +16,10 @@
  * AbsintGolden pins the abstract-interpretation engine's final states
  * over the same images. The matrix lints clean, so a change that
  * moved an abstract value without flipping a verdict would pass every
- * diagnostic-level check; this digest catches it.
+ * diagnostic-level check; this digest catches it. AbsintWorkGolden
+ * pins the engine's work counters over the images, so a change that
+ * makes the fixpoint redo (or skip) work shows up even when every
+ * state stays the same.
  */
 
 #include <gtest/gtest.h>
@@ -240,4 +243,25 @@ TEST(AbsintGolden, GeneratedMatrixStates)
     // diff `digest.text` between two builds to see what moved.
     EXPECT_EQ(digest.count, 108219u);
     EXPECT_EQ(digest.value(), 0x99250de66972df25ull);
+}
+
+TEST(AbsintWorkGolden, GeneratedMatrixStats)
+{
+    AbsintEngine::Stats total;
+    unsigned images = 0;
+    forEachGeneratedProgram([&](const LintPoint &point) {
+        ++images;
+        AbsintEngine engine(point.program);
+        engine.run();
+        const AbsintEngine::Stats &s = engine.stats();
+        total.rounds += s.rounds;
+        total.regionAnalyses += s.regionAnalyses;
+        total.blockTransfers += s.blockTransfers;
+        total.sweepSkips += s.sweepSkips;
+    });
+    EXPECT_EQ(images, 105u);
+    EXPECT_EQ(total.rounds, 1020u);
+    EXPECT_EQ(total.regionAnalyses, 4233u);
+    EXPECT_EQ(total.blockTransfers, 175228u);
+    EXPECT_EQ(total.sweepSkips, 41358u);
 }

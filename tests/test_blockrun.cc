@@ -1,6 +1,7 @@
 /** Block-run bail reasons, pinned per core. Each tiny program makes the
  *  superblock fast path give up for one reason:
- *   - a pc the index does not cover (code reached by jalr into dmem);
+ *   - a pc outside the predecoded image (code reached by jalr into
+ *     dmem);
  *   - a stop word at the head of a run (csrr in a loop);
  *   - a load the per-instruction path routes to a device (CLINT mtime);
  *   - on NaxRiscv, a slot-1 load whose base register slot 0 writes;
@@ -95,7 +96,7 @@ class BlockRun : public ::testing::TestWithParam<CoreKind>
 TEST_P(BlockRun, UncoveredPcBails)
 {
     // The callee lives in dmem, outside the predecoded text: each call
-    // leaves the index's coverage.
+    // leaves the image that block runs read.
     const Program p = loopProgram(
         [](Assembler &a) {
             a.dataWord("dm_code", encode(Op::kAddi, A0, A0, 0, 1));

@@ -94,7 +94,7 @@ TEST(Differential, FastForwardMatchesReferenceAcrossTheMatrix)
                       ref.run.throughput.cyclesTicked)
                 << mkey;
             if (m == EngineMode::kNoPredecode) {
-                // No image => no block index => no block runs.
+                // No predecoded image => no block runs.
                 EXPECT_EQ(ff.run.throughput.cyclesBlockExecuted, 0u)
                     << mkey;
             }

@@ -1,11 +1,15 @@
 /** Direct tests of the RTOSUnit's context FSMs: store, restore,
- *  SWITCH_RF / mret stalls, dirty bits, load omission, preloading. */
+ *  SWITCH_RF / mret stalls, dirty bits, load omission, preloading; and
+ *  guest programs that start an FSM while one is busy, which end the
+ *  run as a guest fault on every core. */
 
 #include <gtest/gtest.h>
 
+#include "asm/assembler.hh"
 #include "common/logging.hh"
 #include "cores/arch_state.hh"
 #include "kernel/layout.hh"
+#include "harness/simulation.hh"
 #include "rtosunit/rtosunit.hh"
 #include "sim/mem.hh"
 #include "sim/memmap.hh"
@@ -378,6 +382,73 @@ TEST_F(FsmTest, TimerTrapWithSchedMovesExpiredTasks)
     idleCycles(2 * config.listSlots + 8);
     EXPECT_EQ(unit->delayList().occupancy(), 0u);
     EXPECT_TRUE(unit->readyList().occupancy() >= 2);
+}
+
+// ---- guest programs that overrun an FSM ------------------------------
+
+/** Run @p p on every core under @p config: each run must end as a
+ *  guest fault whose diagnostic contains @p what. */
+void
+expectGuestFaultOnEveryCore(const Program &p, const char *config,
+                            const std::string &what)
+{
+    for (CoreKind core :
+         {CoreKind::kCv32e40p, CoreKind::kCva6, CoreKind::kNax}) {
+        SimConfig cfg;
+        cfg.core = core;
+        cfg.unit = RtosUnitConfig::fromName(config);
+        cfg.maxCycles = 10'000;
+        Simulation sim(cfg, p);
+        EXPECT_FALSE(sim.run()) << coreKindName(core);
+        EXPECT_STREQ(runStatusName(sim.status()), "guest-fault")
+            << coreKindName(core);
+        EXPECT_NE(sim.statusDiagnostic().find(what), std::string::npos)
+            << coreKindName(core) << ": " << sim.statusDiagnostic();
+    }
+}
+
+TEST(FsmGuestFault, InterruptWhileTheStoreDrains)
+{
+    // A pending software interrupt traps into the ISR, which starts
+    // the SL store FSM; the ISR's first instruction re-enables
+    // interrupts while the interrupt is still pending, so the core
+    // traps again before the 31-word drain is done.
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.dataWord("currentTaskId", 0);
+    a.la(T0, "isr");
+    a.csrw(csr::kMtvec, T0);
+    a.li(T0, static_cast<SWord>(irq::kMsi));
+    a.csrw(csr::kMie, T0);
+    a.li(T0, 1);
+    a.li(T1, static_cast<SWord>(memmap::kClintMsip));
+    a.sw(T0, 0, T1);
+    a.csrrsi(Zero, csr::kMstatus, mstatus::kMie);
+    a.label("spin");
+    a.j("spin");
+    a.label("isr");
+    a.csrrsi(Zero, csr::kMstatus, mstatus::kMie);
+    a.label("isr_spin");
+    a.j("isr_spin");
+    expectGuestFaultOnEveryCore(a.finish(), "SL",
+                                "context switch episode while FSMs are "
+                                "busy");
+}
+
+TEST(FsmGuestFault, SecondContextIdWhileARestoreRuns)
+{
+    // The first SET_CONTEXT_ID schedules a 31-word restore that starts
+    // on the next free cycle; the second one lands while it runs.
+    Assembler a(memmap::kImemBase, memmap::kDmemBase);
+    a.dataWord("currentTaskId", 0);
+    a.li(A0, 1);
+    a.rtuSetContextId(A0);
+    a.nop();
+    a.nop();
+    a.rtuSetContextId(A0);
+    a.label("spin");
+    a.j("spin");
+    expectGuestFaultOnEveryCore(a.finish(), "SL",
+                                "restore scheduled while one is running");
 }
 
 } // namespace
